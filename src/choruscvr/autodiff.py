@@ -3,14 +3,16 @@
 Define-by-run: every operation returns a new :class:`Tensor` holding the
 forward value, the parent nodes and a closure that maps the output
 gradient onto the parents. ``backward`` walks the graph once in reverse
-topological order. The operation set is intentionally small (what the
-training objectives need) and everything is 64-bit.
+topological order. Inside :func:`no_grad` no graph is built, so the same
+forward code serves scoring. The operation set is intentionally small
+(what the training objectives need) and everything is 64-bit.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,6 +22,8 @@ __all__ = [
     "ShapeError",
     "OptimizerError",
     "backward",
+    "no_grad",
+    "stable_sigmoid",
     "stop_gradient",
     "concat",
     "mlp_forward",
@@ -48,6 +52,31 @@ def _noop() -> None:
     return None
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Build no graph inside the block.
+
+    Results keep no parents and no backward closure, so every
+    intermediate is freed as soon as the next operation has read it.
+    Values are the same as with the graph.
+    """
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, stable in both tails."""
+    return np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` over dimensions that numpy broadcasting expanded."""
     while grad.ndim > len(shape):
@@ -61,14 +90,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """One node of the computation graph.
 
-    ``value`` and ``grad`` always share a shape; ``grad`` starts at zero
-    and is filled by :func:`backward`. A node with ``grad_blocked`` set
+    ``value`` and ``grad`` always share a shape. ``grad`` reads zero until
+    a :func:`backward` reaches the node; each backward gives every node it
+    reaches a fresh buffer. A node with ``grad_blocked`` set
     contributes exactly zero gradient to all of its parents: the engine
     never invokes its backward closure, so parent accumulators are left
     untouched (bitwise zero, not merely small).
     """
 
-    __slots__ = ("value", "grad", "op", "parents", "grad_blocked", "name", "_backward")
+    __slots__ = ("value", "_grad", "op", "parents", "grad_blocked", "name", "_backward")
 
     def __init__(
         self,
@@ -80,12 +110,28 @@ class Tensor:
         name: str = "",
     ):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self._grad: np.ndarray | None = None
         self.op = op
-        self.parents = parents
+        self.parents = parents if _grad_enabled else ()
         self.grad_blocked = grad_blocked
         self.name = name
         self._backward: Callable[[], None] = _noop
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self._grad = value
+
+    def _attach(self, bw: Callable[[], None]) -> "Tensor":
+        """Install ``bw`` as this node's backward step, unless under no_grad."""
+        if _grad_enabled:
+            self._backward = bw
+        return self
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -113,8 +159,7 @@ class Tensor:
             for p in parents:
                 p.grad += _unbroadcast(g, p.value.shape)
 
-        out._backward = bw
-        return out
+        return out._attach(bw)
 
     def __radd__(self, other) -> "Tensor":
         return self.__add__(other)
@@ -125,8 +170,7 @@ class Tensor:
         def bw() -> None:
             self.grad -= out.grad
 
-        out._backward = bw
-        return out
+        return out._attach(bw)
 
     def __sub__(self, other) -> "Tensor":
         if isinstance(other, Tensor):
@@ -148,8 +192,7 @@ class Tensor:
             else:
                 self.grad += _unbroadcast(g * b_val, self.value.shape)
 
-        out._backward = bw
-        return out
+        return out._attach(bw)
 
     def __rmul__(self, other) -> "Tensor":
         return self.__mul__(other)
@@ -178,8 +221,7 @@ class Tensor:
             else:
                 other.grad += a.T @ g
 
-        out._backward = bw
-        return out
+        return out._attach(bw)
 
     def reciprocal(self) -> "Tensor":
         out = Tensor(1.0 / self.value, parents=(self,), op="reciprocal")
@@ -187,8 +229,7 @@ class Tensor:
         def bw() -> None:
             self.grad += -out.grad * out.value * out.value
 
-        out._backward = bw
-        return out
+        return out._attach(bw)
 
     # -- nonlinearities ---------------------------------------------------
 
@@ -198,20 +239,15 @@ class Tensor:
         def bw() -> None:
             self.grad += out.grad * (self.value > 0.0)
 
-        out._backward = bw
-        return out
+        return out._attach(bw)
 
     def sigmoid(self) -> "Tensor":
-        x = self.value
-        # Stable in both tails.
-        val = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        out = Tensor(val, parents=(self,), op="sigmoid")
+        out = Tensor(stable_sigmoid(self.value), parents=(self,), op="sigmoid")
 
         def bw() -> None:
             self.grad += out.grad * out.value * (1.0 - out.value)
 
-        out._backward = bw
-        return out
+        return out._attach(bw)
 
     def log(self) -> "Tensor":
         out = Tensor(np.log(self.value), parents=(self,), op="log")
@@ -219,30 +255,25 @@ class Tensor:
         def bw() -> None:
             self.grad += out.grad / self.value
 
-        out._backward = bw
-        return out
+        return out._attach(bw)
 
     def clip(self, lo: float, hi: float) -> "Tensor":
         """Clamp values into [lo, hi]; gradient passes only strictly inside."""
         out = Tensor(np.clip(self.value, lo, hi), parents=(self,), op="clip")
-        inside = (self.value > lo) & (self.value < hi)
 
         def bw() -> None:
-            self.grad += out.grad * inside
+            self.grad += out.grad * ((self.value > lo) & (self.value < hi))
 
-        out._backward = bw
-        return out
+        return out._attach(bw)
 
     def clamp_min(self, floor: float) -> "Tensor":
         """max(x, floor); gradient passes where x > floor."""
         out = Tensor(np.maximum(self.value, floor), parents=(self,), op="clamp_min")
-        above = self.value > floor
 
         def bw() -> None:
-            self.grad += out.grad * above
+            self.grad += out.grad * (self.value > floor)
 
-        out._backward = bw
-        return out
+        return out._attach(bw)
 
     # -- reductions / shaping ----------------------------------------------
 
@@ -252,8 +283,7 @@ class Tensor:
         def bw() -> None:
             self.grad += out.grad
 
-        out._backward = bw
-        return out
+        return out._attach(bw)
 
     def mean(self) -> "Tensor":
         n = self.value.size
@@ -262,8 +292,7 @@ class Tensor:
         def bw() -> None:
             self.grad += out.grad / n
 
-        out._backward = bw
-        return out
+        return out._attach(bw)
 
     def reshape(self, *shape: int) -> "Tensor":
         old = self.value.shape
@@ -272,8 +301,7 @@ class Tensor:
         def bw() -> None:
             self.grad += out.grad.reshape(old)
 
-        out._backward = bw
-        return out
+        return out._attach(bw)
 
     def ravel(self) -> "Tensor":
         return self.reshape(self.value.size)
@@ -286,8 +314,7 @@ class Tensor:
         def bw() -> None:
             np.add.at(self.grad, idx, out.grad)
 
-        out._backward = bw
-        return out
+        return out._attach(bw)
 
 
 def _operands(a: Tensor, b) -> tuple[np.ndarray, np.ndarray, tuple[Tensor, ...]]:
@@ -306,13 +333,6 @@ def stop_gradient(t: Tensor) -> Tensor:
     return out
 
 
-def constant(value, name: str = "") -> Tensor:
-    """Leaf wrapper for values that should never receive gradient flow."""
-    out = Tensor(value, op="leaf", name=name)
-    out.grad_blocked = True
-    return out
-
-
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     parts = [t.value for t in tensors]
     out = Tensor(np.concatenate(parts, axis=axis), parents=tuple(tensors), op="concat")
@@ -326,8 +346,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
             sl[axis] = slice(lo, hi)
             t.grad += g[tuple(sl)]
 
-    out._backward = bw
-    return out
+    return out._attach(bw)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -352,17 +371,17 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
     """Accumulate d(root)/d(node) into every reachable node's ``grad``.
 
-    The root must be scalar. All gradients in the reachable graph are
-    zeroed first, so repeated calls never leak accumulation across
-    steps. Returns a map from every reachable leaf node to its gradient
-    array (the arrays are the live ``grad`` buffers, not copies).
+    The root must be scalar. Every reachable node gets a fresh zero
+    buffer first, so repeated calls never leak accumulation across steps
+    and never overwrite the arrays an earlier call returned. Returns a
+    map from every reachable leaf node to its gradient array.
     """
     if root.value.shape != ():
         raise GraphError(f"backward root must be scalar, got shape {root.value.shape}")
     order = _topo_order(root)
     for node in order:
-        node.grad[...] = 0.0
-    root.grad[...] = 1.0
+        node.grad = np.zeros_like(node.value)
+    root.grad = np.ones_like(root.value)
     for node in reversed(order):
         if node.grad_blocked:
             continue

@@ -6,8 +6,9 @@ embedded verbatim in every run manifest together with a content digest
 of the dataset, so any artifact can be traced back to its exact inputs.
 
 Exit codes: 0 success, 2 usage or config error (bad flags, bad YAML,
-unknown method, missing files), 1 runtime failure (calibration or
-training aborts, unwritable outputs).
+unknown section or key, unknown method, missing files), 1 runtime
+failure (calibration or training aborts, a metric or objective the data
+cannot define, unwritable outputs).
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from . import __version__
 from .autodiff import OptimizerConfig
 from .data import read_log, write_log
 from .features import FeatureSchema, build_schema
-from .metrics import write_report
+from .metrics import UndefinedMetricError, write_report
 from .model import Architecture, save_checkpoint, load_checkpoint
-from .objectives import METHODS, IpwConfig, LossWeights
+from .objectives import METHODS, IpwConfig, LossWeights, ObjectiveError
 from .simulator import SimConfig, generate, sim_schema, space_stats
 from .trainer import ExperimentConfig, evaluate, split_indices, train, write_history
 
@@ -41,6 +42,27 @@ class UsageError(Exception):
 
 
 # -- config plumbing -----------------------------------------------------------
+
+# Keys of the sections read key by key; ``sim`` and ``objective.*`` are
+# checked against their dataclass fields instead.
+SECTION_KEYS = {
+    "model": ("embed_width", "encoder_widths", "tower_widths", "tower_input_width"),
+    "objective": ("weights", "ipw"),
+    "trainer": (
+        "method",
+        "optimizer",
+        "learning_rate",
+        "batch_size",
+        "epochs",
+        "patience",
+        "seed",
+        "dataset",
+        "eval_bins",
+    ),
+    "compare": ("methods", "seeds", "reference", "dataset"),
+    "evaluate": ("checkpoint", "dataset", "eval_bins"),
+}
+SECTIONS = ("sim", "features", *SECTION_KEYS)
 
 
 def load_config(path: str | Path) -> tuple[dict, str]:
@@ -57,6 +79,9 @@ def load_config(path: str | Path) -> tuple[dict, str]:
         cfg = {}
     if not isinstance(cfg, dict):
         raise UsageError("config root must be a mapping of sections")
+    unknown = set(cfg) - set(SECTIONS)
+    if unknown:
+        raise UsageError(f"unknown config sections: {sorted(unknown, key=str)}")
     return cfg, text
 
 
@@ -66,6 +91,10 @@ def _section(cfg: Mapping, name: str) -> dict:
         sec = {}
     if not isinstance(sec, Mapping):
         raise UsageError(f"config section {name!r} must be a mapping")
+    if name in SECTION_KEYS:
+        unknown = set(sec) - set(SECTION_KEYS[name])
+        if unknown:
+            raise UsageError(f"unknown keys in {name}: {sorted(unknown, key=str)}")
     return dict(sec)
 
 
@@ -350,11 +379,12 @@ def run_compare(
         for seed in seeds:
             ds_dir = out_dir / "datasets"
             ds_dir.mkdir(exist_ok=True)
+            # Regenerated on every run, so a changed ``sim`` section never
+            # meets a stale file; generation is deterministic.
             path = ds_dir / f"sim_seed{seed}.csv"
-            if not path.is_file():
-                per_seed = dataclasses.replace(base_sim, seed=base_sim.seed + seed)
-                records, _ = generate(per_seed)
-                write_log(records, path, sim_schema(per_seed))
+            per_seed = dataclasses.replace(base_sim, seed=base_sim.seed + seed)
+            records, _ = generate(per_seed)
+            write_log(records, path, sim_schema(per_seed))
             datasets[seed] = str(path)
 
     rows: list[dict[str, Any]] = []
@@ -459,6 +489,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (UndefinedMetricError, ObjectiveError) as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

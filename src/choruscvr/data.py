@@ -1,10 +1,11 @@
-"""Exposure-log ingestion, funnel validation, space partitioning, batching.
+"""Exposure-log ingestion, funnel validation, batching.
 
 One on-disk format: UTF-8 CSV with header
 ``sample_id,click,conversion,<feature columns...>`` optionally followed
 by ``true_p_click,true_p_conv,r_counterfactual`` (simulator output).
-Labels are strictly 0/1 and a conversion without a click violates the
-funnel; such rows are dropped and counted, never kept.
+Labels are strictly 0/1, categorical ids are integers, and a conversion
+without a click violates the funnel; such rows are dropped and counted,
+never kept.
 """
 
 from __future__ import annotations
@@ -21,12 +22,10 @@ from .features import FeatureSchema
 __all__ = [
     "GroundTruth",
     "ExposureRecord",
-    "SpacePartition",
     "IngestionReport",
     "LogFormatError",
     "read_log",
     "write_log",
-    "partition",
     "batch_iter",
     "label_arrays",
     "truth_arrays",
@@ -58,21 +57,6 @@ class ExposureRecord:
     truth: GroundTruth | None = None
 
 
-@dataclass(frozen=True)
-class SpacePartition:
-    """Row indices of the funnel spaces.
-
-    exposure = click ∪ unclick (disjoint); click = conv ∪ unconv
-    (disjoint).
-    """
-
-    exposure: np.ndarray
-    click: np.ndarray
-    unclick: np.ndarray
-    conv: np.ndarray
-    unconv: np.ndarray
-
-
 @dataclass
 class IngestionReport:
     n_lines: int = 0
@@ -92,12 +76,14 @@ def _parse_label(raw: str, column: str) -> int:
 def read_log(path: str | Path, schema: FeatureSchema) -> tuple[list[ExposureRecord], IngestionReport]:
     """Parse a CSV exposure log against the schema.
 
-    Malformed rows are skipped and itemized (line number, reason);
+    Malformed rows, including a categorical id that is not an integer
+    (``nan``, ``2.7``), are skipped and itemized (line number, reason);
     funnel violations are dropped and counted. A header missing the
     label columns or any schema feature is fatal.
     """
     path = Path(path)
     feature_names = [f.name for f in schema.features]
+    id_names = [f.name for f in schema.features if f.kind == "categorical"]
     report = IngestionReport()
     records: list[ExposureRecord] = []
     with path.open(newline="", encoding="utf-8") as fh:
@@ -128,6 +114,9 @@ def read_log(path: str | Path, schema: FeatureSchema) -> tuple[list[ExposureReco
                 click = _parse_label(row[col["click"]], "click")
                 conversion = _parse_label(row[col["conversion"]], "conversion")
                 feats = {name: float(row[col[name]]) for name in feature_names}
+                for name in id_names:
+                    if not feats[name].is_integer():
+                        raise ValueError(f"{name} must be an integer id, got {row[col[name]]!r}")
                 truth = None
                 if has_truth:
                     truth = GroundTruth(
@@ -178,18 +167,6 @@ def write_log(records: Sequence[ExposureRecord], path: str | Path, schema: Featu
                 t = rec.truth
                 row += [repr(float(t.true_p_click)), repr(float(t.true_p_conv)), str(t.r_counterfactual)]
             writer.writerow(row)
-
-
-def partition(records: Sequence[ExposureRecord]) -> SpacePartition:
-    """Index the funnel spaces of a record list."""
-    o = np.fromiter((r.click for r in records), dtype=np.int64, count=len(records))
-    r = np.fromiter((r.conversion for r in records), dtype=np.int64, count=len(records))
-    exposure = np.arange(len(records))
-    click = exposure[o == 1]
-    unclick = exposure[o == 0]
-    conv = exposure[(o == 1) & (r == 1)]
-    unconv = exposure[(o == 1) & (r == 0)]
-    return SpacePartition(exposure, click, unclick, conv, unconv)
 
 
 def label_arrays(records: Sequence[ExposureRecord]) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "NumericStats",
     "build_schema",
     "init_tables",
-    "encode",
     "FeatureMatrix",
     "encode_matrix",
 ]
@@ -131,29 +130,6 @@ def init_tables(schema: FeatureSchema, rng: np.random.Generator) -> dict[str, Te
         t.name = f"embed.{f.name}"
         tables[f.name] = t
     return tables
-
-
-def _fold_index(name: str, raw: int, vocab: int) -> int:
-    idx = int(raw) % vocab
-    if not 0 <= int(raw) < vocab:
-        log.info("feature %s: id %d folded to %d (vocab %d)", name, raw, idx, vocab)
-    return idx
-
-
-def encode(features: Mapping[str, float], schema: FeatureSchema, tables: Mapping[str, Tensor]) -> Tensor:
-    """Encode one record's feature dict into the dense input vector."""
-    parts: list[Tensor] = []
-    for f in schema.ordered:
-        if f.name not in features:
-            raise EncodingError(f"record is missing feature {f.name!r}")
-        raw = features[f.name]
-        if f.kind == "categorical":
-            idx = _fold_index(f.name, int(raw), f.vocab_size)
-            parts.append(tables[f.name].take_rows(np.asarray([idx])).reshape(f.embed_width))
-        else:
-            st = schema.stats_for(f.name)
-            parts.append(Tensor(np.asarray([(float(raw) - st.mean) / st.std])))
-    return concat(parts, axis=-1)
 
 
 @dataclass(frozen=True)

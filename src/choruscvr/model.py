@@ -10,9 +10,8 @@ stay strictly positive.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "init_model",
     "predict",
     "predict_batch",
-    "predict_values",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -118,6 +116,10 @@ class TowerOutputs:
     ctcvr: Tensor
     ctuncvr: Tensor
 
+    def values(self) -> dict[str, np.ndarray]:
+        """Score name -> probability array."""
+        return {f.name: getattr(self, f.name).value for f in fields(self)}
+
 
 def _init_layer(fan_in: int, fan_out: int, rng: np.random.Generator, name: str) -> tuple[Tensor, Tensor]:
     bound = 1.0 / np.sqrt(fan_in)
@@ -169,7 +171,8 @@ def _head(params: ModelParams, tower: str, h: Tensor) -> Tensor:
 
 
 def predict(params: ModelParams, x: Tensor) -> TowerOutputs:
-    """Score an encoded batch (n, input_width); keeps the graph."""
+    """Score an encoded batch (n, input_width); keeps the graph unless
+    called under :func:`~choruscvr.autodiff.no_grad`."""
     h = mlp_forward(params.encoder, x, ["relu"] * len(params.encoder))
     ctr = _head(params, "ctr", h)
     cvr = _head(params, "cvr", h)
@@ -179,44 +182,6 @@ def predict(params: ModelParams, x: Tensor) -> TowerOutputs:
 
 def predict_batch(params: ModelParams, fm: FeatureMatrix) -> TowerOutputs:
     return predict(params, encode_matrix(fm, params.schema, params.tables))
-
-
-# -- graph-free forward for evaluation ---------------------------------------
-
-
-def _np_sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-
-def predict_values(params: ModelParams, fm: FeatureMatrix) -> dict[str, np.ndarray]:
-    """Same arithmetic as :func:`predict_batch` without graph nodes.
-
-    Operation order mirrors the graph path exactly, so scores agree
-    bitwise; used for large-split evaluation.
-    """
-    parts: list[np.ndarray] = []
-    num_col = 0
-    for f in params.schema.ordered:
-        if f.kind == "categorical":
-            parts.append(params.tables[f.name].value[fm.cat_indices[f.name]])
-        else:
-            parts.append(fm.num_values[:, num_col : num_col + 1])
-            num_col += 1
-    h = np.concatenate(parts, axis=-1)
-    for w, b in params.encoder:
-        h = np.maximum(h @ w.value + b.value, 0.0)
-    out: dict[str, np.ndarray] = {}
-    for tower in TOWER_NAMES:
-        t = h
-        layers = params.towers[tower]
-        for w, b in layers[:-1]:
-            t = np.maximum(t @ w.value + b.value, 0.0)
-        w, b = layers[-1]
-        t = _np_sigmoid(t @ w.value + b.value)
-        out[tower] = np.clip(t, PROB_CLAMP, 1.0 - PROB_CLAMP).reshape(fm.n_rows)
-    out["ctcvr"] = out["ctr"] * out["cvr"]
-    out["ctuncvr"] = out["ctr"] * out["uncvr"]
-    return out
 
 
 # -- checkpointing ------------------------------------------------------------

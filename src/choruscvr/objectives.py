@@ -16,7 +16,7 @@ contributes zero for its terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "loss_align_ipw",
     "total_loss",
     "compose_method_loss",
-    "baseline_total",
     "training_step",
     "ipw_mean",
 ]
@@ -378,19 +377,6 @@ def compose_method_loss(
     )
 
 
-def baseline_total(
-    method: str,
-    outputs: TowerOutputs,
-    o: np.ndarray,
-    r: np.ndarray,
-    ipw: IpwConfig,
-) -> Tensor:
-    """Scalar objective of a comparison method on one batch."""
-    if method not in ("esmm", "escm2_ipw", "nise", "dcmt_lite"):
-        raise ObjectiveError(f"unknown baseline {method!r}")
-    return compose_method_loss(method, outputs, o, r, LossWeights(), ipw).total
-
-
 def training_step(
     params: ModelParams,
     fm: FeatureMatrix,
@@ -409,7 +395,7 @@ def training_step(
     outputs = predict_batch(params, fm)
     bundle = compose_method_loss(method, outputs, o, r, weights, ipw)
     leaf_grads = backward(bundle.total)
-    grads = [leaf_grads[p].copy() if p in leaf_grads else np.zeros_like(p.value) for p in params.parameters()]
+    grads = [leaf_grads[p] if p in leaf_grads else np.zeros_like(p.value) for p in params.parameters()]
     return bundle, grads
 
 

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
+from .autodiff import stable_sigmoid
 from .data import ExposureRecord, GroundTruth
 from .features import FeatureSchema, build_schema
 
@@ -110,10 +111,6 @@ def sim_schema(config: SimConfig, embed_width: int = 8) -> FeatureSchema:
     )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-
 def _directions(config: SimConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Unit click direction and a conversion direction sharing
     ``correlation`` of it."""
@@ -176,14 +173,14 @@ def generate(config: SimConfig) -> tuple[list[ExposureRecord], GenerationReport]
     conv_score = SCORE_GAIN_CONV * (z_cal @ u_conv)
 
     b0 = _calibrate_intercept(
-        lambda b: float(_sigmoid(click_score + b).mean()),
+        lambda b: float(stable_sigmoid(click_score + b).mean()),
         config.target_click_rate,
         "click rate",
     )
-    p_click_cal = _sigmoid(click_score + b0)
+    p_click_cal = stable_sigmoid(click_score + b0)
 
     def conv_given_click(c: float) -> float:
-        p_conv = _sigmoid(conv_score + c)
+        p_conv = stable_sigmoid(conv_score + c)
         return float((p_click_cal * p_conv).mean() / p_click_cal.mean())
 
     c0 = _calibrate_intercept(conv_given_click, config.target_conv_rate_given_click, "conversion rate")
@@ -197,8 +194,8 @@ def generate(config: SimConfig) -> tuple[list[ExposureRecord], GenerationReport]
         n = min(SHARD_SIZE, config.n_exposures - shard * SHARD_SIZE)
         rng = np.random.Generator(np.random.PCG64(seq))
         z = rng.standard_normal((n, config.latent_dim))
-        p_click = _sigmoid(SCORE_GAIN_CLICK * (z @ u_click) + b0)
-        p_conv = _sigmoid(SCORE_GAIN_CONV * (z @ u_conv) + c0)
+        p_click = stable_sigmoid(SCORE_GAIN_CLICK * (z @ u_click) + b0)
+        p_conv = stable_sigmoid(SCORE_GAIN_CONV * (z @ u_conv) + c0)
         o = (rng.random(n) < p_click).astype(np.int64)
         r_cf = (rng.random(n) < p_conv).astype(np.int64)
         noise = config.noise_scale * rng.standard_normal((n, config.latent_dim))

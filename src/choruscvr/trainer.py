@@ -16,12 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import OptimizerConfig, OptimizerState, optimizer_step
+from .autodiff import OptimizerConfig, OptimizerState, no_grad, optimizer_step
 from .data import ExposureRecord, batch_iter, label_arrays, truth_arrays
 from .features import FeatureMatrix, FeatureSchema, build_matrix
 from .metrics import MetricEntry, MetricsReport, UndefinedMetricError, auc, bias_curve, logloss, pcoc
-from .model import Architecture, ModelParams, init_model, predict_values
-from .objectives import METHODS, IpwConfig, LossWeights, ObjectiveError, training_step
+from .model import Architecture, ModelParams, init_model, predict_batch
+from .objectives import METHODS, IpwConfig, LossWeights, training_step
 
 __all__ = [
     "ExperimentConfig",
@@ -94,11 +94,17 @@ def _epoch_seed(seed: int, epoch: int) -> int:
     return int(np.random.SeedSequence((seed, epoch)).generate_state(1)[0])
 
 
+def _scores(params: ModelParams, fm: FeatureMatrix) -> dict[str, np.ndarray]:
+    """The training forward without a graph."""
+    with no_grad():
+        return predict_batch(params, fm).values()
+
+
 def _predict_chunked(params: ModelParams, fm: FeatureMatrix) -> dict[str, np.ndarray]:
     if fm.n_rows <= EVAL_CHUNK:
-        return predict_values(params, fm)
+        return _scores(params, fm)
     chunks = [
-        predict_values(params, fm.rows(np.arange(lo, min(lo + EVAL_CHUNK, fm.n_rows))))
+        _scores(params, fm.rows(np.arange(lo, min(lo + EVAL_CHUNK, fm.n_rows))))
         for lo in range(0, fm.n_rows, EVAL_CHUNK)
     ]
     return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
@@ -150,7 +156,7 @@ def train(
             if not np.isfinite(values["total"]):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch} step {step}: "
-                    + _diagnostics(values, predict_values(params, batch)["ctr"])
+                    + _diagnostics(values, _scores(params, batch)["ctr"])
                 )
             optimizer_step(params.parameters(), grads, opt_state, config.optimizer)
             for k, v in values.items():

@@ -20,16 +20,15 @@ import pytest
 import yaml
 
 from choruscvr import cli
-from choruscvr.autodiff import Tensor, backward
+from choruscvr.autodiff import Tensor, backward, no_grad
 from choruscvr.data import write_log
-from choruscvr.features import NumericStats, build_matrix, build_schema
+from choruscvr.features import NumericStats, build_matrix, build_schema, encode_matrix
 from choruscvr.metrics import auc, logloss, pcoc
 from choruscvr.model import (
     Architecture,
     TowerOutputs,
     init_model,
     predict_batch,
-    predict_values,
 )
 from choruscvr.objectives import (
     IpwConfig,
@@ -177,19 +176,17 @@ def _draw_case(seed: int):
     return params, fm, o, r
 
 
+def _scores(params, fm) -> dict[str, np.ndarray]:
+    with no_grad():
+        return predict_batch(params, fm).values()
+
+
 def _activation_gap(params, fm) -> float:
     """Distance of the nearest pre-activation to a relu kink, and of the
     click head to the propensity floor. Central differences are only
     trustworthy when every such gap dwarfs the step."""
-    parts = []
-    num_col = 0
-    for f in params.schema.ordered:
-        if f.kind == "categorical":
-            parts.append(params.tables[f.name].value[fm.cat_indices[f.name]])
-        else:
-            parts.append(fm.num_values[:, num_col : num_col + 1])
-            num_col += 1
-    h = np.concatenate(parts, axis=-1)
+    with no_grad():
+        h = encode_matrix(fm, params.schema, params.tables).value
     gap = np.inf
     for w, b in params.encoder:
         z = h @ w.value + b.value
@@ -202,7 +199,7 @@ def _activation_gap(params, fm) -> float:
             z = t @ w.value + b.value
             gap = min(gap, float(np.min(np.abs(z))))
             t = np.maximum(z, 0.0)
-    p_click = predict_values(params, fm)["ctr"]
+    p_click = _scores(params, fm)["ctr"]
     floor = IpwConfig().floor
     gap = min(gap, float(np.min(np.abs(p_click - floor))))
     gap = min(gap, float(np.min(np.abs((1.0 - p_click) - floor))))
@@ -290,9 +287,9 @@ def _fd_vectors(params, fm, o, r, frozen) -> dict[str, np.ndarray]:
             idx = np.unravel_index(j, p.value.shape)
             orig = p.value[idx]
             p.value[idx] = orig + FD_STEP
-            hi = _np_terms(predict_values(params, fm), o, r, frozen)
+            hi = _np_terms(_scores(params, fm), o, r, frozen)
             p.value[idx] = orig - FD_STEP
-            lo = _np_terms(predict_values(params, fm), o, r, frozen)
+            lo = _np_terms(_scores(params, fm), o, r, frozen)
             p.value[idx] = orig
             for name in TERM_NAMES:
                 fd[name][j] = (hi[name] - lo[name]) / (2.0 * FD_STEP)
@@ -312,7 +309,7 @@ def test_criterion_2_gradients_match_central_differences():
     n_configs = 0
     for k in range(GRAD_DRAWS):
         params, fm, o, r = _draw_clean_case(k)
-        base_vals = predict_values(params, fm)
+        base_vals = _scores(params, fm)
         frozen = _frozen_detached(base_vals)
         outputs = predict_batch(params, fm)
         graph = _graph_terms(outputs, o, r)

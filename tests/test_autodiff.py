@@ -14,6 +14,7 @@ from choruscvr.autodiff import (
     backward,
     concat,
     mlp_forward,
+    no_grad,
     optimizer_step,
     stop_gradient,
 )
@@ -158,6 +159,58 @@ def test_backward_returns_leaf_map():
     leaves = backward(x * y)
     assert leaves[x] == pytest.approx(2.0)
     assert leaves[y] == pytest.approx(1.0)
+
+
+def test_node_backward_never_reached_reads_zero_grad():
+    x = Tensor(np.ones(3))
+    y = Tensor(2.0)
+    backward((x * 3.0).sum())
+    assert np.array_equal(y.grad, 0.0)
+    assert np.array_equal(x.grad, np.full(3, 3.0))
+
+
+def test_backward_leaves_earlier_gradients_intact():
+    x = Tensor(1.0)
+    first = backward(x * 3.0)[x]
+    second = backward(x * 5.0)[x]
+    assert first == 3.0 and second == 5.0
+
+
+# -- no_grad -------------------------------------------------------------------
+
+
+def test_no_grad_same_values_no_parents():
+    x = Tensor(np.array([[-1.0, 2.0]]))
+    w = Tensor(np.array([[0.5], [0.25]]))
+
+    def forward():
+        return concat([(x @ w).sigmoid(), (x @ w).relu().clip(0.0, 1.0)], axis=-1).sum()
+
+    graph = forward()
+    with no_grad():
+        bare = forward()
+    assert graph.parents
+    assert bare.parents == ()
+    assert np.array_equal(bare.value, graph.value)
+
+
+def test_no_grad_restores_graph_building_after_an_exception():
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("boom")
+    x = Tensor(1.0)
+    out = x * 2.0
+    assert out.parents == (x,)
+    backward(out)
+    assert x.grad == 2.0
+
+
+def test_no_grad_nests():
+    with no_grad():
+        with no_grad():
+            pass
+        assert (Tensor(1.0) * 2.0).parents == ()
+    assert (Tensor(1.0) * 2.0).parents != ()
 
 
 # -- mlp_forward ---------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Command-line entry points: exit codes, artifacts, manifests."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
+import yaml
 
 from choruscvr.cli import main
+from choruscvr.data import read_log, write_log
 from choruscvr.model import load_checkpoint
+from choruscvr.simulator import SimConfig, sim_schema
 
 CONFIG = """\
 # tiny end-to-end run
@@ -250,3 +254,45 @@ def test_unknown_config_key_exits_2(tmp_path):
     cfg = tmp_path / "config.yaml"
     cfg.write_text("sim:\n  n_exposures: 100\n  mystery_knob: 3\n", encoding="utf-8")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, section, typo",
+    [
+        ("train", "trainer:\n  epoch: 1\n", "epoch"),
+        ("train", "model:\n  encoder_width: [8]\n", "encoder_width"),
+        ("train", "objective:\n  weight:\n    ctr: 0.5\n", "weight"),
+        ("compare", "compare:\n  method: [esmm, chorus]\n", "method"),
+        ("evaluate", "evaluate:\n  checkpont: model.bin\n", "checkpont"),
+        ("simulate", "trainr:\n  epochs: 1\n", "trainr"),
+    ],
+    ids=["trainer", "model", "objective", "compare", "evaluate", "root"],
+)
+def test_unknown_key_in_any_section_exits_2(tmp_path, capsys, command, section, typo):
+    base = {k: v for k, v in yaml.safe_load(CONFIG).items() if k != section.split(":")[0]}
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(yaml.safe_dump(base) + section, encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert f"'{typo}'" in capsys.readouterr().err
+
+
+def test_log_without_conversions_exits_1(simulated, tmp_path, capsys):
+    _, _, _, dataset = simulated
+    schema = sim_schema(SimConfig(**yaml.safe_load(CONFIG)["sim"]))
+    records, _ = read_log(dataset, schema)
+    no_conv = tmp_path / "no_conv.csv"
+    write_log([dataclasses.replace(rec, conversion=0) for rec in records], no_conv, schema)
+    cfg, _ = _write_config(tmp_path, f"  dataset: {no_conv}\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "run failed" in capsys.readouterr().err
+
+
+def test_compare_regenerates_datasets_when_sim_changes(tmp_path):
+    out = tmp_path / "cmp"
+    args = ["compare", "--out", str(out), "--methods", "esmm,escm2_ipw", "--seeds", "0"]
+    for n_exposures in (3000, 4000):
+        cfg = tmp_path / f"config_{n_exposures}.yaml"
+        cfg.write_text(CONFIG.replace("n_exposures: 3000", f"n_exposures: {n_exposures}"), encoding="utf-8")
+        assert main([*args, "--config", str(cfg)]) == 0
+        lines = (out / "datasets" / "sim_seed0.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == n_exposures + 1  # header + one row per exposure

@@ -1,4 +1,4 @@
-"""Exposure-log CSV round trips, validation, partitioning, batching."""
+"""Exposure-log CSV round trips, validation, labels, batching."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from choruscvr.data import (
     LogFormatError,
     batch_iter,
     label_arrays,
-    partition,
     read_log,
     truth_arrays,
     write_log,
@@ -67,6 +66,22 @@ def test_malformed_rows_skipped_and_itemized(tmp_path):
     lines = [line for line, _ in report.skipped]
     assert lines == [3, 4, 5]
     assert any("click" in reason for _, reason in report.skipped)
+
+
+def test_non_integer_categorical_ids_skipped_and_itemized(tmp_path):
+    p = _write(
+        tmp_path,
+        "sample_id,click,conversion,f0,x\n"
+        "0,1,0,nan,0.5\n"
+        "1,0,0,2.7,0.0\n"
+        "2,0,0,inf,0.0\n"
+        "3,1,1,3.0,0.25\n",  # integral after parsing, kept
+    )
+    records, report = read_log(p, SCHEMA)
+    assert [r.sample_id for r in records] == [3]
+    assert [line for line, _ in report.skipped] == [2, 3, 4]
+    assert all("f0 must be an integer id" in reason for _, reason in report.skipped)
+    assert "'2.7'" in report.skipped[1][1]
 
 
 def test_missing_label_column_fatal(tmp_path):
@@ -138,22 +153,21 @@ def _rec(i, o, r):
 
 
 def test_partition_truth_table():
-    records = [_rec(0, 1, 1), _rec(1, 1, 0), _rec(2, 0, 0)]
-    part = partition(records)
-    assert part.exposure.tolist() == [0, 1, 2]
-    assert part.click.tolist() == [0, 1]
-    assert part.unclick.tolist() == [2]
-    assert part.conv.tolist() == [0]
-    assert part.unconv.tolist() == [1]
+    # The exposure space splits into clicked (o=1) and unclicked (o=0) rows,
+    # and the clicked space into converted (r=1) and unconverted (r=0) rows.
+    o, r = label_arrays([_rec(0, 1, 1), _rec(1, 1, 0), _rec(2, 0, 0)])
+    assert np.flatnonzero(o == 1).tolist() == [0, 1]
+    assert np.flatnonzero(o == 0).tolist() == [2]
+    assert np.flatnonzero(r == 1).tolist() == [0]
+    assert np.flatnonzero((o == 1) & (r == 0)).tolist() == [1]
 
 
 def test_partition_invariants_on_simulated_data():
     records, _ = generate(SimConfig(n_exposures=5000, seed=21))
-    part = partition(records)
-    assert np.array_equal(np.sort(np.concatenate([part.click, part.unclick])), part.exposure)
-    assert np.array_equal(np.sort(np.concatenate([part.conv, part.unconv])), part.click)
-    assert np.intersect1d(part.click, part.unclick).size == 0
-    assert np.intersect1d(part.conv, part.unconv).size == 0
+    o, r = label_arrays(records)
+    assert set(np.unique(o)) == {0.0, 1.0}
+    assert set(np.unique(r)) == {0.0, 1.0}
+    assert np.all(r <= o)  # conversion implies click
 
 
 def test_label_and_truth_arrays():

@@ -10,10 +10,14 @@ from choruscvr.features import (
     SchemaError,
     build_matrix,
     build_schema,
-    encode,
     encode_matrix,
     init_tables,
 )
+
+
+def _encode_one(row, schema, tables) -> np.ndarray:
+    """One record through the batch path: its (input_width,) vector."""
+    return encode_matrix(build_matrix([row], schema), schema, tables).value[0]
 
 
 def _mixed_config():
@@ -71,8 +75,8 @@ def test_encode_zero_tables_places_numeric_value():
         "item_cat": Tensor(np.zeros((4, 2))),
         "user_cat": Tensor(np.zeros((3, 2))),
     }
-    vec = encode({"item_cat": 1, "user_cat": 2, "price": 0.5}, schema, tables)
-    assert np.array_equal(vec.value, np.array([0.0, 0.0, 0.0, 0.0, 0.5]))
+    vec = _encode_one({"item_cat": 1, "user_cat": 2, "price": 0.5}, schema, tables)
+    assert np.array_equal(vec, np.array([0.0, 0.0, 0.0, 0.0, 0.5]))
 
 
 def test_encode_width_arithmetic():
@@ -84,7 +88,7 @@ def test_encode_width_arithmetic():
         ]
     )
     tables = init_tables(schema, np.random.default_rng(0))
-    vec = encode({"a": 0, "b": 1, "x": 2.0}, schema, tables)
+    vec = _encode_one({"a": 0, "b": 1, "x": 2.0}, schema, tables)
     assert vec.shape == (5,)
 
 
@@ -93,42 +97,41 @@ def test_encode_matches_hand_read_table_rows():
     rng = np.random.default_rng(7)
     tables = init_tables(schema, rng)
     record = {"item_cat": 3, "user_cat": 1, "price": -0.25}
-    vec = encode(record, schema, tables)
+    vec = _encode_one(record, schema, tables)
     expected = np.concatenate(
         [tables["user_cat"].value[1], tables["item_cat"].value[3], [-0.25]]
     )
-    assert np.array_equal(vec.value, expected)
+    assert np.array_equal(vec, expected)
 
 
 def test_encode_is_pure():
     schema = build_schema(_mixed_config())
     tables = init_tables(schema, np.random.default_rng(3))
     record = {"item_cat": 2, "user_cat": 0, "price": 1.5}
-    a = encode(record, schema, tables).value
-    b = encode(record, schema, tables).value
+    a = _encode_one(record, schema, tables)
+    b = _encode_one(record, schema, tables)
     assert np.array_equal(a, b)
 
 
 def test_missing_feature_names_it():
     schema = build_schema(_mixed_config())
-    tables = init_tables(schema, np.random.default_rng(0))
     with pytest.raises(EncodingError, match="price"):
-        encode({"item_cat": 0, "user_cat": 0}, schema, tables)
+        build_matrix([{"item_cat": 0, "user_cat": 0}], schema)
 
 
 def test_out_of_vocabulary_folds_modulo():
     schema = build_schema(_mixed_config())
     tables = init_tables(schema, np.random.default_rng(0))
-    direct = encode({"item_cat": 1, "user_cat": 0, "price": 0.0}, schema, tables)
-    folded = encode({"item_cat": 5, "user_cat": 0, "price": 0.0}, schema, tables)  # 5 % 4 = 1
-    assert np.array_equal(direct.value, folded.value)
+    direct = _encode_one({"item_cat": 1, "user_cat": 0, "price": 0.0}, schema, tables)
+    folded = _encode_one({"item_cat": 5, "user_cat": 0, "price": 0.0}, schema, tables)  # 5 % 4 = 1
+    assert np.array_equal(direct, folded)
 
 
 def test_numeric_standardization_frozen_stats():
     schema = build_schema(_mixed_config(), numeric_stats={"price": NumericStats(mean=10.0, std=2.0)})
     tables = init_tables(schema, np.random.default_rng(0))
-    vec = encode({"item_cat": 0, "user_cat": 0, "price": 14.0}, schema, tables)
-    assert vec.value[-1] == pytest.approx(2.0)
+    vec = _encode_one({"item_cat": 0, "user_cat": 0, "price": 14.0}, schema, tables)
+    assert vec[-1] == pytest.approx(2.0)
 
 
 def test_permuting_declared_order_permutes_blocks():
@@ -141,8 +144,8 @@ def test_permuting_declared_order_permutes_blocks():
     rng = np.random.default_rng(5)
     tables = init_tables(s_ab, rng)
     rec = {"a": 1, "b": 2}
-    v_ab = encode(rec, s_ab, tables).value
-    v_ba = encode(rec, s_ba, tables).value
+    v_ab = _encode_one(rec, s_ab, tables)
+    v_ba = _encode_one(rec, s_ba, tables)
     assert np.array_equal(v_ab[:2], v_ba[2:])
     assert np.array_equal(v_ab[2:], v_ba[:2])
 
@@ -159,8 +162,7 @@ def test_matrix_encoding_matches_single_record_encoding():
     batch = encode_matrix(fm, schema, tables)
     assert batch.shape == (3, schema.input_width)
     for i, row in enumerate(rows):
-        single = encode(row, schema, tables)
-        assert np.array_equal(batch.value[i], single.value)
+        assert np.array_equal(batch.value[i], _encode_one(row, schema, tables))
 
 
 def test_matrix_row_subset():

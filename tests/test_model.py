@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from choruscvr.autodiff import ShapeError, Tensor, backward
+from choruscvr.autodiff import ShapeError, Tensor, backward, no_grad
 from choruscvr.features import NumericStats, build_matrix, build_schema
 from choruscvr.model import (
     Architecture,
@@ -12,7 +12,6 @@ from choruscvr.model import (
     load_checkpoint,
     predict,
     predict_batch,
-    predict_values,
     save_checkpoint,
 )
 from choruscvr.objectives import IpwConfig, LossWeights, compose_method_loss
@@ -129,16 +128,17 @@ def test_every_parameter_group_receives_gradient():
         assert np.abs(t.grad).sum() > 0.0, f"no gradient reached {name}"
 
 
-def test_predict_values_bitwise_matches_graph():
-    params = init_model(SCHEMA, ARCH, seed=37)
+@pytest.mark.parametrize("arch", [ARCH, Architecture()], ids=["small", "default"])
+def test_no_grad_predict_bitwise_matches_graph(arch):
+    params = init_model(SCHEMA, arch, seed=37)
     fm = build_matrix(_rows(128, np.random.default_rng(3)), SCHEMA)
     graph = predict_batch(params, fm)
-    vals = predict_values(params, fm)
-    assert np.array_equal(graph.ctr.value, vals["ctr"])
-    assert np.array_equal(graph.cvr.value, vals["cvr"])
-    assert np.array_equal(graph.uncvr.value, vals["uncvr"])
-    assert np.array_equal(graph.ctcvr.value, vals["ctcvr"])
-    assert np.array_equal(graph.ctuncvr.value, vals["ctuncvr"])
+    with no_grad():
+        scored = predict_batch(params, fm)
+    assert graph.ctr.parents  # the training path keeps its graph
+    for name, value in scored.values().items():
+        assert np.array_equal(value, graph.values()[name]), name
+        assert getattr(scored, name).parents == (), name
 
 
 def test_copy_is_independent():

@@ -18,7 +18,6 @@ from choruscvr.objectives import (
     LossWeights,
     ObjectiveError,
     align_terms,
-    baseline_total,
     bce,
     compose_method_loss,
     ctuncvr_label,
@@ -297,17 +296,21 @@ def _mixed_batch(n=12, seed=5):
     return out, o, r
 
 
+def _total(method, out, o, r) -> float:
+    return compose_method_loss(method, out, o, r, LossWeights(), IPW).total.item()
+
+
 def test_esmm_total_is_sum_of_parts():
     out, o, r = _mixed_batch()
-    total = baseline_total("esmm", out, o, r, IPW).item()
+    total = _total("esmm", out, o, r)
     parts = loss_ctr(out, o).item() + loss_ctcvr(out, o, r).item()
     assert total == pytest.approx(parts, abs=1e-12)
 
 
 def test_escm2_adds_ipw_term():
     out, o, r = _mixed_batch()
-    esmm = baseline_total("esmm", out, o, r, IPW).item()
-    escm2 = baseline_total("escm2_ipw", out, o, r, IPW).item()
+    esmm = _total("esmm", out, o, r)
+    escm2 = _total("escm2_ipw", out, o, r)
     assert escm2 == pytest.approx(esmm + loss_cvr_ipw(out, o, r, IPW).item(), abs=1e-12)
 
 
@@ -333,8 +336,6 @@ def test_unknown_method_rejected():
     out, o, r = _mixed_batch()
     with pytest.raises(ObjectiveError, match="unknown"):
         compose_method_loss("dr_v2", out, o, r, LossWeights(), IPW)
-    with pytest.raises(ObjectiveError):
-        baseline_total("chorus", out, o, r, IPW)  # chorus is not a baseline
 
 
 def test_method_tags_cover_paper_set():
@@ -441,6 +442,17 @@ def test_step_gradients_aligned_and_zero_for_unused_towers():
     _, grads_chorus = training_step(params, _fm(4, 3), o, r, "chorus", LossWeights(), IPW)
     uncvr_total = sum(np.abs(g).sum() for name, g in zip(names, grads_chorus) if name.startswith("tower.uncvr"))
     assert uncvr_total > 0.0
+
+
+def test_step_gradients_survive_the_next_step():
+    params = init_model(SCHEMA, ARCH, seed=5)
+    o = np.array([1.0, 0.0, 1.0, 0.0])
+    r = np.array([1.0, 0.0, 0.0, 0.0])
+    _, first = training_step(params, _fm(4, 3), o, r, "chorus", LossWeights(), IPW)
+    kept = [g.copy() for g in first]
+    _, second = training_step(params, _fm(4, 4), o, r, "chorus", LossWeights(), IPW)
+    assert all(np.array_equal(g, k) for g, k in zip(first, kept))
+    assert not all(np.array_equal(g, k) for g, k in zip(second, kept))
 
 
 # -- IPW estimator property -------------------------------------------------------
