@@ -48,7 +48,7 @@ class OptimizerError(RuntimeError):
     """Raised on non-finite gradients or malformed optimizer inputs."""
 
 
-def _noop() -> None:
+def _noop(g: np.ndarray) -> None:
     return None
 
 
@@ -115,7 +115,7 @@ class Tensor:
         self.parents = parents if _grad_enabled else ()
         self.grad_blocked = grad_blocked
         self.name = name
-        self._backward: Callable[[], None] = _noop
+        self._backward: Callable[[np.ndarray], None] = _noop
 
     @property
     def grad(self) -> np.ndarray:
@@ -127,8 +127,13 @@ class Tensor:
     def grad(self, value: np.ndarray) -> None:
         self._grad = value
 
-    def _attach(self, bw: Callable[[], None]) -> "Tensor":
-        """Install ``bw`` as this node's backward step, unless under no_grad."""
+    def _attach(self, bw: Callable[[np.ndarray], None]) -> "Tensor":
+        """Install ``bw`` as this node's backward step, unless under no_grad.
+
+        ``bw`` receives the node's gradient as its argument and refers to
+        the parents only, never to the node, so a graph holds no reference
+        cycle and is freed as soon as its root is dropped.
+        """
         if _grad_enabled:
             self._backward = bw
         return self
@@ -154,8 +159,7 @@ class Tensor:
         a_val, b_val, parents = _operands(self, other)
         out = Tensor(a_val + b_val, parents=parents, op="add")
 
-        def bw() -> None:
-            g = out.grad
+        def bw(g: np.ndarray) -> None:
             for p in parents:
                 p.grad += _unbroadcast(g, p.value.shape)
 
@@ -167,8 +171,8 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         out = Tensor(-self.value, parents=(self,), op="neg")
 
-        def bw() -> None:
-            self.grad -= out.grad
+        def bw(g: np.ndarray) -> None:
+            self.grad -= g
 
         return out._attach(bw)
 
@@ -184,8 +188,7 @@ class Tensor:
         a_val, b_val, parents = _operands(self, other)
         out = Tensor(a_val * b_val, parents=parents, op="mul")
 
-        def bw() -> None:
-            g = out.grad
+        def bw(g: np.ndarray) -> None:
             if isinstance(other, Tensor):
                 self.grad += _unbroadcast(g * other.value, self.value.shape)
                 other.grad += _unbroadcast(g * self.value, other.value.shape)
@@ -213,8 +216,7 @@ class Tensor:
             raise ShapeError(f"matmul: inner dimensions {a.shape} @ {b.shape} do not match")
         out = Tensor(a @ b, parents=(self, other), op="matmul")
 
-        def bw() -> None:
-            g = out.grad
+        def bw(g: np.ndarray) -> None:
             self.grad += g @ b.T
             if a.ndim == 1:
                 other.grad += np.outer(a, g)
@@ -224,10 +226,11 @@ class Tensor:
         return out._attach(bw)
 
     def reciprocal(self) -> "Tensor":
-        out = Tensor(1.0 / self.value, parents=(self,), op="reciprocal")
+        value = 1.0 / self.value
+        out = Tensor(value, parents=(self,), op="reciprocal")
 
-        def bw() -> None:
-            self.grad += -out.grad * out.value * out.value
+        def bw(g: np.ndarray) -> None:
+            self.grad += -g * value * value
 
         return out._attach(bw)
 
@@ -236,24 +239,25 @@ class Tensor:
     def relu(self) -> "Tensor":
         out = Tensor(np.maximum(self.value, 0.0), parents=(self,), op="relu")
 
-        def bw() -> None:
-            self.grad += out.grad * (self.value > 0.0)
+        def bw(g: np.ndarray) -> None:
+            self.grad += g * (self.value > 0.0)
 
         return out._attach(bw)
 
     def sigmoid(self) -> "Tensor":
-        out = Tensor(stable_sigmoid(self.value), parents=(self,), op="sigmoid")
+        value = stable_sigmoid(self.value)
+        out = Tensor(value, parents=(self,), op="sigmoid")
 
-        def bw() -> None:
-            self.grad += out.grad * out.value * (1.0 - out.value)
+        def bw(g: np.ndarray) -> None:
+            self.grad += g * value * (1.0 - value)
 
         return out._attach(bw)
 
     def log(self) -> "Tensor":
         out = Tensor(np.log(self.value), parents=(self,), op="log")
 
-        def bw() -> None:
-            self.grad += out.grad / self.value
+        def bw(g: np.ndarray) -> None:
+            self.grad += g / self.value
 
         return out._attach(bw)
 
@@ -261,8 +265,8 @@ class Tensor:
         """Clamp values into [lo, hi]; gradient passes only strictly inside."""
         out = Tensor(np.clip(self.value, lo, hi), parents=(self,), op="clip")
 
-        def bw() -> None:
-            self.grad += out.grad * ((self.value > lo) & (self.value < hi))
+        def bw(g: np.ndarray) -> None:
+            self.grad += g * ((self.value > lo) & (self.value < hi))
 
         return out._attach(bw)
 
@@ -270,8 +274,8 @@ class Tensor:
         """max(x, floor); gradient passes where x > floor."""
         out = Tensor(np.maximum(self.value, floor), parents=(self,), op="clamp_min")
 
-        def bw() -> None:
-            self.grad += out.grad * (self.value > floor)
+        def bw(g: np.ndarray) -> None:
+            self.grad += g * (self.value > floor)
 
         return out._attach(bw)
 
@@ -280,8 +284,8 @@ class Tensor:
     def sum(self) -> "Tensor":
         out = Tensor(self.value.sum(), parents=(self,), op="sum")
 
-        def bw() -> None:
-            self.grad += out.grad
+        def bw(g: np.ndarray) -> None:
+            self.grad += g
 
         return out._attach(bw)
 
@@ -289,8 +293,8 @@ class Tensor:
         n = self.value.size
         out = Tensor(self.value.mean(), parents=(self,), op="mean")
 
-        def bw() -> None:
-            self.grad += out.grad / n
+        def bw(g: np.ndarray) -> None:
+            self.grad += g / n
 
         return out._attach(bw)
 
@@ -298,8 +302,8 @@ class Tensor:
         old = self.value.shape
         out = Tensor(self.value.reshape(shape), parents=(self,), op="reshape")
 
-        def bw() -> None:
-            self.grad += out.grad.reshape(old)
+        def bw(g: np.ndarray) -> None:
+            self.grad += g.reshape(old)
 
         return out._attach(bw)
 
@@ -311,8 +315,8 @@ class Tensor:
         idx = np.asarray(indices)
         out = Tensor(self.value[idx], parents=(self,), op="take_rows")
 
-        def bw() -> None:
-            np.add.at(self.grad, idx, out.grad)
+        def bw(g: np.ndarray) -> None:
+            np.add.at(self.grad, idx, g)
 
         return out._attach(bw)
 
@@ -339,8 +343,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
-    def bw() -> None:
-        g = out.grad
+    def bw(g: np.ndarray) -> None:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
@@ -385,7 +388,7 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
     for node in reversed(order):
         if node.grad_blocked:
             continue
-        node._backward()
+        node._backward(node.grad)
     return {node: node.grad for node in order if node.op == "leaf"}
 
 

@@ -18,6 +18,8 @@ import dataclasses
 import hashlib
 import json
 import sys
+import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -26,13 +28,13 @@ import yaml
 
 from . import __version__
 from .autodiff import OptimizerConfig
-from .data import read_log, write_log
+from .data import ExposureLog, IngestionReport, read_log, write_log
 from .features import FeatureSchema, build_schema
 from .metrics import UndefinedMetricError, write_report
 from .model import Architecture, save_checkpoint, load_checkpoint
 from .objectives import METHODS, IpwConfig, LossWeights, ObjectiveError
 from .simulator import SimConfig, generate, sim_schema, space_stats
-from .trainer import ExperimentConfig, evaluate, split_indices, train, write_history
+from .trainer import ExperimentConfig, evaluate, split_indices, train, write_history, write_timing
 
 __all__ = ["main", "run_simulate", "run_train", "run_evaluate", "run_compare", "UsageError"]
 
@@ -172,6 +174,21 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# Itemized skipped rows kept in a manifest; the count is always complete.
+MANIFEST_SKIPPED_ROWS = 100
+
+
+def _ingestion(report: IngestionReport) -> dict[str, Any]:
+    return {
+        "lines": report.n_lines,
+        "records": report.n_records,
+        "skipped": len(report.skipped),
+        "skipped_rows": [list(item) for item in report.skipped[:MANIFEST_SKIPPED_ROWS]],
+        "funnel_violations": report.funnel_violations,
+        "oov_folds": dict(report.oov_folds),
+    }
+
+
 def write_manifest(
     out_dir: Path,
     command: str,
@@ -179,7 +196,13 @@ def write_manifest(
     seed: int,
     dataset: Path | None,
     artifacts: Mapping[str, str],
+    ingestion: IngestionReport | None = None,
+    nondeterministic: Sequence[str] = (),
 ) -> Path:
+    """``manifest.json``: config, dataset digest, artifact names, and, for
+    commands that read a log, what reading it kept and dropped. Artifacts
+    named in ``nondeterministic`` hold wall clock and differ between
+    reruns."""
     manifest = {
         "tool_version": __version__,
         "command": command,
@@ -190,6 +213,10 @@ def write_manifest(
         "dataset_sha256": _sha256(dataset) if dataset else None,
         "artifacts": dict(artifacts),
     }
+    if ingestion is not None:
+        manifest["ingestion"] = _ingestion(ingestion)
+    if nondeterministic:
+        manifest["nondeterministic"] = list(nondeterministic)
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return path
@@ -201,11 +228,11 @@ def write_manifest(
 def run_simulate(cfg: Mapping, config_text: str, out_dir: Path, seed: int | None = None) -> Path:
     """Generate a dataset CSV + manifest; returns the dataset path."""
     config = sim_config(cfg, seed_override=seed)
-    records, report = generate(config)
+    log, report = generate(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = out_dir / "dataset.csv"
-    write_log(records, dataset, sim_schema(config))
-    stats = space_stats(records)
+    write_log(log, dataset, sim_schema(config))
+    stats = space_stats(log)
     print(
         f"simulated {stats.n_exposure} exposures: click rate {report.click_rate:.4f}, "
         f"conversion|click {report.conv_rate_given_click:.4f}"
@@ -222,7 +249,17 @@ def run_simulate(cfg: Mapping, config_text: str, out_dir: Path, seed: int | None
     return dataset
 
 
-def _load_dataset(cfg: Mapping, schema: FeatureSchema, dataset_path: str | None):
+@dataclass(frozen=True)
+class LoadedLog:
+    """A dataset as read once: its path, columns, report and read time."""
+
+    path: Path
+    log: ExposureLog
+    report: IngestionReport
+    read_s: float
+
+
+def _load_dataset(cfg: Mapping, schema: FeatureSchema, dataset_path: str | None) -> LoadedLog:
     trainer_cfg = _section(cfg, "trainer")
     path_str = dataset_path or trainer_cfg.get("dataset")
     if not path_str:
@@ -230,13 +267,17 @@ def _load_dataset(cfg: Mapping, schema: FeatureSchema, dataset_path: str | None)
     path = Path(path_str)
     if not path.is_file():
         raise UsageError(f"dataset not found: {path}")
-    records, report = read_log(path, schema)
-    if report.funnel_violations or report.skipped:
+    t0 = time.perf_counter()
+    log, report = read_log(path, schema)
+    read_s = time.perf_counter() - t0
+    n_oov = sum(report.oov_folds.values())
+    if report.funnel_violations or report.skipped or n_oov:
         print(
             f"ingestion: {report.n_records} records, {report.funnel_violations} funnel "
-            f"violations dropped, {len(report.skipped)} rows skipped"
+            f"violations dropped, {len(report.skipped)} rows skipped, "
+            f"{n_oov} out-of-vocabulary ids folded"
         )
-    return records, path
+    return LoadedLog(path, log, report, read_s)
 
 
 def run_train(
@@ -246,32 +287,47 @@ def run_train(
     seed: int | None = None,
     method: str | None = None,
     dataset_path: str | None = None,
+    loaded: LoadedLog | None = None,
 ) -> dict[str, Any]:
-    """Train one method on the configured dataset; write artifacts."""
+    """Train one method on the configured dataset; write artifacts.
+
+    ``loaded`` is a dataset already read (``compare`` reads each seed's
+    log once for all its methods); otherwise the dataset is read here.
+    """
     schema = schema_from_config(cfg)
     config = experiment_config(cfg, method=method, seed=seed)
-    records, dataset = _load_dataset(cfg, schema, dataset_path)
-    idx_train, idx_val, idx_test = split_indices(len(records), config.seed)
-    train_recs = [records[i] for i in idx_train]
-    val_recs = [records[i] for i in idx_val]
-    test_recs = [records[i] for i in idx_test]
+    data = loaded or _load_dataset(cfg, schema, dataset_path)
+    log = data.log
+    idx_train, idx_val, idx_test = split_indices(len(log), config.seed)
 
-    params, history = train(config, train_recs, val_recs, schema)
+    params, history = train(config, log.take(idx_train), log.take(idx_val), schema)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "checkpoint.bin"
     save_checkpoint(params, ckpt)
     hist = out_dir / "history.csv"
     write_history(history, hist)
     n_bins = int(_section(cfg, "trainer").get("eval_bins", 10))
-    report = evaluate(params, test_recs, n_bins=n_bins)
+    t0 = time.perf_counter()
+    report = evaluate(params, log.take(idx_test), n_bins=n_bins)
+    eval_s = time.perf_counter() - t0
     write_report(report, out_dir / "metrics.txt", out_dir / "curve.csv")
+    timing = out_dir / "timing.csv"
+    write_timing(history, timing, data.read_s, eval_s)
     write_manifest(
         out_dir,
         "train",
         config_text,
         config.seed,
-        dataset,
-        {"checkpoint": ckpt.name, "history": hist.name, "metrics": "metrics.txt", "curve": "curve.csv"},
+        data.path,
+        {
+            "checkpoint": ckpt.name,
+            "history": hist.name,
+            "metrics": "metrics.txt",
+            "curve": "curve.csv",
+            "timing": timing.name,
+        },
+        ingestion=data.report,
+        nondeterministic=[timing.name],
     )
     best = history.best_epoch
     print(f"trained {config.method} for {len(history.epochs)} epochs (best epoch {best})")
@@ -296,12 +352,20 @@ def run_evaluate(
     if not ckpt.is_file():
         raise UsageError(f"checkpoint not found: {ckpt}")
     params = load_checkpoint(ckpt)
-    records, dataset = _load_dataset(cfg, params.schema, dataset_path or eval_cfg.get("dataset"))
+    data = _load_dataset(cfg, params.schema, dataset_path or eval_cfg.get("dataset"))
     n_bins = int(eval_cfg.get("eval_bins", _section(cfg, "trainer").get("eval_bins", 10)))
-    report = evaluate(params, records, n_bins=n_bins)
+    report = evaluate(params, data.log, n_bins=n_bins)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report(report, out_dir / "metrics.txt", out_dir / "curve.csv")
-    write_manifest(out_dir, "evaluate", config_text, 0, dataset, {"metrics": "metrics.txt", "curve": "curve.csv"})
+    write_manifest(
+        out_dir,
+        "evaluate",
+        config_text,
+        0,
+        data.path,
+        {"metrics": "metrics.txt", "curve": "curve.csv"},
+        ingestion=data.report,
+    )
     for (space, target), entry in sorted(report.entries.items()):
         print(f"{space}.{target}: auc={entry.auc:.4f} logloss={entry.logloss:.4f} pcoc={entry.pcoc:.4f}")
     return {"report": report, "out_dir": out_dir}
@@ -350,9 +414,10 @@ def run_compare(
 
     Each seed gets its own simulated dataset (simulator seed = config
     seed + run seed) shared by all methods at that seed, unless
-    ``compare.dataset`` pins one file for everything. Aggregate rows
-    carry per-metric means plus paired mean differences and win counts
-    against the reference method (first method by default).
+    ``compare.dataset`` pins one file for everything. Each dataset file
+    is read once and its log handed to every run that uses it. Aggregate
+    rows carry per-metric means plus paired mean differences and win
+    counts against the reference method (first method by default).
     """
     compare_cfg = _section(cfg, "compare")
     methods = list(methods) if methods else list(compare_cfg.get("methods", []))
@@ -383,21 +448,25 @@ def run_compare(
             # meets a stale file; generation is deterministic.
             path = ds_dir / f"sim_seed{seed}.csv"
             per_seed = dataclasses.replace(base_sim, seed=base_sim.seed + seed)
-            records, _ = generate(per_seed)
-            write_log(records, path, sim_schema(per_seed))
+            log, _ = generate(per_seed)
+            write_log(log, path, sim_schema(per_seed))
             datasets[seed] = str(path)
 
-    rows: list[dict[str, Any]] = []
+    # Seed by seed, so only one seed's log is held at a time; rows are
+    # tabulated method by method below.
+    schema = schema_from_config(cfg)
+    loaded: LoadedLog | None = None
     per_method: dict[str, dict[int, dict[str, Any]]] = {m: {} for m in methods}
-    for method in methods:
-        for seed in seeds:
+    for seed in seeds:
+        if loaded is None or str(loaded.path) != datasets[seed]:
+            loaded = None  # release the previous seed's log before reading the next
+            loaded = _load_dataset(cfg, schema, datasets[seed])
+        for method in methods:
             run_dir = out_dir / "runs" / f"{method}_seed{seed}"
-            result = run_train(
-                cfg, config_text, run_dir, seed=seed, method=method, dataset_path=datasets[seed]
-            )
-            row = _run_row(method, seed, result)
-            rows.append(row)
-            per_method[method][seed] = row
+            result = run_train(cfg, config_text, run_dir, seed=seed, method=method, loaded=loaded)
+            per_method[method][seed] = _run_row(method, seed, result)
+
+    rows = [per_method[m][s] for m in methods for s in seeds]
 
     for method in methods:
         agg: dict[str, Any] = {"row_type": "aggregate", "method": method, "seed": ""}

@@ -1,27 +1,33 @@
-"""Exposure-log ingestion, funnel validation, batching.
+"""Exposure logs in memory and on disk; funnel validation; batching.
 
-One on-disk format: UTF-8 CSV with header
-``sample_id,click,conversion,<feature columns...>`` optionally followed
-by ``true_p_click,true_p_conv,r_counterfactual`` (simulator output).
-Labels are strictly 0/1, categorical ids are integers, and a conversion
-without a click violates the funnel; such rows are dropped and counted,
-never kept.
+In memory a log is one :class:`ExposureLog` of numpy columns. On disk it
+is a UTF-8 CSV with header ``sample_id,click,conversion,<feature
+columns...>`` optionally followed by
+``true_p_click,true_p_conv,r_counterfactual`` (simulator output).
+Labels are strictly 0/1, categorical ids are integers, numeric features
+are finite, and a conversion without a click violates the funnel; such
+rows are dropped and counted, never kept.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import io
+import math
+from operator import attrgetter, index, itemgetter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .features import FeatureSchema
+from .features import EncodingError, FeatureSchema
 
 __all__ = [
     "GroundTruth",
     "ExposureRecord",
+    "ExposureLog",
     "IngestionReport",
     "LogFormatError",
     "read_log",
@@ -32,6 +38,11 @@ __all__ = [
 ]
 
 TRUTH_COLUMNS = ("true_p_click", "true_p_conv", "r_counterfactual")
+COLUMNS = ("sample_id", "click", "conversion", "ids", "numeric", *TRUTH_COLUMNS)
+# Categorical ids and sample ids are stored as int64.
+INT64_BOUND = 2.0**63
+# Beyond this magnitude float64 no longer holds every integer exactly.
+FLOAT_EXACT_INT = 2.0**53
 
 
 class LogFormatError(ValueError):
@@ -50,11 +61,134 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class ExposureRecord:
+    """One exposure as a row: what indexing or iterating a log yields."""
+
     sample_id: int
     click: int
     conversion: int
     features: Mapping[str, float]
     truth: GroundTruth | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class ExposureLog:
+    """An exposure log as columns; row ``i`` of every column is one exposure.
+
+    ``ids`` holds the raw categorical ids (int64, one column per name in
+    ``id_names``) and ``numeric`` the raw numeric features (float64, one
+    column per name in ``numeric_names``), each in the schema's declared
+    order. The three truth columns are all present or all ``None``.
+    """
+
+    sample_id: np.ndarray
+    click: np.ndarray
+    conversion: np.ndarray
+    id_names: tuple[str, ...]
+    ids: np.ndarray
+    numeric_names: tuple[str, ...]
+    numeric: np.ndarray
+    true_p_click: np.ndarray | None = None
+    true_p_conv: np.ndarray | None = None
+    r_counterfactual: np.ndarray | None = None
+
+    @classmethod
+    def from_records(cls, records: "ExposureLog | Iterable[ExposureRecord]", schema: FeatureSchema) -> "ExposureLog":
+        """Columns of a sequence of rows; a log is returned as it is.
+
+        Raises :class:`EncodingError` when a row lacks a schema feature or
+        carries a non-integer categorical id, and :class:`LogFormatError`
+        when only some rows carry ground truth.
+        """
+        if isinstance(records, cls):
+            return records
+        records = list(records)
+        n = len(records)
+
+        def column(rows, get, dtype):
+            return np.fromiter(map(get, rows), dtype=dtype, count=n)
+
+        def block(rows, names):
+            cols = [column(rows, itemgetter(k), np.float64) for k in names]
+            return np.stack(cols, axis=1) if cols else np.zeros((n, 0))
+
+        id_names = tuple(f.name for f in schema.features if f.kind == "categorical")
+        numeric_names = tuple(f.name for f in schema.features if f.kind == "numeric")
+        maps = [rec.features for rec in records]
+        try:
+            raw_ids, numeric = block(maps, id_names), block(maps, numeric_names)
+        except KeyError:
+            i, name = next((i, k) for i, m in enumerate(maps) for k in id_names + numeric_names if k not in m)
+            raise EncodingError(f"record {i} is missing feature {name!r}") from None
+        integral = (raw_ids >= -INT64_BOUND) & (raw_ids < INT64_BOUND) & (np.floor(raw_ids) == raw_ids)
+        if not integral.all():
+            name = id_names[int(np.flatnonzero(~integral.all(axis=0))[0])]
+            raise EncodingError(f"{name} must be an integer id")
+        truths = [rec.truth for rec in records]
+        n_truth = sum(t is not None for t in truths)
+        if n_truth not in (0, n):
+            raise LogFormatError("cannot build a log where only some records carry ground truth")
+        truth = {}
+        if n_truth:
+            truth = {
+                "true_p_click": column(truths, attrgetter("true_p_click"), np.float64),
+                "true_p_conv": column(truths, attrgetter("true_p_conv"), np.float64),
+                "r_counterfactual": column(truths, attrgetter("r_counterfactual"), np.int64),
+            }
+        return cls(
+            sample_id=column(records, attrgetter("sample_id"), np.int64),
+            click=column(records, attrgetter("click"), np.int64),
+            conversion=column(records, attrgetter("conversion"), np.int64),
+            id_names=id_names,
+            ids=raw_ids.astype(np.int64),
+            numeric_names=numeric_names,
+            numeric=numeric,
+            **truth,
+        )
+
+    @property
+    def has_truth(self) -> bool:
+        return self.true_p_click is not None
+
+    def column(self, name: str, kind: str) -> np.ndarray:
+        """The raw values of one feature, looked up by name and kind."""
+        names, block = (self.id_names, self.ids) if kind == "categorical" else (self.numeric_names, self.numeric)
+        if name not in names:
+            raise EncodingError(f"log has no {kind} column {name!r}")
+        return block[:, names.index(name)]
+
+    def take(self, idx) -> "ExposureLog":
+        """The rows at ``idx`` (an index array or a slice), in that order."""
+        return dataclasses.replace(
+            self, **{c: getattr(self, c)[idx] for c in COLUMNS if getattr(self, c) is not None}
+        )
+
+    def __len__(self) -> int:
+        return len(self.sample_id)
+
+    def __getitem__(self, key) -> "ExposureRecord | ExposureLog":
+        if isinstance(key, slice):
+            return self.take(key)
+        i = index(key)
+        features = dict(zip(self.id_names, self.ids[i].tolist()))
+        features.update(zip(self.numeric_names, self.numeric[i].tolist()))
+        truth = None
+        if self.has_truth:
+            truth = GroundTruth(float(self.true_p_click[i]), float(self.true_p_conv[i]), int(self.r_counterfactual[i]))
+        return ExposureRecord(int(self.sample_id[i]), int(self.click[i]), int(self.conversion[i]), features, truth)
+
+    def __iter__(self) -> Iterator[ExposureRecord]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExposureLog):
+            return NotImplemented
+        if (self.id_names, self.numeric_names) != (other.id_names, other.numeric_names):
+            return False
+        for c in COLUMNS:
+            a, b = getattr(self, c), getattr(other, c)
+            if (a is None) != (b is None) or (a is not None and not np.array_equal(a, b)):
+                return False
+        return True
 
 
 @dataclass
@@ -63,6 +197,9 @@ class IngestionReport:
     n_records: int = 0
     skipped: list[tuple[int, str]] = field(default_factory=list)
     funnel_violations: int = 0
+    # Kept ids outside [0, vocab_size) per categorical feature; the model
+    # folds them modulo the vocabulary.
+    oov_folds: dict[str, int] = field(default_factory=dict)
 
 
 def _parse_label(raw: str, column: str) -> int:
@@ -73,66 +210,216 @@ def _parse_label(raw: str, column: str) -> int:
     raise ValueError(f"{column} must be 0 or 1, got {raw!r}")
 
 
-def read_log(path: str | Path, schema: FeatureSchema) -> tuple[list[ExposureRecord], IngestionReport]:
+@dataclass(frozen=True)
+class _Layout:
+    """Where each log field sits in a CSV row.
+
+    Both parsers emit two matrices per kept row: int64
+    ``[sample_id, click, conversion, *ids, (r_counterfactual)]`` and
+    float64 ``[*numerics, (true_p_click, true_p_conv)]``.
+    """
+
+    width: int
+    sample_id: int
+    labels: tuple[int, ...]  # click, conversion, then r_counterfactual if present
+    id_names: tuple[str, ...]
+    ids: tuple[int, ...]
+    numeric_names: tuple[str, ...]
+    numerics: tuple[int, ...]
+    probabilities: tuple[int, ...]  # true_p_click, true_p_conv if present
+
+    @property
+    def has_truth(self) -> bool:
+        return bool(self.probabilities)
+
+    def parse_row(self, row: list[str]) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """One CSV row; ``ValueError`` names the first bad field."""
+        sample_id = int(row[self.sample_id])
+        if not -INT64_BOUND <= sample_id < INT64_BOUND:
+            raise ValueError(f"sample_id out of int64 range, got {row[self.sample_id]!r}")
+        click = _parse_label(row[self.labels[0]], "click")
+        conversion = _parse_label(row[self.labels[1]], "conversion")
+        ids = []
+        for name, c in zip(self.id_names, self.ids):
+            v = float(row[c])
+            if not (-INT64_BOUND <= v < INT64_BOUND and v.is_integer()):
+                raise ValueError(f"{name} must be an integer id, got {row[c]!r}")
+            ids.append(int(v))
+        numerics = []
+        for name, c in zip(self.numeric_names, self.numerics):
+            v = float(row[c])
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {row[c]!r}")
+            numerics.append(v)
+        ints = (sample_id, click, conversion, *ids)
+        if self.has_truth:
+            ints += (_parse_label(row[self.labels[2]], "r_counterfactual"),)
+            numerics += [float(row[c]) for c in self.probabilities]
+        return ints, tuple(numerics)
+
+
+def _layout(header: list[str], schema: FeatureSchema) -> _Layout:
+    col = {name: header.index(name) for name in header}
+    has_truth = all(c in header for c in TRUTH_COLUMNS)
+    id_names = tuple(f.name for f in schema.features if f.kind == "categorical")
+    numeric_names = tuple(f.name for f in schema.features if f.kind == "numeric")
+    return _Layout(
+        width=len(header),
+        sample_id=col["sample_id"],
+        labels=(col["click"], col["conversion"]) + ((col["r_counterfactual"],) if has_truth else ()),
+        id_names=id_names,
+        ids=tuple(col[n] for n in id_names),
+        numeric_names=numeric_names,
+        numerics=tuple(col[n] for n in numeric_names),
+        probabilities=(col["true_p_click"], col["true_p_conv"]) if has_truth else (),
+    )
+
+
+def _parse_rows(reader: Iterator[list[str]], layout: _Layout):
+    """Row by row: every malformed row is skipped and itemized."""
+    n_lines = 0
+    skipped: list[tuple[int, str]] = []
+    ints: list[tuple[int, ...]] = []
+    floats: list[tuple[float, ...]] = []
+    for line_no, row in enumerate(reader, start=2):
+        n_lines += 1
+        if len(row) != layout.width:
+            skipped.append((line_no, f"expected {layout.width} fields, got {len(row)}"))
+            continue
+        try:
+            i, f = layout.parse_row(row)
+        except ValueError as exc:
+            skipped.append((line_no, str(exc)))
+            continue
+        ints.append(i)
+        floats.append(f)
+    n_int = 3 + len(layout.ids) + layout.has_truth
+    n_float = len(layout.numerics) + len(layout.probabilities)
+    return (
+        n_lines,
+        skipped,
+        np.array(ints, dtype=np.int64).reshape(len(ints), n_int),
+        np.array(floats, dtype=np.float64).reshape(len(floats), n_float),
+    )
+
+
+# Every byte of a body the vectorized pass takes on: digits, separators and
+# the characters of a plain decimal or exponent number. Anything else
+# (quotes, blanks, CR, '#', letters of nan/inf) goes to the row parser.
+_FAST_BYTES = b"0123456789,\n-+.eE"
+
+
+def _parse_columns(body: bytes, layout: _Layout):
+    """The whole body in one vectorized pass.
+
+    Returns ``None`` unless every line is one the row parser would keep
+    or drop as a funnel violation, with the same values; the row parser
+    then reads the file and itemizes what is wrong.
+    """
+    if not body or body.translate(None, _FAST_BYTES):
+        return None
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    chars = np.frombuffer(body, dtype=np.uint8)
+    newline = chars == ord("\n")
+    ends = np.flatnonzero(newline | (chars == ord(",")))
+    if ends.size % layout.width:
+        return None
+    at_newline = newline[ends].reshape(-1, layout.width)
+    if not at_newline[:, -1].all() or at_newline[:, :-1].any():
+        return None  # a line with the wrong number of fields
+    widths = np.diff(ends, prepend=-1) - 1
+    if not widths.all():
+        return None  # an empty field
+    widths = widths.reshape(-1, layout.width)
+    # int() takes no '.' or exponent in a sample id, unlike float().
+    not_int = np.flatnonzero((chars == ord(".")) | (chars == ord("e")) | (chars == ord("E")))
+    if np.any(np.searchsorted(ends, not_int) % layout.width == layout.sample_id):
+        return None
+    try:
+        table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    labels = table[:, layout.labels]
+    if (widths[:, layout.labels] != 1).any() or ((labels != 0) & (labels != 1)).any():
+        return None
+    sample_id = table[:, layout.sample_id]
+    ids = table[:, layout.ids]
+    numerics = table[:, layout.numerics]
+    if (np.abs(sample_id) >= FLOAT_EXACT_INT).any():
+        return None
+    if not ((ids >= -INT64_BOUND) & (ids < INT64_BOUND) & (np.floor(ids) == ids)).all():
+        return None
+    if not np.isfinite(numerics).all():
+        return None
+    ints = np.column_stack([sample_id, labels[:, :2], ids, labels[:, 2:]]).astype(np.int64)
+    floats = np.column_stack([numerics, table[:, layout.probabilities]])
+    return len(table), [], ints, floats
+
+
+def read_log(path: str | Path, schema: FeatureSchema) -> tuple[ExposureLog, IngestionReport]:
     """Parse a CSV exposure log against the schema.
 
-    Malformed rows, including a categorical id that is not an integer
-    (``nan``, ``2.7``), are skipped and itemized (line number, reason);
-    funnel violations are dropped and counted. A header missing the
-    label columns or any schema feature is fatal.
+    Malformed rows are skipped and itemized (line number, reason): a
+    wrong field count, a label other than ``0``/``1``, a categorical id
+    that is not an integer (``nan``, ``2.7``), a numeric value that is
+    not finite (``nan``, ``inf``). Funnel violations are dropped and
+    counted; kept out-of-vocabulary ids are counted per feature. A header
+    missing the label columns or any schema feature is fatal.
+
+    The body is first read in one vectorized pass; a file that pass
+    cannot take exactly as the row parser would is read row by row.
     """
     path = Path(path)
-    feature_names = [f.name for f in schema.features]
-    id_names = [f.name for f in schema.features if f.kind == "categorical"]
-    report = IngestionReport()
-    records: list[ExposureRecord] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LogFormatError(f"{path}: empty file") from None
-        for required in ("sample_id", "click", "conversion"):
-            if required not in header:
-                raise LogFormatError(f"{path}: missing required column {required!r}")
-        for name in feature_names:
-            if name not in header:
-                raise LogFormatError(f"{path}: missing feature column {name!r}")
-        known = {"sample_id", "click", "conversion", *feature_names, *TRUTH_COLUMNS}
-        unknown = [c for c in header if c not in known]
-        if unknown:
-            raise LogFormatError(f"{path}: unknown columns {unknown}")
-        has_truth = all(c in header for c in TRUTH_COLUMNS)
-        col = {name: header.index(name) for name in header}
-        for line_no, row in enumerate(reader, start=2):
-            report.n_lines += 1
-            if len(row) != len(header):
-                report.skipped.append((line_no, f"expected {len(header)} fields, got {len(row)}"))
-                continue
-            try:
-                sample_id = int(row[col["sample_id"]])
-                click = _parse_label(row[col["click"]], "click")
-                conversion = _parse_label(row[col["conversion"]], "conversion")
-                feats = {name: float(row[col[name]]) for name in feature_names}
-                for name in id_names:
-                    if not feats[name].is_integer():
-                        raise ValueError(f"{name} must be an integer id, got {row[col[name]]!r}")
-                truth = None
-                if has_truth:
-                    truth = GroundTruth(
-                        true_p_click=float(row[col["true_p_click"]]),
-                        true_p_conv=float(row[col["true_p_conv"]]),
-                        r_counterfactual=_parse_label(row[col["r_counterfactual"]], "r_counterfactual"),
-                    )
-            except ValueError as exc:
-                report.skipped.append((line_no, str(exc)))
-                continue
-            if conversion == 1 and click == 0:
-                report.funnel_violations += 1
-                continue
-            records.append(ExposureRecord(sample_id, click, conversion, feats, truth))
-            report.n_records += 1
-    return records, report
+    raw = path.read_bytes()
+    reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise LogFormatError(f"{path}: empty file") from None
+    for required in ("sample_id", "click", "conversion"):
+        if required not in header:
+            raise LogFormatError(f"{path}: missing required column {required!r}")
+    for f in schema.features:
+        if f.name not in header:
+            raise LogFormatError(f"{path}: missing feature column {f.name!r}")
+    known = {"sample_id", "click", "conversion", *(f.name for f in schema.features), *TRUTH_COLUMNS}
+    unknown = [c for c in header if c not in known]
+    if unknown:
+        raise LogFormatError(f"{path}: unknown columns {unknown}")
+    layout = _layout(header, schema)
+
+    first_line, _, body = raw.partition(b"\n")
+    parsed = _parse_columns(body, layout) if first_line == ",".join(header).encode("utf-8") else None
+    n_lines, skipped, ints, floats = parsed or _parse_rows(reader, layout)
+
+    funnel = (ints[:, 2] == 1) & (ints[:, 1] == 0)
+    ints, floats = ints[~funnel], floats[~funnel]
+    n_ids, n_numerics = len(layout.ids), len(layout.numerics)
+    truth = {}
+    if layout.has_truth:
+        truth = {
+            "true_p_click": floats[:, n_numerics],
+            "true_p_conv": floats[:, n_numerics + 1],
+            "r_counterfactual": ints[:, -1],
+        }
+    log = ExposureLog(
+        sample_id=ints[:, 0],
+        click=ints[:, 1],
+        conversion=ints[:, 2],
+        id_names=layout.id_names,
+        ids=ints[:, 3 : 3 + n_ids],
+        numeric_names=layout.numeric_names,
+        numeric=floats[:, :n_numerics],
+        **truth,
+    )
+    oov = {}
+    for f in schema.features:
+        if f.kind == "categorical":
+            col = log.column(f.name, f.kind)
+            oov[f.name] = int(np.count_nonzero((col < 0) | (col >= f.vocab_size)))
+    report = IngestionReport(n_lines, len(log), skipped, int(funnel.sum()), oov)
+    return log, report
 
 
 def _format_value(x: float) -> str:
@@ -142,47 +429,42 @@ def _format_value(x: float) -> str:
     return repr(f)
 
 
-def write_log(records: Sequence[ExposureRecord], path: str | Path, schema: FeatureSchema) -> None:
-    """Write records in the canonical column order, byte-stable.
+def write_log(records: ExposureLog | Iterable[ExposureRecord], path: str | Path, schema: FeatureSchema) -> None:
+    """Write a log in the canonical column order, byte-stable.
 
-    Truth columns are included exactly when every record carries a
-    truth block; a mixture is rejected.
+    Truth columns are included exactly when the log carries them and is
+    not empty; a row list where only some rows carry truth is rejected.
     """
-    path = Path(path)
-    feature_names = [f.name for f in schema.features]
-    n_truth = sum(1 for r in records if r.truth is not None)
-    if n_truth not in (0, len(records)):
-        raise LogFormatError("cannot write a log where only some records carry ground truth")
-    with_truth = n_truth > 0 and len(records) > 0
-    header = ["sample_id", "click", "conversion", *feature_names]
+    log = ExposureLog.from_records(records, schema)
+    with_truth = log.has_truth and len(log) > 0
+    header = ["sample_id", "click", "conversion", *(f.name for f in schema.features)]
+    columns = [map(str, log.sample_id.tolist()), map(str, log.click.tolist()), map(str, log.conversion.tolist())]
+    for f in schema.features:
+        values = log.column(f.name, f.kind).tolist()
+        columns.append(map(str, values) if f.kind == "categorical" else map(_format_value, values))
     if with_truth:
         header += list(TRUTH_COLUMNS)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for rec in records:
-            row = [str(rec.sample_id), str(rec.click), str(rec.conversion)]
-            row += [_format_value(rec.features[name]) for name in feature_names]
-            if with_truth:
-                t = rec.truth
-                row += [repr(float(t.true_p_click)), repr(float(t.true_p_conv)), str(t.r_counterfactual)]
-            writer.writerow(row)
+        columns += [
+            map(repr, log.true_p_click.tolist()),
+            map(repr, log.true_p_conv.tolist()),
+            map(str, log.r_counterfactual.tolist()),
+        ]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        if len(log):
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-def label_arrays(records: Sequence[ExposureRecord]) -> tuple[np.ndarray, np.ndarray]:
-    o = np.fromiter((rec.click for rec in records), dtype=np.float64, count=len(records))
-    r = np.fromiter((rec.conversion for rec in records), dtype=np.float64, count=len(records))
-    return o, r
+def label_arrays(log: ExposureLog) -> tuple[np.ndarray, np.ndarray]:
+    """(click, conversion) as float64."""
+    return log.click.astype(np.float64), log.conversion.astype(np.float64)
 
 
-def truth_arrays(records: Sequence[ExposureRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def truth_arrays(log: ExposureLog) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(true_p_click, true_p_conv, r_counterfactual) or None if absent."""
-    if not records or any(rec.truth is None for rec in records):
+    if not log.has_truth or not len(log):
         return None
-    p_click = np.array([rec.truth.true_p_click for rec in records])
-    p_conv = np.array([rec.truth.true_p_conv for rec in records])
-    r_cf = np.array([float(rec.truth.r_counterfactual) for rec in records])
-    return p_click, p_conv, r_cf
+    return log.true_p_click, log.true_p_conv, log.r_counterfactual.astype(np.float64)
 
 
 def batch_iter(n_records: int, batch_size: int, epoch_seed: int) -> Iterator[np.ndarray]:

@@ -1,6 +1,6 @@
 """Feature schema and encoding into the model's dense input vector.
 
-A record's categorical features are looked up in gradient-tracked
+An exposure's categorical features are looked up in gradient-tracked
 embedding tables and its numeric features are standardized with frozen
 statistics; blocks concatenate user, then item, then cross features,
 each block in schema order.
@@ -8,7 +8,6 @@ each block in schema order.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -27,8 +26,6 @@ __all__ = [
     "FeatureMatrix",
     "encode_matrix",
 ]
-
-log = logging.getLogger(__name__)
 
 KINDS = ("categorical", "numeric")
 SIDES = ("user", "item", "cross")
@@ -134,11 +131,11 @@ def init_tables(schema: FeatureSchema, rng: np.random.Generator) -> dict[str, Te
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Column-major pre-extraction of a record batch.
+    """Model-input columns of a log.
 
     Categorical ids are already folded modulo vocabulary and numerics
     already standardized, so per-step encoding is just table gathers
-    plus a concat. Row order matches the source record order.
+    plus a concat. Row order matches the log's.
     """
 
     n_rows: int
@@ -157,36 +154,24 @@ class FeatureMatrix:
         )
 
 
-def build_matrix(records_features: Sequence[Mapping[str, float]], schema: FeatureSchema) -> FeatureMatrix:
-    """Pre-extract a batch of feature dicts into column arrays."""
-    n = len(records_features)
-    cat_names: list[str] = []
-    num_names: list[str] = []
+def build_matrix(log, schema: FeatureSchema) -> FeatureMatrix:
+    """Model-input columns of an :class:`~choruscvr.data.ExposureLog`:
+    categorical ids folded modulo their vocabulary, numerics
+    standardized with the schema's frozen statistics."""
     cat_indices: dict[str, np.ndarray] = {}
+    num_names: list[str] = []
     num_cols: list[np.ndarray] = []
     for f in schema.ordered:
+        col = log.column(f.name, f.kind)
         if f.kind == "categorical":
-            cat_names.append(f.name)
-        else:
-            num_names.append(f.name)
-    for f in schema.ordered:
-        col = np.empty(n, dtype=np.float64)
-        for i, feats in enumerate(records_features):
-            if f.name not in feats:
-                raise EncodingError(f"record {i} is missing feature {f.name!r}")
-            col[i] = feats[f.name]
-        if f.kind == "categorical":
-            raw = col.astype(np.int64)
-            folded = np.mod(raw, f.vocab_size)
-            n_oov = int(np.count_nonzero((raw < 0) | (raw >= f.vocab_size)))
-            if n_oov:
-                log.info("feature %s: %d out-of-vocabulary ids folded", f.name, n_oov)
-            cat_indices[f.name] = folded
+            cat_indices[f.name] = np.mod(col, f.vocab_size)
         else:
             st = schema.stats_for(f.name)
+            num_names.append(f.name)
             num_cols.append((col - st.mean) / st.std)
+    n = len(log)
     num_values = np.stack(num_cols, axis=1) if num_cols else np.zeros((n, 0))
-    return FeatureMatrix(n, tuple(cat_names), cat_indices, tuple(num_names), num_values)
+    return FeatureMatrix(n, tuple(cat_indices), cat_indices, tuple(num_names), num_values)
 
 
 def encode_matrix(fm: FeatureMatrix, schema: FeatureSchema, tables: Mapping[str, Tensor]) -> Tensor:

@@ -12,13 +12,11 @@ real labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 from scipy.special import ndtri
 
 from .autodiff import stable_sigmoid
-from .data import ExposureRecord, GroundTruth
+from .data import ExposureLog
 from .features import FeatureSchema, build_schema
 
 __all__ = [
@@ -157,7 +155,7 @@ def _bin_edges(config: SimConfig) -> np.ndarray:
     return ndtri(quantiles) * sigma
 
 
-def generate(config: SimConfig) -> tuple[list[ExposureRecord], GenerationReport]:
+def generate(config: SimConfig) -> tuple[ExposureLog, GenerationReport]:
     """Draw the dataset; deterministic per config, byte-stable.
 
     Raises :class:`SimulationError` if intercept calibration cannot
@@ -188,8 +186,7 @@ def generate(config: SimConfig) -> tuple[list[ExposureRecord], GenerationReport]
     edges = _bin_edges(config)
     n_shards = (config.n_exposures + SHARD_SIZE - 1) // SHARD_SIZE
     shard_seqs = root.spawn(n_shards)
-    records: list[ExposureRecord] = []
-    sample_id = 0
+    shards = []
     for shard, seq in enumerate(shard_seqs):
         n = min(SHARD_SIZE, config.n_exposures - shard * SHARD_SIZE)
         rng = np.random.Generator(np.random.PCG64(seq))
@@ -199,41 +196,41 @@ def generate(config: SimConfig) -> tuple[list[ExposureRecord], GenerationReport]
         o = (rng.random(n) < p_click).astype(np.int64)
         r_cf = (rng.random(n) < p_conv).astype(np.int64)
         noise = config.noise_scale * rng.standard_normal((n, config.latent_dim))
-        bins = np.searchsorted(edges, z + noise)
-        r_obs = o * r_cf
-        for i in range(n):
-            records.append(
-                ExposureRecord(
-                    sample_id=sample_id,
-                    click=int(o[i]),
-                    conversion=int(r_obs[i]),
-                    features={f"f{d}": int(bins[i, d]) for d in range(config.latent_dim)},
-                    truth=GroundTruth(float(p_click[i]), float(p_conv[i]), int(r_cf[i])),
-                )
-            )
-            sample_id += 1
+        bins = np.searchsorted(edges, z + noise).astype(np.int64)
+        shards.append((o, o * r_cf, bins, p_click, p_conv, r_cf))
+    o, r_obs, bins, p_click, p_conv, r_cf = (np.concatenate(col) for col in zip(*shards))
+    log = ExposureLog(
+        sample_id=np.arange(config.n_exposures, dtype=np.int64),
+        click=o,
+        conversion=r_obs,
+        id_names=tuple(f"f{d}" for d in range(config.latent_dim)),
+        ids=bins,
+        numeric_names=(),
+        numeric=np.zeros((config.n_exposures, 0)),
+        true_p_click=p_click,
+        true_p_conv=p_conv,
+        r_counterfactual=r_cf,
+    )
 
-    o_all = np.array([rec.click for rec in records])
-    p_conv_all = np.array([rec.truth.true_p_conv for rec in records])
-    n_click = int(o_all.sum())
-    n_conv = sum(rec.conversion for rec in records)
+    n_click = int(o.sum())
+    n_conv = int(r_obs.sum())
     report = GenerationReport(
         n_exposures=config.n_exposures,
         click_rate=n_click / config.n_exposures,
         conv_rate_given_click=n_conv / n_click if n_click else float("nan"),
         click_intercept=b0,
         conv_intercept=c0,
-        mean_p_conv_clicked=float(p_conv_all[o_all == 1].mean()) if n_click else float("nan"),
-        mean_p_conv_unclicked=float(p_conv_all[o_all == 0].mean()) if n_click < len(records) else float("nan"),
+        mean_p_conv_clicked=float(p_conv[o == 1].mean()) if n_click else float("nan"),
+        mean_p_conv_unclicked=float(p_conv[o == 0].mean()) if n_click < len(log) else float("nan"),
     )
-    return records, report
+    return log, report
 
 
-def space_stats(records: Sequence[ExposureRecord]) -> SpaceStats:
+def space_stats(log: ExposureLog) -> SpaceStats:
     """Counts of the funnel spaces plus the two observed rates."""
-    n = len(records)
-    n_click = sum(rec.click for rec in records)
-    n_conv = sum(rec.conversion for rec in records)
+    n = len(log)
+    n_click = int(log.click.sum())
+    n_conv = int(log.conversion.sum())
     return SpaceStats(
         n_exposure=n,
         n_click=n_click,

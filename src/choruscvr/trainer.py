@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import OptimizerConfig, OptimizerState, no_grad, optimizer_step
-from .data import ExposureRecord, batch_iter, label_arrays, truth_arrays
+from .data import ExposureLog, ExposureRecord, batch_iter, label_arrays, truth_arrays
 from .features import FeatureMatrix, FeatureSchema, build_matrix
 from .metrics import MetricEntry, MetricsReport, UndefinedMetricError, auc, bias_curve, logloss, pcoc
 from .model import Architecture, ModelParams, init_model, predict_batch
@@ -33,6 +33,7 @@ __all__ = [
     "evaluate",
     "default_eval_pairs",
     "write_history",
+    "write_timing",
 ]
 
 EVAL_CHUNK = 32_768
@@ -70,13 +71,17 @@ class EpochRecord:
     epoch: int
     train_terms: dict[str, float]
     val_ctcvr_auc: float
-    wall_clock_s: float  # kept in memory only; never serialized
+    # Wall clock of the optimizer steps and of the validation pass; only
+    # ``write_timing`` serializes them.
+    steps_s: float
+    val_s: float
 
 
 @dataclass
 class TrainHistory:
     epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = 0  # 1-based; 0 means no epoch ran
+    build_s: float = 0.0  # wall clock of the feature matrices and labels
 
 
 def split_indices(n: int, seed: int, fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -117,8 +122,8 @@ def _diagnostics(term_values: dict[str, float], ctr_scores: np.ndarray) -> str:
 
 def train(
     config: ExperimentConfig,
-    train_records: Sequence[ExposureRecord],
-    val_records: Sequence[ExposureRecord],
+    train_records: ExposureLog | Sequence[ExposureRecord],
+    val_records: ExposureLog | Sequence[ExposureRecord],
     schema: FeatureSchema,
 ) -> tuple[ModelParams, TrainHistory]:
     """Run the configured method; returns the best-epoch parameters.
@@ -126,16 +131,19 @@ def train(
     Raises :class:`TrainingError` with term values and the propensity
     extremes of the offending batch when the loss stops being finite.
     """
-    if not train_records:
+    t0 = time.perf_counter()
+    train_log = ExposureLog.from_records(train_records, schema)
+    val_log = ExposureLog.from_records(val_records, schema)
+    if not len(train_log):
         raise TrainingError("no training records")
-    fm_train = build_matrix([rec.features for rec in train_records], schema)
-    o_train, r_train = label_arrays(train_records)
-    fm_val = build_matrix([rec.features for rec in val_records], schema) if val_records else None
+    fm_train = build_matrix(train_log, schema)
+    o_train, r_train = label_arrays(train_log)
+    fm_val = build_matrix(val_log, schema) if len(val_log) else None
     if fm_val is not None:
-        o_val, r_val = label_arrays(val_records)
+        o_val, r_val = label_arrays(val_log)
 
     params = init_model(schema, config.arch, config.seed)
-    history = TrainHistory()
+    history = TrainHistory(build_s=time.perf_counter() - t0)
     if config.epochs == 0:
         return params, history
 
@@ -144,7 +152,7 @@ def train(
     best_auc = -np.inf
     stale = 0
     for epoch in range(1, config.epochs + 1):
-        t0 = time.monotonic()
+        t0 = time.perf_counter()
         term_sums: dict[str, float] = {}
         n_seen = 0
         for step, idx in enumerate(batch_iter(fm_train.n_rows, config.batch_size, _epoch_seed(config.seed, epoch))):
@@ -163,6 +171,7 @@ def train(
                 term_sums[k] = term_sums.get(k, 0.0) + v * len(idx)
             n_seen += len(idx)
         term_means = {k: v / n_seen for k, v in term_sums.items()}
+        t1 = time.perf_counter()
 
         if fm_val is not None and fm_val.n_rows > 0:
             val_out = _predict_chunked(params, fm_val)
@@ -170,7 +179,7 @@ def train(
         else:
             val_auc = float("nan")
         history.epochs.append(
-            EpochRecord(epoch=epoch, train_terms=term_means, val_ctcvr_auc=val_auc, wall_clock_s=time.monotonic() - t0)
+            EpochRecord(epoch, term_means, val_auc, steps_s=t1 - t0, val_s=time.perf_counter() - t1)
         )
         improved = np.isfinite(val_auc) and val_auc > best_auc
         if improved or fm_val is None or fm_val.n_rows == 0:
@@ -199,9 +208,9 @@ COUNTERFACTUAL_PAIRS = (
 )
 
 
-def default_eval_pairs(records: Sequence[ExposureRecord]) -> tuple[tuple[str, str], ...]:
-    """Every applicable (space, target) pair for this dataset."""
-    if truth_arrays(records) is not None:
+def default_eval_pairs(log: ExposureLog) -> tuple[tuple[str, str], ...]:
+    """Every applicable (space, target) pair for this log."""
+    if truth_arrays(log) is not None:
         return OBSERVED_PAIRS + COUNTERFACTUAL_PAIRS
     return OBSERVED_PAIRS
 
@@ -227,7 +236,7 @@ def _entry(scores: np.ndarray, labels: np.ndarray, pcoc_actual: np.ndarray) -> M
 
 def evaluate(
     params: ModelParams,
-    records: Sequence[ExposureRecord],
+    records: ExposureLog | Sequence[ExposureRecord],
     pairs: Sequence[tuple[str, str]] | None = None,
     n_bins: int = 10,
 ) -> MetricsReport:
@@ -242,13 +251,14 @@ def evaluate(
     to observed conversions among clicked records and is flagged a
     biased proxy.
     """
-    if not records:
+    log = ExposureLog.from_records(records, params.schema)
+    if not len(log):
         raise UndefinedMetricError("cannot evaluate an empty record set")
     if pairs is None:
-        pairs = default_eval_pairs(records)
-    fm = build_matrix([rec.features for rec in records], params.schema)
-    o, r = label_arrays(records)
-    truth = truth_arrays(records)
+        pairs = default_eval_pairs(log)
+    fm = build_matrix(log, params.schema)
+    o, r = label_arrays(log)
+    truth = truth_arrays(log)
     out = _predict_chunked(params, fm)
 
     report = MetricsReport()
@@ -295,4 +305,16 @@ def write_history(history: TrainHistory, path: str | Path) -> None:
         row.append(repr(rec.val_ctcvr_auc))
         row.append(str(int(rec.epoch == history.best_epoch)))
         lines.append(",".join(row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_timing(history: TrainHistory, path: str | Path, load_s: float, eval_s: float) -> None:
+    """Wall clock per phase as ``phase,epoch,wall_s`` rows: reading the
+    log, building the matrices, each epoch's steps and validation, and
+    the test evaluation. Never byte-stable, so kept out of the history."""
+    rows = [("load", "", load_s), ("build", "", history.build_s)]
+    for rec in history.epochs:
+        rows += [("steps", rec.epoch, rec.steps_s), ("validate", rec.epoch, rec.val_s)]
+    rows.append(("eval", "", eval_s))
+    lines = ["phase,epoch,wall_s"] + [f"{phase},{epoch},{seconds!r}" for phase, epoch, seconds in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -21,7 +21,7 @@ import yaml
 
 from choruscvr import cli
 from choruscvr.autodiff import Tensor, backward, no_grad
-from choruscvr.data import write_log
+from choruscvr.data import ExposureLog, ExposureRecord, write_log
 from choruscvr.features import NumericStats, build_matrix, build_schema, encode_matrix
 from choruscvr.metrics import auc, logloss, pcoc
 from choruscvr.model import (
@@ -160,6 +160,12 @@ KINK_GAP = 1e-4
 TERM_NAMES = ("ctr", "ctcvr", "cvr_ipw", "ctuncvr", "uncvr_ipw", "align_ipw", "combined")
 
 
+def _matrix(rows, schema):
+    """Feature rows into model-input columns, through a log."""
+    log = ExposureLog.from_records([ExposureRecord(i, 0, 0, row) for i, row in enumerate(rows)], schema)
+    return build_matrix(log, schema)
+
+
 def _draw_case(seed: int):
     rng = np.random.default_rng(seed)
     params = init_model(GRAD_SCHEMA, GRAD_ARCH, seed=seed + 1)
@@ -172,7 +178,7 @@ def _draw_case(seed: int):
     o[0], r[0] = 0.0, 0.0
     o[1], r[1] = 1.0, 1.0
     o[2], r[2] = 1.0, 0.0
-    fm = build_matrix(feats, GRAD_SCHEMA)
+    fm = _matrix(feats, GRAD_SCHEMA)
     return params, fm, o, r
 
 

@@ -1,5 +1,7 @@
 """Autodiff engine: forward values, gradients, stop-gradient, optimizer."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -370,3 +372,16 @@ def test_optimizer_config_validation():
 
 def test_activation_tags_exported():
     assert set(ACTIVATIONS) == {"relu", "sigmoid", "identity"}
+
+
+def test_dropped_graph_is_freed_without_the_cycle_collector():
+    # Backward closures must not refer back to their node: a graph in a
+    # reference cycle outlives its step until a full collection runs.
+    x = Tensor(np.array([0.5, -1.0, 2.0]))
+    gc.collect()
+    gc.disable()
+    try:
+        backward(((x * 2.0).sigmoid() + x.reciprocal() - x.relu()).sum())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

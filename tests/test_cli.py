@@ -7,6 +7,7 @@ import json
 import pytest
 import yaml
 
+from choruscvr import cli
 from choruscvr.cli import main
 from choruscvr.data import read_log, write_log
 from choruscvr.model import load_checkpoint
@@ -296,3 +297,75 @@ def test_compare_regenerates_datasets_when_sim_changes(tmp_path):
         assert main([*args, "--config", str(cfg)]) == 0
         lines = (out / "datasets" / "sim_seed0.csv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == n_exposures + 1  # header + one row per exposure
+
+
+def test_ingestion_report_in_train_and_evaluate_manifests(simulated, tmp_path):
+    _, _, _, dataset = simulated
+    text = dataset.read_text(encoding="utf-8")
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text(
+        text
+        + "90000,0,1,1,1,1,1,0.5,0.5,1\n"  # converted without a click
+        + "90001,2,0,1,1,1,1,0.5,0.5,0\n"  # click label out of range
+        + "90002,0,0,9,1,1,1,0.5,0.5,0\n",  # f0 outside its 8 bins, folded
+        encoding="utf-8",
+    )
+    cfg, _ = _write_config(tmp_path, f"  dataset: {dirty}\n")
+    expected = {
+        "lines": 3003,
+        "records": 3001,
+        "skipped": 1,
+        "skipped_rows": [[3003, "click must be 0 or 1, got '2'"]],
+        "funnel_violations": 1,
+        "oov_folds": {"f0": 1, "f1": 0, "f2": 0, "f3": 0},
+    }
+    manifests = []
+    for run in ("a", "b"):
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / run)]) == 0
+        manifests.append((tmp_path / run / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]  # deterministic: wall clock stays in timing.csv
+    manifest = json.loads(manifests[0])
+    assert manifest["ingestion"] == expected
+    assert manifest["artifacts"]["timing"] == "timing.csv"
+    assert manifest["nondeterministic"] == ["timing.csv"]
+
+    code = main(
+        ["evaluate", "--config", str(cfg), "--out", str(tmp_path / "eval"), "--checkpoint", str(tmp_path / "a" / "checkpoint.bin")]
+    )
+    assert code == 0
+    assert json.loads((tmp_path / "eval" / "manifest.json").read_text())["ingestion"] == expected
+
+
+def test_train_writes_timing_per_phase(trained):
+    _, out, _ = trained
+    lines = (out / "timing.csv").read_text(encoding="utf-8").strip().splitlines()
+    assert lines[0] == "phase,epoch,wall_s"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(phase, epoch) for phase, epoch, _ in rows] == [
+        ("load", ""),
+        ("build", ""),
+        ("steps", "1"),
+        ("validate", "1"),
+        ("eval", ""),
+    ]
+    assert all(float(seconds) > 0.0 for _, _, seconds in rows)
+
+
+def test_compare_reads_each_seed_log_once(tmp_path, monkeypatch):
+    reads = []
+
+    def counting_read_log(path, schema):
+        reads.append(path)
+        return read_log(path, schema)
+
+    monkeypatch.setattr(cli, "read_log", counting_read_log)
+    cfg, _ = _write_config(tmp_path)
+    out = tmp_path / "cmp"
+    args = ["compare", "--config", str(cfg), "--out", str(out), "--methods", "esmm,chorus,nise", "--seeds", "0,1"]
+    assert main(args) == 0
+    assert sorted(p.name for p in reads) == ["sim_seed0.csv", "sim_seed1.csv"]
+    for method in ("esmm", "chorus", "nise"):
+        for seed in (0, 1):
+            manifest = json.loads((out / "runs" / f"{method}_seed{seed}" / "manifest.json").read_text())
+            assert manifest["ingestion"]["records"] == 3000
+            assert manifest["ingestion"]["skipped"] == 0

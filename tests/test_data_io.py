@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from choruscvr import data
 from choruscvr.data import (
+    ExposureLog,
     ExposureRecord,
     GroundTruth,
     LogFormatError,
@@ -13,7 +15,7 @@ from choruscvr.data import (
     truth_arrays,
     write_log,
 )
-from choruscvr.features import build_schema
+from choruscvr.features import build_matrix, build_schema
 from choruscvr.simulator import SimConfig, generate, sim_schema
 
 SCHEMA = build_schema(
@@ -115,7 +117,7 @@ def test_round_trip_without_truth(tmp_path):
     p = tmp_path / "rt.csv"
     write_log(records, p, SCHEMA)
     back, report = read_log(p, SCHEMA)
-    assert back == records
+    assert list(back) == records
     assert report.funnel_violations == 0
 
 
@@ -155,7 +157,7 @@ def _rec(i, o, r):
 def test_partition_truth_table():
     # The exposure space splits into clicked (o=1) and unclicked (o=0) rows,
     # and the clicked space into converted (r=1) and unconverted (r=0) rows.
-    o, r = label_arrays([_rec(0, 1, 1), _rec(1, 1, 0), _rec(2, 0, 0)])
+    o, r = label_arrays(ExposureLog.from_records([_rec(0, 1, 1), _rec(1, 1, 0), _rec(2, 0, 0)], SCHEMA))
     assert np.flatnonzero(o == 1).tolist() == [0, 1]
     assert np.flatnonzero(o == 0).tolist() == [2]
     assert np.flatnonzero(r == 1).tolist() == [0]
@@ -171,10 +173,14 @@ def test_partition_invariants_on_simulated_data():
 
 
 def test_label_and_truth_arrays():
-    records = [
-        ExposureRecord(0, 1, 1, {}, GroundTruth(0.5, 0.25, 1)),
-        ExposureRecord(1, 0, 0, {}, GroundTruth(0.125, 0.75, 0)),
-    ]
+    no_features = build_schema([])
+    records = ExposureLog.from_records(
+        [
+            ExposureRecord(0, 1, 1, {}, GroundTruth(0.5, 0.25, 1)),
+            ExposureRecord(1, 0, 0, {}, GroundTruth(0.125, 0.75, 0)),
+        ],
+        no_features,
+    )
     o, r = label_arrays(records)
     assert o.tolist() == [1.0, 0.0]
     assert r.tolist() == [1.0, 0.0]
@@ -184,7 +190,9 @@ def test_label_and_truth_arrays():
     assert p_click.tolist() == [0.5, 0.125]
     assert p_conv.tolist() == [0.25, 0.75]
     assert r_cf.tolist() == [1.0, 0.0]
-    assert truth_arrays([records[0], ExposureRecord(2, 0, 0, {}, None)]) is None
+    assert truth_arrays(ExposureLog.from_records([ExposureRecord(2, 0, 0, {}, None)], no_features)) is None
+    with pytest.raises(LogFormatError, match="ground truth"):
+        ExposureLog.from_records([records[0], ExposureRecord(2, 0, 0, {}, None)], no_features)
 
 
 def test_batch_sizes_with_short_tail():
@@ -211,3 +219,38 @@ def test_batch_iter_rejects_empty_and_bad_size():
         list(batch_iter(0, 4, epoch_seed=0))
     with pytest.raises(ValueError, match="batch_size"):
         list(batch_iter(10, 0, epoch_seed=0))
+
+
+def test_non_finite_numeric_values_skipped_and_itemized(tmp_path):
+    p = _write(tmp_path, "sample_id,click,conversion,f0,x\n0,1,0,1,nan\n1,0,0,2,inf\n2,0,0,3,-inf\n3,1,1,0,0.5\n")
+    records, report = read_log(p, SCHEMA)
+    assert [r.sample_id for r in records] == [3]
+    assert report.skipped == [
+        (2, "x must be finite, got 'nan'"),
+        (3, "x must be finite, got 'inf'"),
+        (4, "x must be finite, got '-inf'"),
+    ]
+
+
+def test_out_of_vocabulary_ids_fold_and_are_counted_per_feature(tmp_path):
+    p = _write(tmp_path, "sample_id,click,conversion,f0,x\n0,1,0,-1,0.5\n1,0,0,9,1.0\n2,0,0,3,0.0\n")
+    records, report = read_log(p, SCHEMA)
+    assert len(records) == 3
+    assert report.skipped == []
+    assert report.oov_folds == {"f0": 2}
+    assert build_matrix(records, SCHEMA).cat_indices["f0"].tolist() == [3, 1, 3]
+
+
+def test_clean_log_is_read_in_one_vectorized_pass(tmp_path, monkeypatch):
+    cfg = SimConfig(n_exposures=500, seed=4)
+    log, _ = generate(cfg)
+    p = tmp_path / "sim.csv"
+    write_log(log, p, sim_schema(cfg))
+
+    def no_row_parser(*args):
+        raise AssertionError("the row parser ran on a clean log")
+
+    monkeypatch.setattr(data, "_parse_rows", no_row_parser)
+    back, report = read_log(p, sim_schema(cfg))
+    assert back == log
+    assert report.n_lines == report.n_records == 500

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from choruscvr.autodiff import Tensor, backward
+from choruscvr.data import ExposureLog, ExposureRecord
 from choruscvr.features import (
     EncodingError,
     NumericStats,
@@ -15,9 +16,15 @@ from choruscvr.features import (
 )
 
 
+def _matrix(rows, schema):
+    """Feature rows into model-input columns, through a log."""
+    log = ExposureLog.from_records([ExposureRecord(i, 0, 0, row) for i, row in enumerate(rows)], schema)
+    return build_matrix(log, schema)
+
+
 def _encode_one(row, schema, tables) -> np.ndarray:
     """One record through the batch path: its (input_width,) vector."""
-    return encode_matrix(build_matrix([row], schema), schema, tables).value[0]
+    return encode_matrix(_matrix([row], schema), schema, tables).value[0]
 
 
 def _mixed_config():
@@ -116,7 +123,13 @@ def test_encode_is_pure():
 def test_missing_feature_names_it():
     schema = build_schema(_mixed_config())
     with pytest.raises(EncodingError, match="price"):
-        build_matrix([{"item_cat": 0, "user_cat": 0}], schema)
+        _matrix([{"item_cat": 0, "user_cat": 0}], schema)
+
+
+def test_fractional_categorical_id_is_rejected_not_truncated():
+    schema = build_schema(_mixed_config())
+    with pytest.raises(EncodingError, match="item_cat must be an integer id"):
+        _matrix([{"item_cat": 2.5, "user_cat": 0, "price": 1.0}], schema)
 
 
 def test_out_of_vocabulary_folds_modulo():
@@ -158,7 +171,7 @@ def test_matrix_encoding_matches_single_record_encoding():
         {"item_cat": 3, "user_cat": 2, "price": -1.0},
         {"item_cat": 7, "user_cat": 0, "price": 0.0},  # 7 folds to 3
     ]
-    fm = build_matrix(rows, schema)
+    fm = _matrix(rows, schema)
     batch = encode_matrix(fm, schema, tables)
     assert batch.shape == (3, schema.input_width)
     for i, row in enumerate(rows):
@@ -168,7 +181,7 @@ def test_matrix_encoding_matches_single_record_encoding():
 def test_matrix_row_subset():
     schema = build_schema(_mixed_config())
     rows = [{"item_cat": i % 4, "user_cat": i % 3, "price": float(i)} for i in range(5)]
-    fm = build_matrix(rows, schema)
+    fm = _matrix(rows, schema)
     sub = fm.rows(np.array([4, 0]))
     assert sub.n_rows == 2
     assert sub.num_values[0, 0] == 4.0
@@ -178,13 +191,13 @@ def test_matrix_row_subset():
 def test_matrix_missing_feature_raises():
     schema = build_schema(_mixed_config())
     with pytest.raises(EncodingError, match="user_cat"):
-        build_matrix([{"item_cat": 0, "price": 1.0}], schema)
+        _matrix([{"item_cat": 0, "price": 1.0}], schema)
 
 
 def test_embedding_gradients_flow_through_encoding():
     schema = build_schema(_mixed_config())
     tables = init_tables(schema, np.random.default_rng(2))
-    fm = build_matrix([{"item_cat": 1, "user_cat": 2, "price": 0.3}], schema)
+    fm = _matrix([{"item_cat": 1, "user_cat": 2, "price": 0.3}], schema)
     out = encode_matrix(fm, schema, tables).sum()
     backward(out)
     assert np.array_equal(tables["item_cat"].grad[1], np.ones(2))

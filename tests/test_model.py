@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from choruscvr.autodiff import ShapeError, Tensor, backward, no_grad
+from choruscvr.data import ExposureLog, ExposureRecord
 from choruscvr.features import NumericStats, build_matrix, build_schema
 from choruscvr.model import (
     Architecture,
@@ -25,6 +26,12 @@ SCHEMA = build_schema(
     numeric_stats={"z": NumericStats(mean=1.0, std=2.0)},
 )
 ARCH = Architecture(encoder_widths=(8,), tower_widths=(4,))
+
+
+def _matrix(rows, schema):
+    """Feature rows into model-input columns, through a log."""
+    log = ExposureLog.from_records([ExposureRecord(i, 0, 0, row) for i, row in enumerate(rows)], schema)
+    return build_matrix(log, schema)
 
 
 def _rows(n, rng):
@@ -68,7 +75,7 @@ def test_zero_parameters_give_half_probabilities():
     params = init_model(SCHEMA, ARCH, seed=0)
     for _, t in params.named_parameters():
         t.value[...] = 0.0
-    fm = build_matrix(_rows(4, np.random.default_rng(0)), SCHEMA)
+    fm = _matrix(_rows(4, np.random.default_rng(0)), SCHEMA)
     out = predict_batch(params, fm)
     assert np.allclose(out.ctr.value, 0.5)
     assert np.allclose(out.cvr.value, 0.5)
@@ -96,7 +103,7 @@ def test_tiny_net_matches_hand_evaluation():
 def test_product_invariant_over_random_inputs():
     rng = np.random.default_rng(17)
     params = init_model(SCHEMA, ARCH, seed=23)
-    fm = build_matrix(_rows(1000, rng), SCHEMA)
+    fm = _matrix(_rows(1000, rng), SCHEMA)
     out = predict_batch(params, fm)
     assert np.all(out.ctcvr.value <= np.minimum(out.ctr.value, out.cvr.value))
     assert np.all(out.ctuncvr.value <= np.minimum(out.ctr.value, out.uncvr.value))
@@ -108,7 +115,7 @@ def test_outputs_within_clamp_band():
     # inflate weights to push logits far out
     for name, t in params.named_parameters():
         t.value *= 200.0
-    fm = build_matrix(_rows(64, np.random.default_rng(1)), SCHEMA)
+    fm = _matrix(_rows(64, np.random.default_rng(1)), SCHEMA)
     out = predict_batch(params, fm)
     for head in (out.ctr, out.cvr, out.uncvr):
         assert np.all(head.value >= 1e-7)
@@ -118,7 +125,7 @@ def test_outputs_within_clamp_band():
 def test_every_parameter_group_receives_gradient():
     params = init_model(SCHEMA, ARCH, seed=31)
     rng = np.random.default_rng(2)
-    fm = build_matrix(_rows(12, rng), SCHEMA)
+    fm = _matrix(_rows(12, rng), SCHEMA)
     o = np.array([1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0], dtype=np.float64)
     r = np.array([1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0], dtype=np.float64)
     out = predict_batch(params, fm)
@@ -131,7 +138,7 @@ def test_every_parameter_group_receives_gradient():
 @pytest.mark.parametrize("arch", [ARCH, Architecture()], ids=["small", "default"])
 def test_no_grad_predict_bitwise_matches_graph(arch):
     params = init_model(SCHEMA, arch, seed=37)
-    fm = build_matrix(_rows(128, np.random.default_rng(3)), SCHEMA)
+    fm = _matrix(_rows(128, np.random.default_rng(3)), SCHEMA)
     graph = predict_batch(params, fm)
     with no_grad():
         scored = predict_batch(params, fm)

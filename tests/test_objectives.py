@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from choruscvr.autodiff import Tensor, backward
+from choruscvr.data import ExposureLog, ExposureRecord
 from choruscvr.features import build_matrix, build_schema
 from choruscvr.model import Architecture, TowerOutputs, init_model, predict_batch
 from choruscvr.objectives import (
@@ -398,10 +399,16 @@ SCHEMA = build_schema(
 ARCH = Architecture(encoder_widths=(), tower_widths=(4,))
 
 
+def _matrix(rows, schema):
+    """Feature rows into model-input columns, through a log."""
+    log = ExposureLog.from_records([ExposureRecord(i, 0, 0, row) for i, row in enumerate(rows)], schema)
+    return build_matrix(log, schema)
+
+
 def _fm(n, seed):
     rng = np.random.default_rng(seed)
     rows = [{"a": int(rng.integers(4)), "x": float(rng.normal())} for _ in range(n)]
-    return build_matrix(rows, SCHEMA)
+    return _matrix(rows, SCHEMA)
 
 
 def test_single_unclicked_sample_step():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from choruscvr.data import ExposureRecord
+from choruscvr.data import ExposureLog, ExposureRecord
+from choruscvr.features import build_schema
 from choruscvr.simulator import SimConfig, SimulationError, generate, sim_schema, space_stats
 
 
@@ -57,26 +58,22 @@ def test_click_rate_calibrated_at_200k():
 
 
 def test_zero_correlation_decouples_propensities():
-    records, _ = generate(SimConfig(n_exposures=100_000, correlation=0.0, seed=9))
-    p_click = np.array([r.truth.true_p_click for r in records])
-    p_conv = np.array([r.truth.true_p_conv for r in records])
-    rho = np.corrcoef(p_click, p_conv)[0, 1]
+    log, _ = generate(SimConfig(n_exposures=100_000, correlation=0.0, seed=9))
+    rho = np.corrcoef(log.true_p_click, log.true_p_conv)[0, 1]
     assert abs(rho) < 0.05
 
 
 def test_selection_bias_exists_at_default_correlation(default_100k):
     records, report = default_100k
     assert report.mean_p_conv_clicked > report.mean_p_conv_unclicked
-    # recompute from records to cross-check the report
-    p_conv = np.array([r.truth.true_p_conv for r in records])
-    o = np.array([r.click for r in records])
+    # recompute from the log's columns to cross-check the report
+    p_conv, o = records.true_p_conv, records.click
     assert p_conv[o == 1].mean() - p_conv[o == 0].mean() > 0.05
 
 
 def test_true_probabilities_inside_open_interval(default_100k):
     records, _ = default_100k
-    p_click = np.array([r.truth.true_p_click for r in records])
-    p_conv = np.array([r.truth.true_p_conv for r in records])
+    p_click, p_conv = records.true_p_click, records.true_p_conv
     assert np.all((p_click > 0) & (p_click < 1))
     assert np.all((p_conv > 0) & (p_conv < 1))
 
@@ -105,13 +102,13 @@ def test_sim_schema_matches_feature_columns():
     assert schema.input_width == 12
 
 
-def _rec(sample_id, o, r):
-    return ExposureRecord(sample_id=sample_id, click=o, conversion=r, features={})
+def _log(rows):
+    records = [ExposureRecord(sample_id=i, click=o, conversion=r, features={}) for i, o, r in rows]
+    return ExposureLog.from_records(records, build_schema([]))
 
 
 def test_space_stats_counting():
-    records = [_rec(i, 1, 0) for i in range(3)] + [_rec(3, 1, 1)] + [_rec(i, 0, 0) for i in range(4, 10)]
-    stats = space_stats(records)
+    stats = space_stats(_log([(i, 1, 0) for i in range(3)] + [(3, 1, 1)] + [(i, 0, 0) for i in range(4, 10)]))
     assert stats.n_exposure == 10
     assert stats.n_click == 4
     assert stats.n_unclick == 6
@@ -122,7 +119,7 @@ def test_space_stats_counting():
 
 
 def test_space_stats_all_unclicked():
-    stats = space_stats([_rec(i, 0, 0) for i in range(5)])
+    stats = space_stats(_log([(i, 0, 0) for i in range(5)]))
     assert stats.n_click == 0
     assert stats.n_conv == 0
     assert stats.n_unconv == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from choruscvr.autodiff import OptimizerConfig
+from choruscvr.data import ExposureLog
 from choruscvr.metrics import UndefinedMetricError
 from choruscvr.model import Architecture, init_model
 from choruscvr.simulator import SimConfig, generate, sim_schema
@@ -110,7 +111,9 @@ def test_history_records_every_active_term(sim_data):
     for name in ("ctr", "ctcvr", "cvr_ipw", "ctuncvr", "uncvr_ipw", "align_ipw", "total"):
         assert name in terms
         assert np.isfinite(terms[name])
-    assert history.epochs[0].wall_clock_s >= 0.0
+    assert history.epochs[0].steps_s > 0.0
+    assert history.epochs[0].val_s > 0.0
+    assert history.build_s > 0.0
 
 
 def test_frozen_model_stops_after_patience(sim_data):
@@ -144,10 +147,10 @@ def test_best_epoch_params_returned(sim_data):
 
 
 def test_default_pairs_depend_on_truth(sim_data):
-    records, _, _ = sim_data
+    records, schema, _ = sim_data
     assert default_eval_pairs(records) == OBSERVED_PAIRS + COUNTERFACTUAL_PAIRS
     stripped = [rec.__class__(rec.sample_id, rec.click, rec.conversion, rec.features) for rec in records[:50]]
-    assert default_eval_pairs(stripped) == OBSERVED_PAIRS
+    assert default_eval_pairs(ExposureLog.from_records(stripped, schema)) == OBSERVED_PAIRS
 
 
 def test_evaluate_covers_requested_pairs(sim_data):
