@@ -87,6 +87,29 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _accumulate(node: "Tensor", g: np.ndarray) -> None:
+    """Add ``g`` into ``node``'s gradient for the current backward pass.
+
+    The first write takes ``g`` as it is instead of adding it to a zero
+    buffer; later writes build a new array. No gradient buffer is ever
+    written in place, so two nodes may share one. Taking ``g`` as it is
+    keeps the sign of a zero that ``0.0 + g`` would turn positive; such
+    a zero reaches the parameters only as a zero step.
+    """
+    node._grad = g if node._grad is None else node._grad + g
+
+
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Rows of ``g`` summed into a zero ``shape`` array at rows ``idx``.
+
+    Adds in index order, as ``np.add.at`` does, so the sums are the same
+    bits.
+    """
+    width = shape[1]
+    flat = (idx[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=shape[0] * width).reshape(shape)
+
+
 class Tensor:
     """One node of the computation graph.
 
@@ -161,7 +184,7 @@ class Tensor:
 
         def bw(g: np.ndarray) -> None:
             for p in parents:
-                p.grad += _unbroadcast(g, p.value.shape)
+                _accumulate(p, _unbroadcast(g, p.value.shape))
 
         return out._attach(bw)
 
@@ -172,7 +195,7 @@ class Tensor:
         out = Tensor(-self.value, parents=(self,), op="neg")
 
         def bw(g: np.ndarray) -> None:
-            self.grad -= g
+            _accumulate(self, -g)
 
         return out._attach(bw)
 
@@ -190,10 +213,10 @@ class Tensor:
 
         def bw(g: np.ndarray) -> None:
             if isinstance(other, Tensor):
-                self.grad += _unbroadcast(g * other.value, self.value.shape)
-                other.grad += _unbroadcast(g * self.value, other.value.shape)
+                _accumulate(self, _unbroadcast(g * other.value, self.value.shape))
+                _accumulate(other, _unbroadcast(g * self.value, other.value.shape))
             else:
-                self.grad += _unbroadcast(g * b_val, self.value.shape)
+                _accumulate(self, _unbroadcast(g * b_val, self.value.shape))
 
         return out._attach(bw)
 
@@ -217,11 +240,8 @@ class Tensor:
         out = Tensor(a @ b, parents=(self, other), op="matmul")
 
         def bw(g: np.ndarray) -> None:
-            self.grad += g @ b.T
-            if a.ndim == 1:
-                other.grad += np.outer(a, g)
-            else:
-                other.grad += a.T @ g
+            _accumulate(self, g @ b.T)
+            _accumulate(other, np.outer(a, g) if a.ndim == 1 else a.T @ g)
 
         return out._attach(bw)
 
@@ -230,7 +250,7 @@ class Tensor:
         out = Tensor(value, parents=(self,), op="reciprocal")
 
         def bw(g: np.ndarray) -> None:
-            self.grad += -g * value * value
+            _accumulate(self, -g * value * value)
 
         return out._attach(bw)
 
@@ -240,7 +260,7 @@ class Tensor:
         out = Tensor(np.maximum(self.value, 0.0), parents=(self,), op="relu")
 
         def bw(g: np.ndarray) -> None:
-            self.grad += g * (self.value > 0.0)
+            _accumulate(self, g * (self.value > 0.0))
 
         return out._attach(bw)
 
@@ -249,7 +269,7 @@ class Tensor:
         out = Tensor(value, parents=(self,), op="sigmoid")
 
         def bw(g: np.ndarray) -> None:
-            self.grad += g * value * (1.0 - value)
+            _accumulate(self, g * value * (1.0 - value))
 
         return out._attach(bw)
 
@@ -257,7 +277,7 @@ class Tensor:
         out = Tensor(np.log(self.value), parents=(self,), op="log")
 
         def bw(g: np.ndarray) -> None:
-            self.grad += g / self.value
+            _accumulate(self, g / self.value)
 
         return out._attach(bw)
 
@@ -266,7 +286,7 @@ class Tensor:
         out = Tensor(np.clip(self.value, lo, hi), parents=(self,), op="clip")
 
         def bw(g: np.ndarray) -> None:
-            self.grad += g * ((self.value > lo) & (self.value < hi))
+            _accumulate(self, g * ((self.value > lo) & (self.value < hi)))
 
         return out._attach(bw)
 
@@ -275,7 +295,7 @@ class Tensor:
         out = Tensor(np.maximum(self.value, floor), parents=(self,), op="clamp_min")
 
         def bw(g: np.ndarray) -> None:
-            self.grad += g * (self.value > floor)
+            _accumulate(self, g * (self.value > floor))
 
         return out._attach(bw)
 
@@ -285,7 +305,7 @@ class Tensor:
         out = Tensor(self.value.sum(), parents=(self,), op="sum")
 
         def bw(g: np.ndarray) -> None:
-            self.grad += g
+            _accumulate(self, np.full(self.value.shape, g))
 
         return out._attach(bw)
 
@@ -294,7 +314,7 @@ class Tensor:
         out = Tensor(self.value.mean(), parents=(self,), op="mean")
 
         def bw(g: np.ndarray) -> None:
-            self.grad += g / n
+            _accumulate(self, np.full(self.value.shape, g / n))
 
         return out._attach(bw)
 
@@ -303,7 +323,7 @@ class Tensor:
         out = Tensor(self.value.reshape(shape), parents=(self,), op="reshape")
 
         def bw(g: np.ndarray) -> None:
-            self.grad += g.reshape(old)
+            _accumulate(self, g.reshape(old))
 
         return out._attach(bw)
 
@@ -316,7 +336,7 @@ class Tensor:
         out = Tensor(self.value[idx], parents=(self,), op="take_rows")
 
         def bw(g: np.ndarray) -> None:
-            np.add.at(self.grad, idx, g)
+            _accumulate(self, _scatter_rows(g, idx, self.value.shape))
 
         return out._attach(bw)
 
@@ -347,48 +367,49 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
-            t.grad += g[tuple(sl)]
+            _accumulate(t, g[tuple(sl)])
 
     return out._attach(bw)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
+    """Parents before children: the post-order of a depth-first walk that
+    enters a node's parents last to first."""
     order: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    seen = {root}  # nodes hash by identity
+    stack = [(root, reversed(root.parents))]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
+        node, parents = stack[-1]
+        for parent in parents:
+            if parent not in seen:
+                seen.add(parent)
+                stack.append((parent, reversed(parent.parents)))
+                break
+        else:
+            stack.pop()
             order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node.parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
     return order
 
 
 def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
     """Accumulate d(root)/d(node) into every reachable node's ``grad``.
 
-    The root must be scalar. Every reachable node gets a fresh zero
-    buffer first, so repeated calls never leak accumulation across steps
-    and never overwrite the arrays an earlier call returned. Returns a
-    map from every reachable leaf node to its gradient array.
+    The root must be scalar. Every reachable node starts the pass with
+    no gradient (it reads zero), so repeated calls never leak
+    accumulation across steps and never change the arrays an earlier
+    call returned. Returns a map from every reachable leaf node to its
+    gradient array.
     """
     if root.value.shape != ():
         raise GraphError(f"backward root must be scalar, got shape {root.value.shape}")
     order = _topo_order(root)
     for node in order:
-        node.grad = np.zeros_like(node.value)
-    root.grad = np.ones_like(root.value)
+        node._grad = None
+    root._grad = np.ones_like(root.value)
     for node in reversed(order):
-        if node.grad_blocked:
-            continue
-        node._backward(node.grad)
+        # A node no gradient reached would only pass zeros on.
+        if node._grad is not None and not node.grad_blocked:
+            node._backward(node._grad)
     return {node: node.grad for node in order if node.op == "leaf"}
 
 
@@ -443,23 +464,29 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Per-parameter moment accumulators plus the step counter."""
+    """The step counter and both moment accumulators, each one flat
+    vector over all parameters in order; ``sizes`` holds the parameter
+    sizes that order lays out."""
 
     step_count: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    sizes: tuple[int, ...] = ()
 
     @classmethod
     def for_params(cls, params: Sequence[Tensor]) -> "OptimizerState":
-        return cls(
-            step_count=0,
-            m=[np.zeros_like(p.value) for p in params],
-            v=[np.zeros_like(p.value) for p in params],
-        )
+        sizes = tuple(p.value.size for p in params)
+        return cls(step_count=0, m=np.zeros(sum(sizes)), v=np.zeros(sum(sizes)), sizes=sizes)
 
 
-def _param_label(param: Tensor, index: int) -> str:
-    return param.name or f"param[{index}]"
+def _first_non_finite(params: Sequence[Tensor], *flats: np.ndarray) -> str:
+    """Label of the first parameter whose slice of any ``flats`` is not finite."""
+    end = 0
+    for i, p in enumerate(params):
+        start, end = end, end + p.value.size
+        if not all(np.isfinite(f[start:end]).all() for f in flats):
+            return p.name or f"param[{i}]"
+    raise ValueError("every value is finite")
 
 
 def optimizer_step(
@@ -471,31 +498,34 @@ def optimizer_step(
     """Apply one update in place; increments and returns the state.
 
     Gradients must be finite and aligned with ``params`` (same order the
-    state was created with).
+    state was created with). The update runs once on the flat vector of
+    all gradients; every operation is elementwise, so each parameter
+    gets the same bits a per-parameter loop would give it.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
+    if len(params) != len(grads) or tuple(np.size(g) for g in grads) != state.sizes:
         raise OptimizerError("params, grads and state are not aligned")
     step = state.step_count + 1
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if not np.all(np.isfinite(g)):
-            raise OptimizerError(f"non-finite gradient for {_param_label(p, i)} at step {step}")
+    g = np.concatenate([np.ravel(x) for x in grads]) if grads else np.zeros(0)
+    if not np.isfinite(g).all():
+        raise OptimizerError(f"non-finite gradient for {_first_non_finite(params, g)} at step {step}")
     if config.method == "sgd":
-        for p, g in zip(params, grads):
-            p.value -= config.learning_rate * g
+        update = config.learning_rate * g
     else:
         b1, b2 = config.beta1, config.beta2
         bias1 = 1.0 - b1**step
         bias2 = 1.0 - b2**step
-        for i, (p, g) in enumerate(zip(params, grads)):
-            state.m[i] *= b1
-            state.m[i] += (1.0 - b1) * g
-            state.v[i] *= b2
-            state.v[i] += (1.0 - b2) * g * g
-            m_hat = state.m[i] / bias1
-            v_hat = state.v[i] / bias2
-            p.value -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        state.m *= b1
+        state.m += (1.0 - b1) * g
+        state.v *= b2
+        state.v += (1.0 - b2) * g * g
+        m_hat = state.m / bias1
+        v_hat = state.v / bias2
+        update = config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    offset = 0
+    for p in params:
+        p.value -= update[offset : offset + p.value.size].reshape(p.value.shape)
+        offset += p.value.size
     state.step_count = step
-    for i, p in enumerate(params):
-        if not np.all(np.isfinite(state.m[i])) or not np.all(np.isfinite(state.v[i])):
-            raise OptimizerError(f"non-finite moment for {_param_label(p, i)} at step {step}")
+    if not (np.isfinite(state.m).all() and np.isfinite(state.v).all()):
+        raise OptimizerError(f"non-finite moment for {_first_non_finite(params, state.m, state.v)} at step {step}")
     return state

@@ -20,6 +20,7 @@ from choruscvr.autodiff import (
     optimizer_step,
     stop_gradient,
 )
+from choruscvr.autodiff import _scatter_rows
 
 
 def test_add_mul_scalar_chain():
@@ -121,6 +122,15 @@ def test_take_rows_scatter_adds_repeated_indices():
     backward(out)
     expected = np.array([[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
     assert np.array_equal(table.grad, expected)
+
+
+def test_bincount_scatter_equals_add_at_bitwise():
+    rng = np.random.default_rng(3)
+    idx = rng.integers(0, 16, 1024)
+    g = rng.normal(size=(1024, 4))
+    expected = np.zeros((16, 4))
+    np.add.at(expected, idx, g)
+    assert _scatter_rows(g, idx, (16, 4)).tobytes() == expected.tobytes()
 
 
 def test_concat_splits_gradient():
@@ -354,6 +364,46 @@ def test_optimizer_rejects_non_finite_gradient():
     state = OptimizerState.for_params([w])
     with pytest.raises(OptimizerError, match="tower.cvr.0.w"):
         optimizer_step([w], [np.asarray(np.nan)], state, OptimizerConfig())
+
+
+def test_optimizer_rejects_non_finite_moment_naming_the_parameter():
+    a, b = Tensor(np.zeros((2, 2))), Tensor(np.zeros(3))
+    a.name, b.name = "tower.ctr.0.w", "tower.ctr.0.b"
+    state = OptimizerState.for_params([a, b])
+    grads = [np.ones((2, 2)), np.array([1.0, 1e200, 1.0])]  # g * g overflows
+    with pytest.raises(OptimizerError, match="non-finite moment for tower.ctr.0.b at step 1"):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            optimizer_step([a, b], grads, state, OptimizerConfig())
+
+
+@pytest.mark.parametrize("method", ["adam", "sgd"])
+def test_flat_update_matches_per_parameter_loop_bitwise(method):
+    rng = np.random.default_rng(17)
+    shapes = [(16, 4), (4,), (), (17, 16), (16,), (16, 1), (1,)]
+    params = [Tensor(rng.normal(size=s)) for s in shapes]
+    expected = [p.value.copy() for p in params]
+    config = OptimizerConfig(method=method, learning_rate=0.01)
+    state = OptimizerState.for_params(params)
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    b1, b2 = config.beta1, config.beta2
+    for step in range(1, 51):
+        grads = [rng.normal(size=s) * (rng.random(s) < 0.8) for s in shapes]
+        optimizer_step(params, grads, state, config)
+        for i, g in enumerate(grads):
+            if method == "sgd":
+                expected[i] -= config.learning_rate * g
+                continue
+            m[i] *= b1
+            m[i] += (1.0 - b1) * g
+            v[i] *= b2
+            v[i] += (1.0 - b2) * g * g
+            m_hat = m[i] / (1.0 - b1**step)
+            v_hat = v[i] / (1.0 - b2**step)
+            expected[i] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    assert state.step_count == 50
+    for p, e in zip(params, expected):
+        assert p.value.tobytes() == e.tobytes()
 
 
 def test_optimizer_rejects_misaligned_inputs():
