@@ -5,7 +5,8 @@ forward value, the parent nodes and a closure that maps the output
 gradient onto the parents. ``backward`` walks the graph once in reverse
 topological order. Inside :func:`no_grad` no graph is built, so the same
 forward code serves scoring. The operation set is intentionally small
-(what the training objectives need) and everything is 64-bit.
+(what the training objectives need): the training path runs through a
+few fused nodes with analytic backward passes, and everything is 64-bit.
 """
 
 from __future__ import annotations
@@ -25,7 +26,11 @@ __all__ = [
     "no_grad",
     "stable_sigmoid",
     "stop_gradient",
-    "concat",
+    "dense",
+    "bce",
+    "masked_mean",
+    "weighted_sum",
+    "gather_concat",
     "mlp_forward",
     "OptimizerConfig",
     "OptimizerState",
@@ -114,8 +119,8 @@ class Tensor:
     """One node of the computation graph.
 
     ``value`` and ``grad`` always share a shape. ``grad`` reads zero until
-    a :func:`backward` reaches the node; each backward gives every node it
-    reaches a fresh buffer. A node with ``grad_blocked`` set
+    a :func:`backward` reaches the node; each backward starts every node
+    it reaches from zero. A node with ``grad_blocked`` set
     contributes exactly zero gradient to all of its parents: the engine
     never invokes its backward closure, so parent accumulators are left
     untouched (bitwise zero, not merely small).
@@ -188,9 +193,6 @@ class Tensor:
 
         return out._attach(bw)
 
-    def __radd__(self, other) -> "Tensor":
-        return self.__add__(other)
-
     def __neg__(self) -> "Tensor":
         out = Tensor(-self.value, parents=(self,), op="neg")
 
@@ -198,11 +200,6 @@ class Tensor:
             _accumulate(self, -g)
 
         return out._attach(bw)
-
-    def __sub__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return self.__add__(other.__neg__())
-        return self.__add__(-np.asarray(other, dtype=np.float64))
 
     def __rsub__(self, other) -> "Tensor":
         return self.__neg__().__add__(other)
@@ -220,64 +217,12 @@ class Tensor:
 
         return out._attach(bw)
 
-    def __rmul__(self, other) -> "Tensor":
-        return self.__mul__(other)
-
-    def __truediv__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return self.__mul__(other.reciprocal())
-        return self.__mul__(1.0 / np.asarray(other, dtype=np.float64))
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return self.reciprocal().__mul__(other)
-
-    def __matmul__(self, other) -> "Tensor":
-        if not isinstance(other, Tensor):
-            other = Tensor(other)
-        a, b = self.value, other.value
-        if a.shape[-1] != b.shape[0]:
-            raise ShapeError(f"matmul: inner dimensions {a.shape} @ {b.shape} do not match")
-        out = Tensor(a @ b, parents=(self, other), op="matmul")
-
-        def bw(g: np.ndarray) -> None:
-            _accumulate(self, g @ b.T)
-            _accumulate(other, np.outer(a, g) if a.ndim == 1 else a.T @ g)
-
-        return out._attach(bw)
-
     def reciprocal(self) -> "Tensor":
         value = 1.0 / self.value
         out = Tensor(value, parents=(self,), op="reciprocal")
 
         def bw(g: np.ndarray) -> None:
             _accumulate(self, -g * value * value)
-
-        return out._attach(bw)
-
-    # -- nonlinearities ---------------------------------------------------
-
-    def relu(self) -> "Tensor":
-        out = Tensor(np.maximum(self.value, 0.0), parents=(self,), op="relu")
-
-        def bw(g: np.ndarray) -> None:
-            _accumulate(self, g * (self.value > 0.0))
-
-        return out._attach(bw)
-
-    def sigmoid(self) -> "Tensor":
-        value = stable_sigmoid(self.value)
-        out = Tensor(value, parents=(self,), op="sigmoid")
-
-        def bw(g: np.ndarray) -> None:
-            _accumulate(self, g * value * (1.0 - value))
-
-        return out._attach(bw)
-
-    def log(self) -> "Tensor":
-        out = Tensor(np.log(self.value), parents=(self,), op="log")
-
-        def bw(g: np.ndarray) -> None:
-            _accumulate(self, g / self.value)
 
         return out._attach(bw)
 
@@ -301,14 +246,6 @@ class Tensor:
 
     # -- reductions / shaping ----------------------------------------------
 
-    def sum(self) -> "Tensor":
-        out = Tensor(self.value.sum(), parents=(self,), op="sum")
-
-        def bw(g: np.ndarray) -> None:
-            _accumulate(self, np.full(self.value.shape, g))
-
-        return out._attach(bw)
-
     def mean(self) -> "Tensor":
         n = self.value.size
         out = Tensor(self.value.mean(), parents=(self,), op="mean")
@@ -327,19 +264,6 @@ class Tensor:
 
         return out._attach(bw)
 
-    def ravel(self) -> "Tensor":
-        return self.reshape(self.value.size)
-
-    def take_rows(self, indices: np.ndarray) -> "Tensor":
-        """Row gather (embedding lookup); backward scatter-adds."""
-        idx = np.asarray(indices)
-        out = Tensor(self.value[idx], parents=(self,), op="take_rows")
-
-        def bw(g: np.ndarray) -> None:
-            _accumulate(self, _scatter_rows(g, idx, self.value.shape))
-
-        return out._attach(bw)
-
 
 def _operands(a: Tensor, b) -> tuple[np.ndarray, np.ndarray, tuple[Tensor, ...]]:
     if isinstance(b, Tensor):
@@ -347,27 +271,114 @@ def _operands(a: Tensor, b) -> tuple[np.ndarray, np.ndarray, tuple[Tensor, ...]]
     return a.value, np.asarray(b, dtype=np.float64), (a,)
 
 
-def stop_gradient(t: Tensor) -> Tensor:
-    """Identity on values, zero on gradients.
+def stop_gradient(t: Tensor, value: np.ndarray | None = None) -> Tensor:
+    """Zero on gradients; the value is ``t``'s, or ``value`` when given
+    (a constant the caller derived from ``t``'s value).
 
     The result keeps its parent for graph bookkeeping but is flagged so
     that backward never propagates anything through it.
     """
-    out = Tensor(t.value, parents=(t,), op="stop_gradient", grad_blocked=True)
-    return out
+    return Tensor(t.value if value is None else value, parents=(t,), op="stop_gradient", grad_blocked=True)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    parts = [t.value for t in tensors]
-    out = Tensor(np.concatenate(parts, axis=axis), parents=tuple(tensors), op="concat")
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+# -- fused nodes ---------------------------------------------------------------
+#
+# Each is one graph node with an analytic backward, in place of the chain
+# of elementwise nodes it stands for.
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
+    """``activation(x @ w + b)``; ``x`` is a vector ``(d,)`` or a batch ``(n, d)``."""
+    z = x.value @ w.value + b.value
+    if activation == "relu":
+        value = np.maximum(z, 0.0)
+    elif activation == "sigmoid":
+        value = stable_sigmoid(z)
+    elif activation == "identity":
+        value = z
+    else:
+        raise GraphError(f"unknown activation {activation!r}")
+    out = Tensor(value, parents=(x, w, b), op="dense")
 
     def bw(g: np.ndarray) -> None:
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(sl)])
+        if activation == "relu":
+            g = g * (value > 0.0)
+        elif activation == "sigmoid":
+            g = g * value * (1.0 - value)
+        _accumulate(x, g @ w.value.T)
+        if x.value.ndim == 1:
+            _accumulate(w, np.outer(x.value, g))
+            _accumulate(b, g)
+        else:
+            _accumulate(w, x.value.T @ g)
+            _accumulate(b, g.sum(axis=0))
+
+    return out._attach(bw)
+
+
+def bce(p: Tensor, y) -> Tensor:
+    """Elementwise ``-[y ln p + (1-y) ln(1-p)]``; ``p`` must sit inside
+    (0, 1). The label ``y`` may be soft and may be a graph node."""
+    y_val, parents = (y.value, (p, y)) if isinstance(y, Tensor) else (np.asarray(y, dtype=np.float64), (p,))
+    log_p, log_q = np.log(p.value), np.log(1.0 - p.value)
+    out = Tensor(-(y_val * log_p + (1.0 - y_val) * log_q), parents=parents, op="bce")
+
+    def bw(g: np.ndarray) -> None:
+        dp = (1.0 - y_val) / (1.0 - p.value) - y_val / p.value
+        _accumulate(p, _unbroadcast(g * dp, p.value.shape))
+        if len(parents) == 2:
+            _accumulate(y, _unbroadcast(g * (log_q - log_p), y.value.shape))
+
+    return out._attach(bw)
+
+
+def masked_mean(x: Tensor, mask: np.ndarray, weights=None) -> Tensor:
+    """``sum(x * weights * mask) / sum(mask)`` over a non-empty 0/1 mask.
+
+    ``weights`` is an array, a graph node or ``None`` (all ones). Samples
+    outside the mask pass exactly zero gradient to ``x`` and ``weights``.
+    """
+    scale = mask / float(mask.sum())
+    w_val = 1.0 if weights is None else weights.value if isinstance(weights, Tensor) else weights
+    coef = w_val * scale
+    parents = (x, weights) if isinstance(weights, Tensor) else (x,)
+    out = Tensor((x.value * coef).sum(), parents=parents, op="masked_mean")
+
+    def bw(g: np.ndarray) -> None:
+        _accumulate(x, g * coef)
+        if isinstance(weights, Tensor):
+            _accumulate(weights, g * x.value * scale)
+
+    return out._attach(bw)
+
+
+def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
+    """``sum(w * t)`` over scalar terms, added left to right."""
+    value = terms[0].value * weights[0]
+    for t, w in zip(terms[1:], weights[1:]):
+        value = value + t.value * w
+    out = Tensor(value, parents=tuple(terms), op="weighted_sum")
+
+    def bw(g: np.ndarray) -> None:
+        for t, w in zip(terms, weights):
+            _accumulate(t, g * w)
+
+    return out._attach(bw)
+
+
+def gather_concat(blocks: Sequence[tuple[Tensor, np.ndarray] | np.ndarray]) -> Tensor:
+    """Column blocks side by side, in order: a ``(table, idx)`` block is
+    the rows ``table.value[idx]`` (an embedding lookup), an array block
+    ``(n, k)`` is a constant. Table gradients scatter-add into the rows
+    that were read."""
+    parts = [np.take(b[0].value, b[1], axis=0) if isinstance(b, tuple) else b for b in blocks]
+    ends = np.cumsum([part.shape[1] for part in parts])
+    lookups = [(*b, end - part.shape[1], end) for b, part, end in zip(blocks, parts, ends) if isinstance(b, tuple)]
+    out = Tensor(np.concatenate(parts, axis=1), parents=tuple(t for t, *_ in lookups), op="gather_concat")
+
+    def bw(g: np.ndarray) -> None:
+        for table, idx, lo, hi in lookups:
+            _accumulate(table, _scatter_rows(g[:, lo:hi], idx, table.value.shape))
 
     return out._attach(bw)
 
@@ -418,7 +429,8 @@ def mlp_forward(
     x: Tensor | np.ndarray,
     activations: Sequence[str],
 ) -> Tensor:
-    """Run ``x`` through dense layers ``(W, b)`` with per-layer activations.
+    """Run ``x`` through :func:`dense` layers ``(W, b)`` with per-layer
+    activations.
 
     ``x`` is a vector ``(d,)`` or a batch ``(n, d)``. Dimensions must
     chain: each layer consumes the previous layer's output width.
@@ -434,11 +446,7 @@ def mlp_forward(
                 f"layer {i}: input width {h.value.shape[-1]} does not match "
                 f"weight shape {w.value.shape}"
             )
-        h = h @ w + b
-        if act == "relu":
-            h = h.relu()
-        elif act == "sigmoid":
-            h = h.sigmoid()
+        h = dense(h, w, b, act)
     return h
 
 

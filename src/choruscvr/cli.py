@@ -198,11 +198,12 @@ def write_manifest(
     artifacts: Mapping[str, str],
     ingestion: IngestionReport | None = None,
     nondeterministic: Sequence[str] = (),
+    dataset_sha256: str | None = None,
 ) -> Path:
     """``manifest.json``: config, dataset digest, artifact names, and, for
     commands that read a log, what reading it kept and dropped. Artifacts
     named in ``nondeterministic`` hold wall clock and differ between
-    reruns."""
+    reruns. The dataset is hashed here unless its digest is passed in."""
     manifest = {
         "tool_version": __version__,
         "command": command,
@@ -210,7 +211,7 @@ def write_manifest(
         "config_text": config_text,
         "config_sha256": hashlib.sha256(config_text.encode("utf-8")).hexdigest(),
         "dataset_path": str(dataset) if dataset else None,
-        "dataset_sha256": _sha256(dataset) if dataset else None,
+        "dataset_sha256": (dataset_sha256 or _sha256(dataset)) if dataset else None,
         "artifacts": dict(artifacts),
     }
     if ingestion is not None:
@@ -251,9 +252,11 @@ def run_simulate(cfg: Mapping, config_text: str, out_dir: Path, seed: int | None
 
 @dataclass(frozen=True)
 class LoadedLog:
-    """A dataset as read once: its path, columns, report and read time."""
+    """A dataset as read once: its path, content digest, columns, report
+    and read time."""
 
     path: Path
+    sha256: str
     log: ExposureLog
     report: IngestionReport
     read_s: float
@@ -277,7 +280,7 @@ def _load_dataset(cfg: Mapping, schema: FeatureSchema, dataset_path: str | None)
             f"violations dropped, {len(report.skipped)} rows skipped, "
             f"{n_oov} out-of-vocabulary ids folded"
         )
-    return LoadedLog(path, log, report, read_s)
+    return LoadedLog(path, _sha256(path), log, report, read_s)
 
 
 def run_train(
@@ -328,6 +331,7 @@ def run_train(
         },
         ingestion=data.report,
         nondeterministic=[timing.name],
+        dataset_sha256=data.sha256,
     )
     best = history.best_epoch
     print(f"trained {config.method} for {len(history.epochs)} epochs (best epoch {best})")
@@ -365,6 +369,7 @@ def run_evaluate(
         data.path,
         {"metrics": "metrics.txt", "curve": "curve.csv"},
         ingestion=data.report,
+        dataset_sha256=data.sha256,
     )
     for (space, target), entry in sorted(report.entries.items()):
         print(f"{space}.{target}: auc={entry.auc:.4f} logloss={entry.logloss:.4f} pcoc={entry.pcoc:.4f}")

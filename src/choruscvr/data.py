@@ -119,7 +119,16 @@ class ExposureLog:
         except KeyError:
             i, name = next((i, k) for i, m in enumerate(maps) for k in id_names + numeric_names if k not in m)
             raise EncodingError(f"record {i} is missing feature {name!r}") from None
-        integral = (raw_ids >= -INT64_BOUND) & (raw_ids < INT64_BOUND) & (np.floor(raw_ids) == raw_ids)
+        # float64 holds every integer below 2**53 exactly; larger and
+        # non-finite ids are converted from the rows' own values.
+        exact = np.abs(raw_ids) < FLOAT_EXACT_INT
+        ids = np.where(exact, raw_ids, 0.0)
+        integral = np.floor(ids) == ids
+        ids = ids.astype(np.int64)
+        for i, j in zip(*np.nonzero(~exact)):
+            value = _as_id(maps[i][id_names[j]])
+            integral[i, j] = value is not None
+            ids[i, j] = value or 0
         if not integral.all():
             name = id_names[int(np.flatnonzero(~integral.all(axis=0))[0])]
             raise EncodingError(f"{name} must be an integer id")
@@ -139,7 +148,7 @@ class ExposureLog:
             click=column(records, attrgetter("click"), np.int64),
             conversion=column(records, attrgetter("conversion"), np.int64),
             id_names=id_names,
-            ids=raw_ids.astype(np.int64),
+            ids=ids,
             numeric_names=numeric_names,
             numeric=numeric,
             **truth,
@@ -202,6 +211,22 @@ class IngestionReport:
     oov_folds: dict[str, int] = field(default_factory=dict)
 
 
+def _as_id(value) -> int | None:
+    """A number or its text as an int64 id; None when it is not one.
+
+    Integers convert exactly at any size, so an id beyond 2**53 keeps its
+    digits; text that is no number raises ``ValueError``.
+    """
+    try:
+        v = int(value) if isinstance(value, str) else index(value)
+    except (TypeError, ValueError):
+        f = float(value)
+        if not f.is_integer():
+            return None
+        v = int(f)
+    return v if -INT64_BOUND <= v < INT64_BOUND else None
+
+
 def _parse_label(raw: str, column: str) -> int:
     if raw == "0":
         return 0
@@ -241,10 +266,10 @@ class _Layout:
         conversion = _parse_label(row[self.labels[1]], "conversion")
         ids = []
         for name, c in zip(self.id_names, self.ids):
-            v = float(row[c])
-            if not (-INT64_BOUND <= v < INT64_BOUND and v.is_integer()):
+            v = _as_id(row[c])
+            if v is None:
                 raise ValueError(f"{name} must be an integer id, got {row[c]!r}")
-            ids.append(int(v))
+            ids.append(v)
         numerics = []
         for name, c in zip(self.numeric_names, self.numerics):
             v = float(row[c])
@@ -346,9 +371,10 @@ def _parse_columns(body: bytes, layout: _Layout):
     sample_id = table[:, layout.sample_id]
     ids = table[:, layout.ids]
     numerics = table[:, layout.numerics]
+    # Beyond 2**53 float64 rounds; such ids go to the row parser's int().
     if (np.abs(sample_id) >= FLOAT_EXACT_INT).any():
         return None
-    if not ((ids >= -INT64_BOUND) & (ids < INT64_BOUND) & (np.floor(ids) == ids)).all():
+    if not ((np.abs(ids) < FLOAT_EXACT_INT) & (np.floor(ids) == ids)).all():
         return None
     if not np.isfinite(numerics).all():
         return None

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, concat
+from .autodiff import Tensor, gather_concat
 
 __all__ = [
     "FeatureSpec",
@@ -175,13 +175,15 @@ def build_matrix(log, schema: FeatureSchema) -> FeatureMatrix:
 
 
 def encode_matrix(fm: FeatureMatrix, schema: FeatureSchema, tables: Mapping[str, Tensor]) -> Tensor:
-    """Encode a pre-extracted batch into the (n, input_width) input."""
-    parts: list[Tensor] = []
+    """Encode a pre-extracted batch into the (n, input_width) input: one
+    node that gathers every table's rows and places the numerics beside
+    them."""
+    blocks: list[tuple[Tensor, np.ndarray] | np.ndarray] = []
     num_col = 0
     for f in schema.ordered:
         if f.kind == "categorical":
-            parts.append(tables[f.name].take_rows(fm.cat_indices[f.name]))
+            blocks.append((tables[f.name], fm.cat_indices[f.name]))
         else:
-            parts.append(Tensor(fm.num_values[:, num_col : num_col + 1]))
+            blocks.append(fm.num_values[:, num_col : num_col + 1])
             num_col += 1
-    return concat(parts, axis=-1)
+    return gather_concat(blocks)

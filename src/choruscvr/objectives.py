@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .autodiff import Tensor, backward, stop_gradient
+from .autodiff import Tensor, backward, bce, masked_mean, stop_gradient, weighted_sum
 from .features import FeatureMatrix
 from .model import ModelParams, TowerOutputs, predict_batch
 
@@ -146,15 +146,6 @@ class LossBundle:
         return vals
 
 
-def bce(y_hat: Tensor, y) -> Tensor:
-    """Elementwise -[y ln p + (1-y) ln(1-p)]; y may be soft and may be
-    a graph node (soft labels). ``y_hat`` must already sit inside (0,1)."""
-    if isinstance(y, Tensor):
-        return -(y * y_hat.log() + (1.0 - y) * (1.0 - y_hat).log())
-    y = np.asarray(y, dtype=np.float64)
-    return -(y_hat.log() * y + (1.0 - y_hat).log() * (1.0 - y))
-
-
 def _require_batch(o: np.ndarray) -> None:
     if o.size == 0:
         raise ObjectiveError("loss over an empty batch is undefined")
@@ -164,19 +155,11 @@ def _space_mean(per_sample: Tensor, mask: np.ndarray, weights=None) -> Tensor:
     """Mean of weighted per-sample values over a masked space.
 
     Returns a graph zero when the space is absent from the batch.
-    Masking multiplies by 0/1 so excluded samples pass exactly zero
-    gradient.
+    Excluded samples pass exactly zero gradient.
     """
-    count = float(mask.sum())
-    if count == 0.0:
+    if not mask.any():
         return Tensor(0.0)
-    if isinstance(weights, Tensor):
-        masked = per_sample * weights * mask
-    elif weights is not None:
-        masked = per_sample * (weights * mask)
-    else:
-        masked = per_sample * mask
-    return masked.sum() * (1.0 / count)
+    return masked_mean(per_sample, mask, weights)
 
 
 def _click_weights(outputs: TowerOutputs, ipw: IpwConfig):
@@ -193,11 +176,10 @@ def _unclick_weights(outputs: TowerOutputs, ipw: IpwConfig):
 
 
 def _soft_label(source: Tensor, complement: bool) -> Tensor:
-    """Detached soft label, optionally 1 - source, clamped off {0,1}."""
-    label = stop_gradient(source)
-    if complement:
-        label = 1.0 - label
-    return label.clip(SOFT_LABEL_CLAMP, 1.0 - SOFT_LABEL_CLAMP)
+    """Detached soft label, optionally 1 - source, clamped off {0,1}: one
+    stop-gradient node whose parent is the source."""
+    value = 1.0 - source.value if complement else source.value
+    return stop_gradient(source, np.clip(value, SOFT_LABEL_CLAMP, 1.0 - SOFT_LABEL_CLAMP))
 
 
 def loss_ctr(outputs: TowerOutputs, o: np.ndarray) -> Tensor:
@@ -264,8 +246,7 @@ def align_terms(outputs: TowerOutputs, o: np.ndarray, ipw: IpwConfig) -> tuple[T
 def loss_align_ipw(outputs: TowerOutputs, o: np.ndarray, ipw: IpwConfig) -> Tensor:
     """Mutual soft alignment of the two conversion heads: the sum of
     the four :func:`align_terms`."""
-    t1, t2, t3, t4 = align_terms(outputs, o, ipw)
-    return t1 + t2 + t3 + t4
+    return weighted_sum(align_terms(outputs, o, ipw), (1.0,) * 4)
 
 
 def total_loss(
@@ -288,16 +269,8 @@ def total_loss(
         (l_uncvr_ipw, weights.uncvr_ipw),
         (l_align_ipw, weights.align),
     ]
-    total: Tensor | None = None
-    for term, w in pairs:
-        if w == 0.0:
-            continue
-        piece = term * w
-        total = piece if total is None else total + piece
-    for term in (extras or {}).values():
-        total = term if total is None else total + term
-    if total is None:
-        total = Tensor(0.0)
+    pairs = [(term, w) for term, w in pairs if w != 0.0] + [(term, 1.0) for term in (extras or {}).values()]
+    total = weighted_sum(*zip(*pairs)) if pairs else Tensor(0.0)
     return LossBundle(
         l_ctr=l_ctr,
         l_ctcvr=l_ctcvr,

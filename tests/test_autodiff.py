@@ -14,11 +14,15 @@ from choruscvr.autodiff import (
     ShapeError,
     Tensor,
     backward,
-    concat,
+    bce,
+    dense,
+    gather_concat,
+    masked_mean,
     mlp_forward,
     no_grad,
     optimizer_step,
     stop_gradient,
+    weighted_sum,
 )
 from choruscvr.autodiff import _scatter_rows
 
@@ -34,71 +38,82 @@ def test_add_mul_scalar_chain():
 
 
 def test_broadcast_bias_gradient_sums_over_batch():
-    x = Tensor(np.ones((4, 3)))
-    b = Tensor(np.zeros(3))
-    out = (x + b).sum()
+    x = Tensor(np.ones((4, 2)))
+    b = Tensor(np.zeros(2))
+    out = (x + b).mean()
     backward(out)
-    assert np.array_equal(b.grad, np.full(3, 4.0))
+    assert np.array_equal(b.grad, np.full(2, 0.5))  # four rows of 1/8
+
+
+def _unit_layer(width: int = 1) -> tuple[Tensor, Tensor]:
+    return Tensor(np.eye(width)), Tensor(np.zeros(width))
 
 
 def test_matmul_vector_and_batch():
+    # the matmul of a dense layer, identity activation and zero bias
     w = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    b = Tensor(np.zeros(2))
     x = Tensor(np.array([1.0, 1.0, 1.0]))
-    out = (x @ w).sum()
-    backward(out)
-    assert np.array_equal(x.grad, np.array([3.0, 7.0, 11.0]))
-    assert np.array_equal(w.grad, np.ones((3, 2)))
+    backward(dense(x, w, b, "identity").mean())
+    assert np.array_equal(x.grad, np.array([1.5, 3.5, 5.5]))
+    assert np.array_equal(w.grad, np.full((3, 2), 0.5))
+    xs = Tensor(np.ones((2, 3)))
+    backward(dense(xs, w, b, "identity").mean())
+    assert np.array_equal(xs.grad, np.tile([0.75, 1.75, 2.75], (2, 1)))
+    assert np.array_equal(w.grad, np.full((3, 2), 0.5))
+    assert np.array_equal(b.grad, np.full(2, 0.5))
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
-        Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
+        mlp_forward([(Tensor(np.ones((2, 3))), Tensor(np.zeros(3)))], np.ones((2, 3)), ["identity"])
 
 
 def test_linear_gradient_is_input():
-    # y = w . x, dy/dw = x
+    # y = mean(w * x), dy/dw = x / 2
     w = Tensor(np.array([0.5, -0.25]))
     x = np.array([3.0, 7.0])
-    out = (w * x).sum()
+    out = (w * x).mean()
     backward(out)
-    assert np.array_equal(w.grad, x)
+    assert np.array_equal(w.grad, x / 2)
 
 
 def test_sigmoid_derivative_at_zero():
-    z = Tensor(0.0)
-    s = z.sigmoid()
-    backward(s)
-    assert s.item() == 0.5
-    assert z.grad == pytest.approx(0.25)
+    z = Tensor(np.array([0.0]))
+    s = dense(z, *_unit_layer(), "sigmoid")
+    backward(s.mean())
+    assert s.value[0] == 0.5
+    assert z.grad[0] == pytest.approx(0.25)
 
 
 def test_sigmoid_stable_in_tails():
-    s = Tensor(np.array([-800.0, 800.0])).sigmoid()
+    s = dense(Tensor(np.array([[-800.0], [800.0]])), *_unit_layer(), "sigmoid")
     assert np.all(np.isfinite(s.value))
-    assert s.value[0] >= 0.0 and s.value[1] <= 1.0
+    assert s.value[0, 0] >= 0.0 and s.value[1, 0] <= 1.0
 
 
 def test_log_and_reciprocal():
-    x = Tensor(4.0)
-    out = x.log() + x.reciprocal()
+    # -bce(x, 1) = ln x
+    x = Tensor(0.5)
+    out = -bce(x, 1.0) + x.reciprocal()
     backward(out)
-    assert out.item() == pytest.approx(np.log(4.0) + 0.25)
-    assert x.grad == pytest.approx(0.25 - 1.0 / 16.0)
+    assert out.item() == pytest.approx(np.log(0.5) + 2.0)
+    assert x.grad == pytest.approx(2.0 - 4.0)
 
 
 def test_clip_blocks_gradient_outside_band():
-    x = Tensor(np.array([0.5, 2.0, -1.0]))
-    out = x.clip(0.0, 1.0).sum()
+    x = Tensor(np.array([0.5, 2.0, -1.0, 0.25]))
+    out = x.clip(0.0, 1.0).mean()
     backward(out)
-    assert np.array_equal(x.grad, np.array([1.0, 0.0, 0.0]))
-    assert np.array_equal(out.parents[0].value, np.array([0.5, 1.0, 0.0]))
+    assert np.array_equal(x.grad, np.array([0.25, 0.0, 0.0, 0.25]))
+    assert np.array_equal(out.parents[0].value, np.array([0.5, 1.0, 0.0, 0.25]))
 
 
 def test_clamp_min_gradient():
     x = Tensor(np.array([0.005, 0.5]))
-    out = x.clamp_min(0.01).sum()
+    out = x.clamp_min(0.01).mean()
     backward(out)
-    assert np.array_equal(x.grad, np.array([0.0, 1.0]))
+    assert np.array_equal(x.grad, np.array([0.0, 0.5]))
 
 
 def test_mean_and_sum():
@@ -110,17 +125,18 @@ def test_mean_and_sum():
 
 
 def test_reshape_round_trip_gradient():
-    x = Tensor(np.arange(6, dtype=np.float64))
-    out = x.reshape(2, 3).sum()
+    x = Tensor(np.arange(8, dtype=np.float64))
+    out = x.reshape(2, 4).mean()
     backward(out)
-    assert np.array_equal(x.grad, np.ones(6))
+    assert np.array_equal(x.grad, np.full(8, 0.125))
 
 
 def test_take_rows_scatter_adds_repeated_indices():
+    # the embedding lookup of gather_concat
     table = Tensor(np.zeros((3, 2)))
-    out = table.take_rows(np.array([1, 1, 2])).sum()
+    out = gather_concat([(table, np.array([1, 1, 2, 1]))]).mean()
     backward(out)
-    expected = np.array([[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
+    expected = np.array([[0.0, 0.0], [0.375, 0.375], [0.125, 0.125]])
     assert np.array_equal(table.grad, expected)
 
 
@@ -134,13 +150,16 @@ def test_bincount_scatter_equals_add_at_bitwise():
 
 
 def test_concat_splits_gradient():
+    # gather_concat reading every table row once, with a constant block between
     a = Tensor(np.ones((2, 2)))
     b = Tensor(np.ones((2, 3)))
-    out = concat([a, b], axis=-1)
-    assert out.shape == (2, 5)
-    backward((out * np.arange(5.0)).sum())
-    assert np.array_equal(a.grad, np.tile([0.0, 1.0], (2, 1)))
-    assert np.array_equal(b.grad, np.tile([2.0, 3.0, 4.0], (2, 1)))
+    rows = np.array([0, 1])
+    out = gather_concat([(a, rows), np.full((2, 1), 7.0), (b, rows)])
+    assert out.shape == (2, 6)
+    assert np.array_equal(out.value[:, 2], [7.0, 7.0])
+    backward((out * np.arange(6.0)).mean())
+    assert np.array_equal(a.grad, np.tile(np.array([0.0, 1.0]) * (1.0 / 12), (2, 1)))
+    assert np.array_equal(b.grad, np.tile(np.array([3.0, 4.0, 5.0]) * (1.0 / 12), (2, 1)))
 
 
 def test_stop_gradient_is_identity_forward_zero_backward():
@@ -174,11 +193,11 @@ def test_backward_returns_leaf_map():
 
 
 def test_node_backward_never_reached_reads_zero_grad():
-    x = Tensor(np.ones(3))
+    x = Tensor(np.ones(4))
     y = Tensor(2.0)
-    backward((x * 3.0).sum())
+    backward((x * 3.0).mean())
     assert np.array_equal(y.grad, 0.0)
-    assert np.array_equal(x.grad, np.full(3, 3.0))
+    assert np.array_equal(x.grad, np.full(4, 0.75))
 
 
 def test_backward_leaves_earlier_gradients_intact():
@@ -192,11 +211,15 @@ def test_backward_leaves_earlier_gradients_intact():
 
 
 def test_no_grad_same_values_no_parents():
-    x = Tensor(np.array([[-1.0, 2.0]]))
-    w = Tensor(np.array([[0.5], [0.25]]))
+    table = Tensor(np.array([[-1.0, 2.0]]))
+    w = Tensor(np.array([[0.5], [0.25], [-0.5]]))
+    b = Tensor(np.array([0.1]))
 
     def forward():
-        return concat([(x @ w).sigmoid(), (x @ w).relu().clip(0.0, 1.0)], axis=-1).sum()
+        x = gather_concat([(table, np.array([0, 0])), np.ones((2, 1))])
+        p = dense(x, w, b, "sigmoid").reshape(2)
+        kept = masked_mean(bce(p, stop_gradient(p, 1.0 - p.value)), np.array([1.0, 0.0]), p.reciprocal())
+        return weighted_sum([kept, dense(x, w, b, "relu").clip(0.0, 1.0).mean()], [1.0, 2.0])
 
     graph = forward()
     with no_grad():
@@ -254,7 +277,7 @@ def test_mlp_two_layer_hand_evaluation():
     layers = _two_layer()
     out = mlp_forward(layers, np.array([1.0, 2.0]), ["relu", "sigmoid"])
     assert out.value[0] == pytest.approx(0.6399160967377341, abs=1e-12)
-    backward(out.sum())
+    backward(out.mean())
     w2, _ = layers[1]
     w1, _ = layers[0]
     assert w2.grad[0, 0] == pytest.approx(0.17281761440525778, abs=1e-12)
@@ -297,9 +320,9 @@ def test_mlp_finite_difference_three_layers():
     x = rng.normal(0, 1, (6, 5))
 
     def forward() -> float:
-        return mlp_forward(layers, x, ["relu", "relu", "sigmoid"]).sum().item()
+        return mlp_forward(layers, x, ["relu", "relu", "sigmoid"]).mean().item()
 
-    out = mlp_forward(layers, x, ["relu", "relu", "sigmoid"]).sum()
+    out = mlp_forward(layers, x, ["relu", "relu", "sigmoid"]).mean()
     backward(out)
     h = 1e-5
     worst = 0.0
@@ -318,6 +341,87 @@ def test_mlp_finite_difference_three_layers():
                 rel = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-6)
                 worst = max(worst, rel)
     assert worst <= 1e-4
+
+
+# -- fused nodes against central differences ------------------------------------
+
+
+def _check_central_differences(loss, leaves, step=1e-6, tol=1e-6):
+    """Backward of the scalar ``loss()`` against central differences,
+    element by element over every leaf."""
+    backward(loss())
+    for k, leaf in enumerate(leaves):
+        analytic = leaf.grad.reshape(-1).copy()
+        flat = leaf.value.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = loss().item()
+            flat[i] = orig - step
+            lo = loss().item()
+            flat[i] = orig
+            fd = (hi - lo) / (2.0 * step)
+            assert abs(fd - analytic[i]) <= tol * max(1.0, abs(fd)), f"leaf {k} element {i}: {fd} vs {analytic[i]}"
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("shape", [(3,), (5, 3)], ids=["vector", "batch"])
+def test_dense_gradients_match_central_differences(activation, shape):
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=shape))
+    w = Tensor(rng.normal(size=(3, 4)))
+    b = Tensor(rng.normal(size=4))
+    projection = rng.normal(size=shape[:-1] + (4,))
+    _check_central_differences(lambda: (dense(x, w, b, activation) * projection).mean(), [x, w, b])
+
+
+def test_dense_rejects_unknown_activation():
+    with pytest.raises(GraphError, match="tanh"):
+        dense(Tensor(np.ones(2)), *_unit_layer(2), "tanh")
+
+
+@pytest.mark.parametrize("label", ["array", "tensor"])
+def test_bce_gradients_match_central_differences(label):
+    rng = np.random.default_rng(12)
+    p = Tensor(rng.uniform(0.05, 0.95, 6))
+    y_value = rng.uniform(0.0, 1.0, 6)
+    y = Tensor(y_value) if label == "tensor" else y_value
+    projection = rng.normal(size=6)
+    expected = -(y_value * np.log(p.value) + (1.0 - y_value) * np.log(1.0 - p.value))
+    assert np.array_equal(bce(p, y).value, expected)
+    _check_central_differences(lambda: (bce(p, y) * projection).mean(), [p, y] if label == "tensor" else [p])
+
+
+@pytest.mark.parametrize("weights", ["none", "array", "tensor"])
+def test_masked_mean_gradients_match_central_differences(weights):
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=7))
+    mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
+    w_value = rng.uniform(1.0, 5.0, 7)
+    w = {"none": None, "array": w_value, "tensor": Tensor(w_value)}[weights]
+    expected = (x.value * (1.0 if w is None else w_value) * mask).sum() / 4.0
+    assert masked_mean(x, mask, w).item() == pytest.approx(expected, abs=1e-15)
+    _check_central_differences(lambda: masked_mean(x, mask, w), [x, w] if weights == "tensor" else [x])
+    backward(masked_mean(x, mask, w))
+    assert np.all(x.grad[mask == 0.0] == 0.0)
+    if weights == "tensor":
+        assert np.all(w.grad[mask == 0.0] == 0.0)
+
+
+def test_gather_concat_gradients_match_central_differences():
+    rng = np.random.default_rng(14)
+    a = Tensor(rng.normal(size=(4, 2)))
+    b = Tensor(rng.normal(size=(3, 3)))
+    blocks = [(a, np.array([1, 3, 1, 1, 0])), rng.normal(size=(5, 1)), (b, np.array([2, 2, 0, 1, 2]))]
+    projection = rng.normal(size=(5, 6))
+    _check_central_differences(lambda: (gather_concat(blocks) * projection).mean(), [a, b])
+    assert np.all(a.grad[2] == 0.0)  # row 2 was never read
+
+
+def test_weighted_sum_gradients_match_central_differences():
+    terms = [Tensor(v) for v in (0.3, -1.2, 2.5)]
+    assert weighted_sum(terms, [0.5, 2.0, 1.0]).item() == 0.3 * 0.5 + -1.2 * 2.0 + 2.5
+    _check_central_differences(lambda: weighted_sum(terms, [0.5, 2.0, 1.0]), terms)
 
 
 # -- optimizer -----------------------------------------------------------------
@@ -345,7 +449,8 @@ def test_adam_converges_on_quadratic():
     state = OptimizerState.for_params([w])
     config = OptimizerConfig(learning_rate=0.1)
     for _ in range(1000):
-        loss = (w - 3.0) * (w - 3.0)
+        gap = w + -3.0
+        loss = gap * gap
         grads = backward(loss)
         optimizer_step([w], [grads[w]], state, config)
     assert abs(w.item() - 3.0) < 1e-3
@@ -427,11 +532,15 @@ def test_activation_tags_exported():
 def test_dropped_graph_is_freed_without_the_cycle_collector():
     # Backward closures must not refer back to their node: a graph in a
     # reference cycle outlives its step until a full collection runs.
-    x = Tensor(np.array([0.5, -1.0, 2.0]))
+    table = Tensor(np.array([[0.5, -1.0, 2.0]]))
+    w, b = Tensor(np.ones((3, 1))), Tensor(np.zeros(1))
     gc.collect()
     gc.disable()
     try:
-        backward(((x * 2.0).sigmoid() + x.reciprocal() - x.relu()).sum())
+        p = dense(gather_concat([(table, np.array([0, 0]))]), w, b, "sigmoid").reshape(2)
+        per_sample = bce(p, stop_gradient(p, 1.0 - p.value))
+        terms = [masked_mean(per_sample, np.array([1.0, 0.0]), p.reciprocal()), (-p + 1.0).clamp_min(0.1).mean()]
+        backward(weighted_sum(terms, [1.0, 0.5]))
         assert gc.collect() == 0
     finally:
         gc.enable()

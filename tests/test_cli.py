@@ -351,6 +351,26 @@ def test_train_writes_timing_per_phase(trained):
     assert all(float(seconds) > 0.0 for _, _, seconds in rows)
 
 
+def test_compare_hashes_each_seed_dataset_once(tmp_path, monkeypatch):
+    hashed = []
+
+    def counting_sha256(path):
+        hashed.append(path.name)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    monkeypatch.setattr(cli, "_sha256", counting_sha256)
+    cfg, _ = _write_config(tmp_path)
+    out = tmp_path / "cmp"
+    args = ["compare", "--config", str(cfg), "--out", str(out), "--methods", "esmm,chorus,nise", "--seeds", "0,1"]
+    assert main(args) == 0
+    assert sorted(hashed) == ["sim_seed0.csv", "sim_seed1.csv"]
+    for seed in (0, 1):
+        digest = hashlib.sha256((out / "datasets" / f"sim_seed{seed}.csv").read_bytes()).hexdigest()
+        for method in ("esmm", "chorus", "nise"):
+            manifest = json.loads((out / "runs" / f"{method}_seed{seed}" / "manifest.json").read_text())
+            assert manifest["dataset_sha256"] == digest
+
+
 def test_compare_reads_each_seed_log_once(tmp_path, monkeypatch):
     reads = []
 

@@ -15,7 +15,7 @@ from choruscvr.data import (
     truth_arrays,
     write_log,
 )
-from choruscvr.features import build_matrix, build_schema
+from choruscvr.features import EncodingError, build_matrix, build_schema
 from choruscvr.simulator import SimConfig, generate, sim_schema
 
 SCHEMA = build_schema(
@@ -254,3 +254,37 @@ def test_clean_log_is_read_in_one_vectorized_pass(tmp_path, monkeypatch):
     back, report = read_log(p, sim_schema(cfg))
     assert back == log
     assert report.n_lines == report.n_records == 500
+
+
+BIG_IDS = [2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63), 5]
+
+
+@pytest.mark.parametrize("parser", ["vectorized", "row"])
+def test_ids_beyond_float64_precision_read_back_exactly(tmp_path, monkeypatch, parser):
+    if parser == "row":
+        monkeypatch.setattr(data, "_parse_columns", lambda body, layout: None)
+    records = [ExposureRecord(i, 0, 0, {"f0": v, "x": 0.5}) for i, v in enumerate(BIG_IDS)]
+    p = tmp_path / "log.csv"
+    write_log(records, p, SCHEMA)
+    assert "9007199254740993" in p.read_text(encoding="utf-8")
+    back, report = read_log(p, SCHEMA)
+    assert report.skipped == []
+    assert back.column("f0", "categorical").tolist() == BIG_IDS
+
+
+def test_short_ids_stay_on_the_vectorized_pass(tmp_path, monkeypatch):
+    def no_row_parser(*args):
+        raise AssertionError("the row parser ran on a log of short ids")
+
+    monkeypatch.setattr(data, "_parse_rows", no_row_parser)
+    p = _write(tmp_path, "sample_id,click,conversion,f0,x\n0,1,0,900719925474099,0.5\n1,0,0,-3,1.0\n")
+    back, _ = read_log(p, SCHEMA)
+    assert back.column("f0", "categorical").tolist() == [900719925474099, -3]
+
+
+def test_from_records_keeps_ids_beyond_float64_precision():
+    log = ExposureLog.from_records([ExposureRecord(i, 0, 0, {"f0": v, "x": 0.0}) for i, v in enumerate(BIG_IDS)], SCHEMA)
+    assert log.ids[:, 0].tolist() == BIG_IDS
+    for bad in (2**63, -(2**63) - 1, 1e300, float("nan"), 2.5):
+        with pytest.raises(EncodingError, match="f0 must be an integer id"):
+            ExposureLog.from_records([ExposureRecord(0, 0, 0, {"f0": bad, "x": 0.0})], SCHEMA)

@@ -198,8 +198,9 @@ def test_embedding_gradients_flow_through_encoding():
     schema = build_schema(_mixed_config())
     tables = init_tables(schema, np.random.default_rng(2))
     fm = _matrix([{"item_cat": 1, "user_cat": 2, "price": 0.3}], schema)
-    out = encode_matrix(fm, schema, tables).sum()
+    out = encode_matrix(fm, schema, tables).mean()
     backward(out)
-    assert np.array_equal(tables["item_cat"].grad[1], np.ones(2))
-    assert np.array_equal(tables["user_cat"].grad[2], np.ones(2))
+    share = np.full(2, 1.0 / schema.input_width)
+    assert np.array_equal(tables["item_cat"].grad[1], share)
+    assert np.array_equal(tables["user_cat"].grad[2], share)
     assert np.all(tables["item_cat"].grad[0] == 0.0)

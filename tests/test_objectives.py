@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from choruscvr.autodiff import Tensor, backward
-from choruscvr.data import ExposureLog, ExposureRecord
+from choruscvr.data import ExposureLog, ExposureRecord, label_arrays
 from choruscvr.features import build_matrix, build_schema
 from choruscvr.model import Architecture, TowerOutputs, init_model, predict_batch
 from choruscvr.objectives import (
@@ -32,6 +32,7 @@ from choruscvr.objectives import (
     total_loss,
     training_step,
 )
+from choruscvr.simulator import SimConfig, generate, sim_schema
 
 TOL = 1e-9
 IPW = IpwConfig()
@@ -460,6 +461,33 @@ def test_step_gradients_survive_the_next_step():
     _, second = training_step(params, _fm(4, 4), o, r, "chorus", LossWeights(), IPW)
     assert all(np.array_equal(g, k) for g, k in zip(first, kept))
     assert not all(np.array_equal(g, k) for g, k in zip(second, kept))
+
+
+def _graph_nodes(root: Tensor) -> int:
+    """Nodes reachable from ``root`` through ``Tensor.parents``."""
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    return len(seen)
+
+
+def test_chorus_step_graph_has_at_most_60_nodes():
+    # The acceptance protocol's model on one 1024-exposure batch: eight
+    # simulated features, no shared encoder, [16] towers. Per-node Python
+    # overhead is most of a step's cost, so the fused graph must not regrow.
+    sim = SimConfig(n_exposures=1024, seed=0)
+    log, _ = generate(sim)
+    schema = sim_schema(sim, embed_width=4)
+    params = init_model(schema, Architecture(encoder_widths=(), tower_widths=(16,)), seed=0)
+    o, r = label_arrays(log)
+    assert 0 < r.sum() < o.sum() < len(o)  # every term of the objective is live
+    bundle, _ = training_step(params, build_matrix(log, schema), o, r, "chorus", LossWeights(), IPW)
+    assert bundle.active_terms() == {"ctr", "ctcvr", "cvr_ipw", "ctuncvr", "uncvr_ipw", "align_ipw"}
+    assert _graph_nodes(bundle.total) <= 60
 
 
 # -- IPW estimator property -------------------------------------------------------

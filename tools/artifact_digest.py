@@ -1,6 +1,7 @@
 """Print the sha256 of every deterministic artifact of a small ``compare``.
 
-Runs ``choruscvr compare`` for all seven methods on two seeds in a fresh
+Runs ``choruscvr compare`` for all seven methods on two seeds (20k
+simulated exposures each, the acceptance model) in a fresh
 temporary directory, importing the package from the ``src/`` next to this
 file, and prints one ``<sha256>  <relative path>`` line per artifact,
 sorted by path. Manifests are hashed without ``dataset_path`` (it names
@@ -15,7 +16,6 @@ wrote the same bytes exactly when their outputs are equal:
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -31,11 +31,11 @@ from choruscvr.objectives import METHODS  # noqa: E402
 
 CONFIG = """\
 sim:
-  n_exposures: {n_exposures}
+  n_exposures: 20000
   seed: 0
 model:
   embed_width: 4
-  encoder_widths: {encoder_widths}
+  encoder_widths: []
   tower_widths: [16]
 trainer:
   epochs: 2
@@ -63,20 +63,15 @@ def digests(out: Path) -> dict[str, str]:
     return result
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n-exposures", type=int, default=20_000, help="simulated exposures per seed")
-    parser.add_argument("--seeds", default="0,1", help="comma-separated compare seeds")
-    parser.add_argument("--encoder-widths", default="[]", help="model.encoder_widths as a YAML list")
-    args = parser.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         config = root / "config.yaml"
-        config.write_text(CONFIG.format(n_exposures=args.n_exposures, encoder_widths=args.encoder_widths))
+        config.write_text(CONFIG, encoding="utf-8")
         out = root / "out"
-        argv = ["compare", "--config", str(config), "--out", str(out), "--methods", ",".join(METHODS)]
+        argv = ["compare", "--config", str(config), "--out", str(out), "--methods", ",".join(METHODS), "--seeds", "0,1"]
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([*argv, "--seeds", args.seeds])
+            code = cli.main(argv)
         if code:
             print(f"compare exited {code}", file=sys.stderr)
             return code
