@@ -473,18 +473,18 @@ class OptimizerConfig:
 @dataclass
 class OptimizerState:
     """The step counter and both moment accumulators, each one flat
-    vector over all parameters in order; ``sizes`` holds the parameter
-    sizes that order lays out."""
+    vector over all parameters in order; ``shapes`` holds the parameter
+    shapes that order lays out."""
 
     step_count: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    sizes: tuple[int, ...] = ()
+    shapes: tuple[tuple[int, ...], ...] = ()
 
     @classmethod
     def for_params(cls, params: Sequence[Tensor]) -> "OptimizerState":
-        sizes = tuple(p.value.size for p in params)
-        return cls(step_count=0, m=np.zeros(sum(sizes)), v=np.zeros(sum(sizes)), sizes=sizes)
+        total = sum(p.value.size for p in params)
+        return cls(m=np.zeros(total), v=np.zeros(total), shapes=tuple(p.value.shape for p in params))
 
 
 def _first_non_finite(params: Sequence[Tensor], *flats: np.ndarray) -> str:
@@ -510,7 +510,8 @@ def optimizer_step(
     all gradients; every operation is elementwise, so each parameter
     gets the same bits a per-parameter loop would give it.
     """
-    if len(params) != len(grads) or tuple(np.size(g) for g in grads) != state.sizes:
+    shapes = tuple(p.value.shape for p in params)
+    if shapes != state.shapes or tuple(np.shape(g) for g in grads) != shapes:
         raise OptimizerError("params, grads and state are not aligned")
     step = state.step_count + 1
     g = np.concatenate([np.ravel(x) for x in grads]) if grads else np.zeros(0)
@@ -522,10 +523,11 @@ def optimizer_step(
         b1, b2 = config.beta1, config.beta2
         bias1 = 1.0 - b1**step
         bias2 = 1.0 - b2**step
-        state.m *= b1
-        state.m += (1.0 - b1) * g
-        state.v *= b2
-        state.v += (1.0 - b2) * g * g
+        with np.errstate(over="ignore"):  # an overflow is reported by the moment check below
+            state.m *= b1
+            state.m += (1.0 - b1) * g
+            state.v *= b2
+            state.v += (1.0 - b2) * g * g
         m_hat = state.m / bias1
         v_hat = state.v / bias2
         update = config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)

@@ -203,7 +203,7 @@ def write_manifest(
     """``manifest.json``: config, dataset digest, artifact names, and, for
     commands that read a log, what reading it kept and dropped. Artifacts
     named in ``nondeterministic`` hold wall clock and differ between
-    reruns. The dataset is hashed here unless its digest is passed in."""
+    reruns. ``dataset_sha256`` is the digest of ``dataset``."""
     manifest = {
         "tool_version": __version__,
         "command": command,
@@ -211,7 +211,7 @@ def write_manifest(
         "config_text": config_text,
         "config_sha256": hashlib.sha256(config_text.encode("utf-8")).hexdigest(),
         "dataset_path": str(dataset) if dataset else None,
-        "dataset_sha256": (dataset_sha256 or _sha256(dataset)) if dataset else None,
+        "dataset_sha256": dataset_sha256,
         "artifacts": dict(artifacts),
     }
     if ingestion is not None:
@@ -246,7 +246,8 @@ def run_simulate(cfg: Mapping, config_text: str, out_dir: Path, seed: int | None
         f"selection bias: mean true conversion propensity {report.mean_p_conv_clicked:.4f} (clicked) "
         f"vs {report.mean_p_conv_unclicked:.4f} (unclicked)"
     )
-    write_manifest(out_dir, "simulate", config_text, config.seed, dataset, {"dataset": dataset.name})
+    artifacts = {"dataset": dataset.name}
+    write_manifest(out_dir, "simulate", config_text, config.seed, dataset, artifacts, dataset_sha256=_sha256(dataset))
     return dataset
 
 
