@@ -31,6 +31,7 @@ __all__ = [
     "masked_mean",
     "weighted_sum",
     "gather_concat",
+    "tower_heads",
     "mlp_forward",
     "OptimizerConfig",
     "OptimizerState",
@@ -79,7 +80,8 @@ def no_grad() -> Iterator[None]:
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, stable in both tails."""
-    return np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -102,17 +104,6 @@ def _accumulate(node: "Tensor", g: np.ndarray) -> None:
     a zero reaches the parameters only as a zero step.
     """
     node._grad = g if node._grad is None else node._grad + g
-
-
-def _scatter_rows(g: np.ndarray, idx: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Rows of ``g`` summed into a zero ``shape`` array at rows ``idx``.
-
-    Adds in index order, as ``np.add.at`` does, so the sums are the same
-    bits.
-    """
-    width = shape[1]
-    flat = (idx[:, None] * width + np.arange(width)).ravel()
-    return np.bincount(flat, weights=g.ravel(), minlength=shape[0] * width).reshape(shape)
 
 
 class Tensor:
@@ -226,15 +217,6 @@ class Tensor:
 
         return out._attach(bw)
 
-    def clip(self, lo: float, hi: float) -> "Tensor":
-        """Clamp values into [lo, hi]; gradient passes only strictly inside."""
-        out = Tensor(np.clip(self.value, lo, hi), parents=(self,), op="clip")
-
-        def bw(g: np.ndarray) -> None:
-            _accumulate(self, g * ((self.value > lo) & (self.value < hi)))
-
-        return out._attach(bw)
-
     def clamp_min(self, floor: float) -> "Tensor":
         """max(x, floor); gradient passes where x > floor."""
         out = Tensor(np.maximum(self.value, floor), parents=(self,), op="clamp_min")
@@ -244,7 +226,7 @@ class Tensor:
 
         return out._attach(bw)
 
-    # -- reductions / shaping ----------------------------------------------
+    # -- reductions ----------------------------------------------------------
 
     def mean(self) -> "Tensor":
         n = self.value.size
@@ -252,15 +234,6 @@ class Tensor:
 
         def bw(g: np.ndarray) -> None:
             _accumulate(self, np.full(self.value.shape, g / n))
-
-        return out._attach(bw)
-
-    def reshape(self, *shape: int) -> "Tensor":
-        old = self.value.shape
-        out = Tensor(self.value.reshape(shape), parents=(self,), op="reshape")
-
-        def bw(g: np.ndarray) -> None:
-            _accumulate(self, g.reshape(old))
 
         return out._attach(bw)
 
@@ -366,21 +339,98 @@ def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
     return out._attach(bw)
 
 
-def gather_concat(blocks: Sequence[tuple[Tensor, np.ndarray] | np.ndarray]) -> Tensor:
-    """Column blocks side by side, in order: a ``(table, idx)`` block is
-    the rows ``table.value[idx]`` (an embedding lookup), an array block
-    ``(n, k)`` is a constant. Table gradients scatter-add into the rows
-    that were read."""
-    parts = [np.take(b[0].value, b[1], axis=0) if isinstance(b, tuple) else b for b in blocks]
-    ends = np.cumsum([part.shape[1] for part in parts])
-    lookups = [(*b, end - part.shape[1], end) for b, part, end in zip(blocks, parts, ends) if isinstance(b, tuple)]
-    out = Tensor(np.concatenate(parts, axis=1), parents=tuple(t for t, *_ in lookups), op="gather_concat")
+def gather_concat(
+    tables: Sequence[Tensor], index: np.ndarray, chunk: int, constant: np.ndarray, constant_cols: np.ndarray
+) -> Tensor:
+    """One ``(n, width)`` input read in chunks of ``chunk`` elements from
+    the tables raveled and laid end to end, then one zero chunk: chunk
+    ``index[i, c]`` fills columns ``c * chunk`` to ``(c + 1) * chunk`` of
+    row ``i``. Columns ``constant_cols`` then take ``constant``. Table
+    gradients are one ``np.bincount`` per position in a chunk, adding in
+    row order as ``np.add.at`` does."""
+    source = np.concatenate([*(t.value.ravel() for t in tables), np.zeros(chunk)]).reshape(-1, chunk)
+    value = np.take(source, index, axis=0).reshape(len(index), -1)
+    value[:, constant_cols] = constant
+    out = Tensor(value, parents=tuple(tables), op="gather_concat")
 
     def bw(g: np.ndarray) -> None:
-        for table, idx, lo, hi in lookups:
-            _accumulate(table, _scatter_rows(g[:, lo:hi], idx, table.value.shape))
+        g = g.reshape(*index.shape, chunk)
+        flat = index.ravel()
+        grad = np.stack([np.bincount(flat, g[:, :, j].ravel(), len(source)) for j in range(chunk)], axis=1).ravel()
+        for t, part in zip(tables, np.split(grad, np.cumsum([t.value.size for t in tables]))):
+            _accumulate(t, part.reshape(t.value.shape))
 
     return out._attach(bw)
+
+
+def tower_heads(x: Tensor, towers: Sequence[Sequence[tuple[Tensor, Tensor]]], clamp: float) -> tuple[Tensor, ...]:
+    """Each tower's relu hidden layers and sigmoid output unit on ``x``
+    ``(n, d)`` (or one row ``(d,)``), clipped into ``[clamp, 1 - clamp]``:
+    one node with the heads as the rows of its value, returned as one
+    ``(n,)`` view node per head. Towers have equal depth; a hidden layer
+    runs one matmul per tower into slices of one wide buffer, so values
+    and gradients have the bits of per-tower ``dense`` nodes. Gradients
+    on ``x`` (which nothing else may read) add in the order the heads'
+    gradients arrive, as per-tower nodes add them; a head no gradient
+    reaches leaves its tower untouched."""
+    depth = len(towers[0])
+    if any(len(layers) != depth for layers in towers):
+        raise ShapeError("towers differ in depth")
+    x_rows = np.atleast_2d(x.value)
+    inputs = [x_rows] * len(towers)
+    hidden: list[tuple[np.ndarray, list[slice]]] = []  # per hidden layer: relu output, tower columns
+    for layer in range(depth - 1):
+        ends = np.cumsum([t[layer][1].value.size for t in towers])
+        slices = [slice(end - t[layer][1].value.size, end) for t, end in zip(towers, ends)]
+        h = np.empty((len(x_rows), ends[-1]))
+        for a, t, s in zip(inputs, towers, slices):
+            np.matmul(a, t[layer][0].value, out=h[:, s])
+        h += np.concatenate([t[layer][1].value for t in towers])
+        np.maximum(h, 0.0, out=h)
+        hidden.append((h, slices))
+        inputs = [h[:, s] for s in slices]
+    p = stable_sigmoid(np.stack([(a @ t[-1][0].value + t[-1][1].value)[:, 0] for a, t in zip(inputs, towers)]))
+    value = np.clip(p, clamp, 1.0 - clamp)
+    out = Tensor(value, parents=(x, *(v for t in towers for layer in t for v in layer)), op="tower_heads")
+    arrived: list[int] = []  # towers in the order their heads' gradients arrive
+
+    def bw(g: np.ndarray) -> None:
+        g = g * ((p > clamp) & (p < 1.0 - clamp)) * p * (1.0 - p)
+        gz = {t: g[t].reshape(-1, 1) for t in arrived}  # per tower: gradient on the layer's pre-activation
+        gb = {t: v.sum(axis=0) for t, v in gz.items()}  # and on its bias
+        for layer in reversed(range(1, depth)):
+            h, slices = hidden[layer - 1]
+            wide = np.zeros_like(h)  # a tower whose head got no gradient keeps zeros
+            for t in arrived:
+                w, b = towers[t][layer]
+                _accumulate(w, h[:, slices[t]].T @ gz[t])
+                _accumulate(b, gb[t])
+                np.matmul(gz[t], w.value.T, out=wide[:, slices[t]])
+            wide *= h > 0.0
+            sums = wide.sum(axis=0)  # row by row, so each slice's sums are its own
+            gz = {t: wide[:, slices[t]] for t in arrived}
+            gb = {t: sums[slices[t]] for t in arrived}
+        gx = None
+        for t in arrived:
+            w, b = towers[t][0]
+            _accumulate(w, x_rows.T @ gz[t])
+            _accumulate(b, gb[t])
+            part = gz[t] @ w.value.T
+            gx = part if gx is None else np.add(gx, part, out=gx)
+        _accumulate(x, gx.reshape(x.value.shape))
+
+    def head(t: int) -> Tensor:
+        def head_bw(g: np.ndarray) -> None:
+            if out._grad is None:  # the first head of a pass; only heads write it
+                out._grad = np.zeros_like(value)
+                arrived.clear()
+            out._grad[t] = g
+            arrived.append(t)
+
+        return Tensor(value[t], parents=(out,), op="tower_head")._attach(head_bw)
+
+    out._attach(bw)
+    return tuple(head(t) for t in range(len(towers)))
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

@@ -8,7 +8,8 @@ each block in schema order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -131,59 +132,51 @@ def init_tables(schema: FeatureSchema, rng: np.random.Generator) -> dict[str, Te
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Model-input columns of a log.
-
-    Categorical ids are already folded modulo vocabulary and numerics
-    already standardized, so per-step encoding is just table gathers
-    plus a concat. Row order matches the log's.
-    """
+    """Model-input columns of a log, in its row order, for one
+    :func:`~choruscvr.autodiff.gather_concat` per batch. ``index`` holds
+    each row's chunks of the tables (in schema order), an id folded modulo
+    its vocabulary as its table row's chunks; standardized numerics fill
+    the input columns ``num_cols``."""
 
     n_rows: int
-    cat_names: tuple[str, ...]
-    cat_indices: dict[str, np.ndarray]
-    num_names: tuple[str, ...]
-    num_values: np.ndarray  # (n_rows, len(num_names)), standardized
+    chunk: int  # gcd of the embed widths; 1 when there are numerics
+    index: np.ndarray  # (n_rows, input_width // chunk), int64
+    num_cols: np.ndarray  # input column of each numeric
+    num_values: np.ndarray  # (n_rows, n_numeric)
 
     def rows(self, idx: np.ndarray) -> "FeatureMatrix":
-        return FeatureMatrix(
-            n_rows=len(idx),
-            cat_names=self.cat_names,
-            cat_indices={k: v[idx] for k, v in self.cat_indices.items()},
-            num_names=self.num_names,
-            num_values=self.num_values[idx],
-        )
+        return replace(self, n_rows=len(idx), index=np.take(self.index, idx, axis=0), num_values=self.num_values[idx])
 
 
 def build_matrix(log, schema: FeatureSchema) -> FeatureMatrix:
     """Model-input columns of an :class:`~choruscvr.data.ExposureLog`:
     categorical ids folded modulo their vocabulary, numerics
     standardized with the schema's frozen statistics."""
-    cat_indices: dict[str, np.ndarray] = {}
-    num_names: list[str] = []
-    num_cols: list[np.ndarray] = []
+    n, cats = len(log), [f for f in schema.ordered if f.kind == "categorical"]
+    chunk = math.gcd(*(f.embed_width for f in cats)) if cats and len(cats) == len(schema.ordered) else 1
+    start, past_tables = 0, sum(f.vocab_size * f.embed_width for f in cats) // chunk
+    cols: list[np.ndarray] = []  # one per chunk of the input
+    num_cols, num_values = [], []
     for f in schema.ordered:
         col = log.column(f.name, f.kind)
         if f.kind == "categorical":
-            cat_indices[f.name] = np.mod(col, f.vocab_size)
+            per_row = f.embed_width // chunk
+            first = start + np.mod(col, f.vocab_size) * per_row
+            cols += [first + j for j in range(per_row)]
+            start += f.vocab_size * per_row
         else:
             st = schema.stats_for(f.name)
-            num_names.append(f.name)
-            num_cols.append((col - st.mean) / st.std)
-    n = len(log)
-    num_values = np.stack(num_cols, axis=1) if num_cols else np.zeros((n, 0))
-    return FeatureMatrix(n, tuple(cat_indices), cat_indices, tuple(num_names), num_values)
+            num_cols.append(len(cols))
+            cols.append(np.full(n, past_tables))  # reads the zero chunk; the numeric overwrites it
+            num_values.append((col - st.mean) / st.std)
+    index = np.stack(cols, axis=1) if cols else np.zeros((n, 0), dtype=np.int64)
+    numerics = np.stack(num_values, axis=1) if num_values else np.zeros((n, 0))
+    return FeatureMatrix(n, chunk, index, np.array(num_cols, dtype=np.int64), numerics)
 
 
 def encode_matrix(fm: FeatureMatrix, schema: FeatureSchema, tables: Mapping[str, Tensor]) -> Tensor:
     """Encode a pre-extracted batch into the (n, input_width) input: one
     node that gathers every table's rows and places the numerics beside
     them."""
-    blocks: list[tuple[Tensor, np.ndarray] | np.ndarray] = []
-    num_col = 0
-    for f in schema.ordered:
-        if f.kind == "categorical":
-            blocks.append((tables[f.name], fm.cat_indices[f.name]))
-        else:
-            blocks.append(fm.num_values[:, num_col : num_col + 1])
-            num_col += 1
-    return gather_concat(blocks)
+    cats = [tables[f.name] for f in schema.ordered if f.kind == "categorical"]
+    return gather_concat(cats, fm.index, fm.chunk, fm.num_values, fm.num_cols)

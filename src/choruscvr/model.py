@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, ShapeError, mlp_forward
+from .autodiff import Tensor, ShapeError, mlp_forward, tower_heads
 from .features import (
     FeatureMatrix,
     FeatureSchema,
@@ -100,10 +100,14 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         """Deep copy of all parameter values (graph-free snapshot)."""
-        clone = init_model(self.schema, self.arch, self.seed)
-        for (_, src), (_, dst) in zip(self.named_parameters(), clone.named_parameters()):
-            dst.value[...] = src.value
-        return clone
+
+        def clone(t: Tensor) -> Tensor:
+            return Tensor(t.value.copy(), name=t.name)
+
+        tables = {k: clone(t) for k, t in self.tables.items()}
+        encoder = [(clone(w), clone(b)) for w, b in self.encoder]
+        towers = {k: [(clone(w), clone(b)) for w, b in layers] for k, layers in self.towers.items()}
+        return ModelParams(self.schema, self.arch, self.seed, tables, encoder, towers)
 
 
 @dataclass(frozen=True)
@@ -162,21 +166,11 @@ def init_model(schema: FeatureSchema, arch: Architecture, seed: int) -> ModelPar
     return ModelParams(schema, arch, seed, tables, encoder, towers)
 
 
-def _head(params: ModelParams, tower: str, h: Tensor) -> Tensor:
-    layers = params.towers[tower]
-    acts = ["relu"] * (len(layers) - 1) + ["sigmoid"]
-    out = mlp_forward(layers, h, acts)
-    n = out.value.shape[0] if out.value.ndim == 2 else 1
-    return out.clip(PROB_CLAMP, 1.0 - PROB_CLAMP).reshape(n)
-
-
 def predict(params: ModelParams, x: Tensor) -> TowerOutputs:
     """Score an encoded batch (n, input_width); keeps the graph unless
     called under :func:`~choruscvr.autodiff.no_grad`."""
     h = mlp_forward(params.encoder, x, ["relu"] * len(params.encoder))
-    ctr = _head(params, "ctr", h)
-    cvr = _head(params, "cvr", h)
-    uncvr = _head(params, "uncvr", h)
+    ctr, cvr, uncvr = tower_heads(h, [params.towers[t] for t in TOWER_NAMES], PROB_CLAMP)
     return TowerOutputs(ctr=ctr, cvr=cvr, uncvr=uncvr, ctcvr=ctr * cvr, ctuncvr=ctr * uncvr)
 
 

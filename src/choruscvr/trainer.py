@@ -147,7 +147,8 @@ def train(
     if config.epochs == 0:
         return params, history
 
-    opt_state = OptimizerState.for_params(params.parameters())
+    param_list = params.parameters()
+    opt_state = OptimizerState.for_params(param_list)
     best_params = params.copy()
     best_auc = -np.inf
     stale = 0
@@ -158,7 +159,7 @@ def train(
         for step, idx in enumerate(batch_iter(fm_train.n_rows, config.batch_size, _epoch_seed(config.seed, epoch))):
             batch = fm_train.rows(idx)
             bundle, grads = training_step(
-                params, batch, o_train[idx], r_train[idx], config.method, config.weights, config.ipw
+                params, batch, o_train[idx], r_train[idx], config.method, config.weights, config.ipw, param_list
             )
             values = bundle.term_values()
             if not np.isfinite(values["total"]):
@@ -166,7 +167,7 @@ def train(
                     f"non-finite loss at epoch {epoch} step {step}: "
                     + _diagnostics(values, _scores(params, batch)["ctr"])
                 )
-            optimizer_step(params.parameters(), grads, opt_state, config.optimizer)
+            optimizer_step(param_list, grads, opt_state, config.optimizer)
             for k, v in values.items():
                 term_sums[k] = term_sums.get(k, 0.0) + v * len(idx)
             n_seen += len(idx)

@@ -21,10 +21,31 @@ from choruscvr.autodiff import (
     mlp_forward,
     no_grad,
     optimizer_step,
+    stable_sigmoid,
     stop_gradient,
+    tower_heads,
     weighted_sum,
 )
-from choruscvr.autodiff import _scatter_rows
+
+
+def _gather(blocks) -> Tensor:
+    """:func:`gather_concat` from column blocks in order: ``(table, rows)``
+    reads those rows of the table, an ``(n, k)`` array is constant."""
+    tables = [b[0] for b in blocks if isinstance(b, tuple)]
+    n = len(blocks[0][1] if isinstance(blocks[0], tuple) else blocks[0])
+    past_tables = sum(t.value.size for t in tables)
+    columns, constant_cols, start = [], [], 0
+    for b in blocks:
+        if isinstance(b, tuple):
+            table, rows = b
+            width = table.value.shape[1]
+            columns += [start + rows * width + j for j in range(width)]
+            start += table.value.size
+        else:
+            constant_cols += range(len(columns), len(columns) + b.shape[1])
+            columns += [np.full(n, past_tables)] * b.shape[1]
+    constant = np.concatenate([np.zeros((n, 0))] + [b for b in blocks if not isinstance(b, tuple)], axis=1)
+    return gather_concat(tables, np.stack(columns, axis=1), 1, constant, np.array(constant_cols, dtype=np.int64))
 
 
 def test_add_mul_scalar_chain():
@@ -101,12 +122,13 @@ def test_log_and_reciprocal():
     assert x.grad == pytest.approx(2.0 - 4.0)
 
 
-def test_clip_blocks_gradient_outside_band():
-    x = Tensor(np.array([0.5, 2.0, -1.0, 0.25]))
-    out = x.clip(0.0, 1.0).mean()
-    backward(out)
-    assert np.array_equal(x.grad, np.array([0.25, 0.0, 0.0, 0.25]))
-    assert np.array_equal(out.parents[0].value, np.array([0.5, 1.0, 0.0, 0.25]))
+def test_tower_heads_clip_blocks_gradient_outside_band():
+    # sigmoid(+-40) lies beyond the clamp, sigmoid(0) = 0.5 inside it
+    x = Tensor(np.array([[40.0], [0.0], [-40.0]]))
+    (head,) = tower_heads(x, [[(Tensor(np.ones((1, 1))), Tensor(np.zeros(1)))]], 1e-7)
+    backward(head.mean())
+    assert np.array_equal(head.value, [1.0 - 1e-7, 0.5, 1e-7])
+    assert np.array_equal(x.grad, [[0.0], [0.25 / 3.0], [0.0]])
 
 
 def test_clamp_min_gradient():
@@ -124,29 +146,29 @@ def test_mean_and_sum():
     assert np.array_equal(x.grad, np.full(4, 0.25))
 
 
-def test_reshape_round_trip_gradient():
-    x = Tensor(np.arange(8, dtype=np.float64))
-    out = x.reshape(2, 4).mean()
-    backward(out)
-    assert np.array_equal(x.grad, np.full(8, 0.125))
-
-
 def test_take_rows_scatter_adds_repeated_indices():
     # the embedding lookup of gather_concat
     table = Tensor(np.zeros((3, 2)))
-    out = gather_concat([(table, np.array([1, 1, 2, 1]))]).mean()
+    out = _gather([(table, np.array([1, 1, 2, 1]))]).mean()
     backward(out)
     expected = np.array([[0.0, 0.0], [0.375, 0.375], [0.125, 0.125]])
     assert np.array_equal(table.grad, expected)
 
 
 def test_bincount_scatter_equals_add_at_bitwise():
+    # gather_concat's table gradient, read in chunks of whole rows
     rng = np.random.default_rng(3)
-    idx = rng.integers(0, 16, 1024)
-    g = rng.normal(size=(1024, 4))
-    expected = np.zeros((16, 4))
-    np.add.at(expected, idx, g)
-    assert _scatter_rows(g, idx, (16, 4)).tobytes() == expected.tobytes()
+    tables = [Tensor(rng.normal(size=(16, 4))), Tensor(rng.normal(size=(5, 4)))]
+    idx = np.stack([rng.integers(0, 16, 1024), rng.integers(0, 5, 1024)], axis=1)
+    g = rng.normal(size=(1024, 8))
+    out = gather_concat(tables, idx + [0, 16], 4, np.zeros((1024, 0)), np.zeros(0, dtype=np.int64))
+    assert np.array_equal(out.value, np.concatenate([tables[0].value[idx[:, 0]], tables[1].value[idx[:, 1]]], axis=1))
+    backward((out * g).mean())
+    upstream = np.full((1024, 8), 1.0 / 8192) * g
+    for k, table in enumerate(tables):
+        expected = np.zeros_like(table.value)
+        np.add.at(expected, idx[:, k], upstream[:, 4 * k : 4 * k + 4])
+        assert table.grad.tobytes() == expected.tobytes()
 
 
 def test_concat_splits_gradient():
@@ -154,7 +176,7 @@ def test_concat_splits_gradient():
     a = Tensor(np.ones((2, 2)))
     b = Tensor(np.ones((2, 3)))
     rows = np.array([0, 1])
-    out = gather_concat([(a, rows), np.full((2, 1), 7.0), (b, rows)])
+    out = _gather([(a, rows), np.full((2, 1), 7.0), (b, rows)])
     assert out.shape == (2, 6)
     assert np.array_equal(out.value[:, 2], [7.0, 7.0])
     backward((out * np.arange(6.0)).mean())
@@ -216,10 +238,10 @@ def test_no_grad_same_values_no_parents():
     b = Tensor(np.array([0.1]))
 
     def forward():
-        x = gather_concat([(table, np.array([0, 0])), np.ones((2, 1))])
-        p = dense(x, w, b, "sigmoid").reshape(2)
+        x = _gather([(table, np.array([0, 0])), np.ones((2, 1))])
+        (p,) = tower_heads(x, [[(w, b)]], 1e-7)
         kept = masked_mean(bce(p, stop_gradient(p, 1.0 - p.value)), np.array([1.0, 0.0]), p.reciprocal())
-        return weighted_sum([kept, dense(x, w, b, "relu").clip(0.0, 1.0).mean()], [1.0, 2.0])
+        return weighted_sum([kept, dense(x, w, b, "relu").mean()], [1.0, 2.0])
 
     graph = forward()
     with no_grad():
@@ -414,8 +436,64 @@ def test_gather_concat_gradients_match_central_differences():
     b = Tensor(rng.normal(size=(3, 3)))
     blocks = [(a, np.array([1, 3, 1, 1, 0])), rng.normal(size=(5, 1)), (b, np.array([2, 2, 0, 1, 2]))]
     projection = rng.normal(size=(5, 6))
-    _check_central_differences(lambda: (gather_concat(blocks) * projection).mean(), [a, b])
+    _check_central_differences(lambda: (_gather(blocks) * projection).mean(), [a, b])
     assert np.all(a.grad[2] == 0.0)  # row 2 was never read
+
+
+def _towers(rng, d: int, hidden: tuple[int, ...], k: int = 3) -> list[list[tuple[Tensor, Tensor]]]:
+    widths = [d, *hidden, 1]
+    return [
+        [(Tensor(rng.normal(size=(a, b))), Tensor(rng.normal(size=b) * 0.1)) for a, b in zip(widths, widths[1:])]
+        for _ in range(k)
+    ]
+
+
+def _tower_leaves(towers) -> list[Tensor]:
+    return [v for layers in towers for layer in layers for v in layer]
+
+
+@pytest.mark.parametrize("hidden", [(), (4,), (4, 3)], ids=["0-hidden", "1-hidden", "2-hidden"])
+@pytest.mark.parametrize("encoder", [False, True], ids=["no-encoder", "encoder"])
+def test_tower_heads_gradients_match_central_differences(hidden, encoder):
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.normal(size=(5, 3)))
+    enc_w, enc_b = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=4))
+    towers = _towers(rng, 4 if encoder else 3, hidden)
+    projections = rng.normal(size=(3, 5))
+
+    def loss():
+        h = dense(x, enc_w, enc_b, "relu") if encoder else x
+        heads = tower_heads(h, towers, 1e-7)
+        return weighted_sum([(head * proj).mean() for head, proj in zip(heads, projections)], [1.0, 0.5, 2.0])
+
+    _check_central_differences(loss, [x, *((enc_w, enc_b) if encoder else ()), *_tower_leaves(towers)])
+
+
+def test_tower_head_no_gradient_reaches_leaves_its_tower_untouched():
+    rng = np.random.default_rng(16)
+    towers = _towers(rng, 3, (4,))
+    ctr, cvr, uncvr = tower_heads(Tensor(rng.normal(size=(6, 3))), towers, 1e-7)
+    leaves = backward(weighted_sum([ctr.mean(), (ctr * cvr).mean(), stop_gradient(uncvr).mean()], [1.0] * 3))
+    for v in _tower_leaves(towers[2:]):
+        assert leaves[v].tobytes() == np.zeros_like(v.value).tobytes()  # +0 everywhere
+    assert all(np.abs(leaves[v]).sum() > 0.0 for v in _tower_leaves(towers[:2]))
+
+
+def test_tower_heads_backward_twice_gives_the_same_gradients():
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.normal(size=(6, 3)))
+    towers = _towers(rng, 3, (4,))
+    ctr, cvr, uncvr = tower_heads(x, towers, 1e-7)
+    root = weighted_sum([(uncvr * ctr).mean(), cvr.mean()], [1.0, 1.0])
+    first = {k: v.copy() for k, v in backward(root).items()}
+    second = backward(root)
+    assert all(first[k].tobytes() == second[k].tobytes() for k in first)
+
+
+def test_tower_heads_reject_towers_of_unequal_depth():
+    rng = np.random.default_rng(18)
+    with pytest.raises(ShapeError, match="depth"):
+        tower_heads(Tensor(np.ones((2, 3))), _towers(rng, 3, (4,), k=1) + _towers(rng, 3, (), k=1), 1e-7)
 
 
 def test_weighted_sum_gradients_match_central_differences():
@@ -543,10 +621,34 @@ def test_dropped_graph_is_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
-        p = dense(gather_concat([(table, np.array([0, 0]))]), w, b, "sigmoid").reshape(2)
+        (p,) = tower_heads(_gather([(table, np.array([0, 0]))]), [[(w, b)]], 1e-7)
         per_sample = bce(p, stop_gradient(p, 1.0 - p.value))
         terms = [masked_mean(per_sample, np.array([1.0, 0.0]), p.reciprocal()), (-p + 1.0).clamp_min(0.1).mean()]
         backward(weighted_sum(terms, [1.0, 0.5]))
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_tower_heads_graph_is_freed_without_the_cycle_collector():
+    # The arrival list lives in a local the closures share, never on a node.
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.normal(size=(4, 3)))
+    towers = _towers(rng, 3, (4,))
+    gc.collect()
+    gc.disable()
+    try:
+        heads = tower_heads(x, towers, 1e-7)
+        backward(weighted_sum([h.mean() for h in heads], [1.0, 1.0, 1.0]))
+        del heads
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_stable_sigmoid_computes_the_three_exp_form_bit_for_bit():
+    special = np.array([0.0, 1e-300, 1.0, 36.0, 745.0, 1e308])
+    x = np.concatenate([special, -special, np.random.default_rng(20).normal(scale=40.0, size=10_000)])
+    e = -np.abs(x)
+    three_exp = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(e)), np.exp(e) / (1.0 + np.exp(e)))
+    assert stable_sigmoid(x).tobytes() == three_exp.tobytes()

@@ -185,7 +185,9 @@ def test_matrix_row_subset():
     sub = fm.rows(np.array([4, 0]))
     assert sub.n_rows == 2
     assert sub.num_values[0, 0] == 4.0
-    assert sub.cat_indices["item_cat"][1] == 0
+    # chunks of one element: user_cat's (3, 2) table, item_cat's (4, 2)
+    # table from element 6; the numeric's column reads the zero chunk 14
+    assert sub.index.tolist() == [[2, 3, 6, 7, 14], [0, 1, 6, 7, 14]]
 
 
 def test_matrix_missing_feature_raises():
@@ -204,3 +206,49 @@ def test_embedding_gradients_flow_through_encoding():
     assert np.array_equal(tables["item_cat"].grad[1], share)
     assert np.array_equal(tables["user_cat"].grad[2], share)
     assert np.all(tables["item_cat"].grad[0] == 0.0)
+
+
+MIXED = [
+    {"name": "a", "kind": "categorical", "vocab_size": 7, "embed_width": 2},
+    {"name": "x", "kind": "numeric"},
+    {"name": "b", "kind": "categorical", "vocab_size": 5, "embed_width": 3},
+    {"name": "y", "kind": "numeric"},
+    {"name": "c", "kind": "categorical", "vocab_size": 3, "embed_width": 4},
+]
+EVEN = [
+    {"name": "a", "kind": "categorical", "vocab_size": 7, "embed_width": 2},
+    {"name": "b", "kind": "categorical", "vocab_size": 5, "embed_width": 6},
+    {"name": "c", "kind": "categorical", "vocab_size": 3, "embed_width": 4},
+]
+EQUAL = [{"name": f"f{j}", "kind": "categorical", "vocab_size": 16, "embed_width": 4} for j in range(8)]
+
+
+@pytest.mark.parametrize("config", [MIXED, EVEN, EQUAL], ids=["interleaved-numerics", "mixed-widths", "equal-widths"])
+def test_one_bincount_gather_equals_per_table_scatter_bitwise(config):
+    # The encoded input is the tables' rows and the numerics in schema
+    # order, and each table's gradient is its own np.add.at scatter, bit
+    # for bit, whatever chunk width the layout reads in.
+    schema = build_schema(config)
+    rng = np.random.default_rng(21)
+    rows = [
+        {f.name: int(rng.integers(0, 9)) if f.kind == "categorical" else float(rng.normal()) for f in schema.ordered}
+        for _ in range(300)
+    ]
+    tables = init_tables(schema, rng)
+    out = encode_matrix(_matrix(rows, schema), schema, tables)
+    upstream = rng.normal(size=out.shape)
+    backward((out * upstream).mean())
+    start = 0
+    for f in schema.ordered:
+        cols = slice(start, start + (f.embed_width if f.kind == "categorical" else 1))
+        start = cols.stop
+        values = np.array([row[f.name] for row in rows])
+        if f.kind == "numeric":
+            assert np.array_equal(out.value[:, cols.start], values)
+            continue
+        ids = values % f.vocab_size
+        assert np.array_equal(out.value[:, cols], tables[f.name].value[ids])
+        expected = np.zeros_like(tables[f.name].value)
+        np.add.at(expected, ids, (np.full(out.shape, 1.0 / out.size) * upstream)[:, cols])
+        assert tables[f.name].grad.tobytes() == expected.tobytes(), f.name
+    assert start == out.shape[1]

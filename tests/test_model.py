@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from choruscvr import model
 from choruscvr.autodiff import ShapeError, Tensor, backward, no_grad
 from choruscvr.data import ExposureLog, ExposureRecord
 from choruscvr.features import NumericStats, build_matrix, build_schema
@@ -153,6 +154,17 @@ def test_copy_is_independent():
     clone = params.copy()
     params.towers["ctr"][0][0].value[...] = 99.0
     assert not np.array_equal(clone.towers["ctr"][0][0].value, params.towers["ctr"][0][0].value)
+
+
+def test_copy_takes_the_values_without_reinitializing(monkeypatch):
+    params = init_model(SCHEMA, ARCH, seed=41)
+    for _, t in params.named_parameters():
+        t.value += 0.125  # values a fresh init would not give
+    monkeypatch.setattr(model, "init_model", None)  # a snapshot must not redraw
+    clone = params.copy()
+    for (name, t), (clone_name, c) in zip(params.named_parameters(), clone.named_parameters(), strict=True):
+        assert (clone_name, c.name) == (name, t.name)
+        assert c.value.tobytes() == t.value.tobytes() and c.value is not t.value
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -9,10 +9,18 @@ import math
 import numpy as np
 import pytest
 
-from choruscvr.autodiff import Tensor, backward
+from choruscvr.autodiff import (
+    OptimizerConfig,
+    OptimizerState,
+    Tensor,
+    _accumulate,
+    backward,
+    mlp_forward,
+    optimizer_step,
+)
 from choruscvr.data import ExposureLog, ExposureRecord, label_arrays
-from choruscvr.features import build_matrix, build_schema
-from choruscvr.model import Architecture, TowerOutputs, init_model, predict_batch
+from choruscvr.features import build_matrix, build_schema, encode_matrix
+from choruscvr.model import PROB_CLAMP, TOWER_NAMES, Architecture, TowerOutputs, init_model, predict_batch
 from choruscvr.objectives import (
     METHODS,
     IpwConfig,
@@ -475,7 +483,7 @@ def _graph_nodes(root: Tensor) -> int:
     return len(seen)
 
 
-def test_chorus_step_graph_has_at_most_60_nodes():
+def test_chorus_step_graph_has_at_most_48_nodes():
     # The acceptance protocol's model on one 1024-exposure batch: eight
     # simulated features, no shared encoder, [16] towers. Per-node Python
     # overhead is most of a step's cost, so the fused graph must not regrow.
@@ -487,7 +495,60 @@ def test_chorus_step_graph_has_at_most_60_nodes():
     assert 0 < r.sum() < o.sum() < len(o)  # every term of the objective is live
     bundle, _ = training_step(params, build_matrix(log, schema), o, r, "chorus", LossWeights(), IPW)
     assert bundle.active_terms() == {"ctr", "ctcvr", "cvr_ipw", "ctuncvr", "uncvr_ipw", "align_ipw"}
-    assert _graph_nodes(bundle.total) <= 60
+    assert _graph_nodes(bundle.total) <= 48
+
+
+def _clip_column(x: Tensor, lo: float, hi: float) -> Tensor:
+    """``clip(x, lo, hi)`` of an ``(n, 1)`` node as an ``(n,)`` node; the
+    gradient passes only strictly inside ``[lo, hi]``."""
+    out = Tensor(np.clip(x.value, lo, hi).reshape(-1), parents=(x,), op="clip")
+    return out._attach(lambda g: _accumulate(x, g.reshape(-1, 1) * ((x.value > lo) & (x.value < hi))))
+
+
+def _reference_outputs(params, fm) -> TowerOutputs:
+    """The heads as each tower's own chain of dense nodes, then a clip."""
+    x = encode_matrix(fm, params.schema, params.tables)
+    h = mlp_forward(params.encoder, x, ["relu"] * len(params.encoder))
+    heads = []
+    for tower in TOWER_NAMES:
+        layers = params.towers[tower]
+        out = mlp_forward(layers, h, ["relu"] * (len(layers) - 1) + ["sigmoid"])
+        heads.append(_clip_column(out, PROB_CLAMP, 1.0 - PROB_CLAMP))
+    ctr, cvr, uncvr = heads
+    return TowerOutputs(ctr=ctr, cvr=cvr, uncvr=uncvr, ctcvr=ctr * cvr, ctuncvr=ctr * uncvr)
+
+
+@pytest.mark.parametrize(
+    "arch",
+    [Architecture(encoder_widths=(), tower_widths=(16,)), Architecture(encoder_widths=(8,), tower_widths=(16, 8))],
+    ids=["protocol", "deep"],
+)
+@pytest.mark.parametrize("method", METHODS)
+def test_training_steps_are_bitwise_equal_to_per_tower_reference_graph(method, arch):
+    # The heads' gradients reach the tower node in a method-dependent order;
+    # its input gradient must add them in that order, as the per-tower
+    # chain does, and a head no loss reads must leave its tower at zero.
+    sim = SimConfig(n_exposures=1024, seed=0)
+    log, _ = generate(sim)
+    schema = sim_schema(sim, embed_width=4)
+    fm = build_matrix(log, schema)
+    o, r = label_arrays(log)
+    params = init_model(schema, arch, seed=0)
+    reference = params.copy()
+    config = OptimizerConfig()
+    states = [OptimizerState.for_params(p.parameters()) for p in (params, reference)]
+    for step in range(3):
+        idx = np.arange(step * 256, (step + 1) * 256)
+        batch = fm.rows(idx)
+        bundle, grads = training_step(params, batch, o[idx], r[idx], method, LossWeights(), IPW)
+        ref = compose_method_loss(method, _reference_outputs(reference, batch), o[idx], r[idx], LossWeights(), IPW)
+        leaves = backward(ref.total)
+        expected = [leaves[p] if p in leaves else np.zeros_like(p.value) for p in reference.parameters()]
+        assert bundle.term_values() == ref.term_values()
+        for (name, _), g, e in zip(params.named_parameters(), grads, expected):
+            assert g.tobytes() == e.tobytes(), f"step {step}: {name}"
+        optimizer_step(params.parameters(), grads, states[0], config)
+        optimizer_step(reference.parameters(), expected, states[1], config)
 
 
 # -- IPW estimator property -------------------------------------------------------

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -51,7 +51,41 @@ def logs(draw):
     return schema, log
 
 
+# Ids float64 cannot hold: a parser that reads ids through float64 rounds them.
+BEYOND_FLOAT = np.array([2**53 + 1, 2**63 - 1, -(2**53 + 1)])
+
+
+def _beyond_float_case(truth: bool):
+    """Sample ids and categorical ids beyond 2**53, with a numeric between
+    two id columns, with or without truth columns."""
+    schema = build_schema(
+        [
+            {"name": "c0", "kind": "categorical", "vocab_size": 7},
+            {"name": "x0", "kind": "numeric"},
+            {"name": "c1", "kind": "categorical", "vocab_size": 40},
+        ]
+    )
+    columns = {
+        "true_p_click": np.array([0.5, 0.25, 1.0]),
+        "true_p_conv": np.array([0.125, 0.0, 0.75]),
+        "r_counterfactual": np.array([1, 0, 0]),
+    }
+    log = ExposureLog(
+        sample_id=BEYOND_FLOAT,
+        click=np.array([1, 0, 1]),
+        conversion=np.array([1, 0, 0]),
+        id_names=("c0", "c1"),
+        ids=np.stack([BEYOND_FLOAT, BEYOND_FLOAT[::-1]], axis=1),
+        numeric_names=("x0",),
+        numeric=np.array([[0.5], [-1.0], [2.0]]),
+        **(columns if truth else {}),
+    )
+    return schema, log
+
+
 @given(case=logs())
+@example(case=_beyond_float_case(truth=False))
+@example(case=_beyond_float_case(truth=True))
 def test_write_then_read_round_trips(tmp_path_factory, case):
     schema, log = case
     path = tmp_path_factory.mktemp("round_trip") / "log.csv"

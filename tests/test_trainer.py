@@ -6,7 +6,7 @@ import pytest
 from choruscvr.autodiff import OptimizerConfig
 from choruscvr.data import ExposureLog
 from choruscvr.metrics import UndefinedMetricError
-from choruscvr.model import Architecture, init_model
+from choruscvr.model import Architecture, ModelParams, init_model
 from choruscvr.simulator import SimConfig, generate, sim_schema
 from choruscvr.trainer import (
     COUNTERFACTUAL_PAIRS,
@@ -93,6 +93,15 @@ def test_train_is_deterministic(sim_data):
         assert ra.val_ctcvr_auc == rb.val_ctcvr_auc
     for pa, pb in zip(params_a.parameters(), params_b.parameters()):
         assert pa.value.tobytes() == pb.value.tobytes()
+
+
+def test_train_builds_the_parameter_list_once(sim_data, monkeypatch):
+    records, schema, _ = sim_data
+    calls = []
+    named = ModelParams.named_parameters
+    monkeypatch.setattr(ModelParams, "named_parameters", lambda self: calls.append(1) or named(self))
+    train(_small_config(epochs=2), records[:2000], records[2000:2400], schema)
+    assert len(calls) == 1
 
 
 def test_train_loss_decreases(sim_data):
