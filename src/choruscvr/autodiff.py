@@ -342,19 +342,22 @@ def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
 def gather_concat(
     tables: Sequence[Tensor], index: np.ndarray, chunk: int, constant: np.ndarray, constant_cols: np.ndarray
 ) -> Tensor:
-    """One ``(n, width)`` input read in chunks of ``chunk`` elements from
-    the tables raveled and laid end to end, then one zero chunk: chunk
-    ``index[i, c]`` fills columns ``c * chunk`` to ``(c + 1) * chunk`` of
-    row ``i``. Columns ``constant_cols`` then take ``constant``. Table
-    gradients are one ``np.bincount`` per position in a chunk, adding in
-    row order as ``np.add.at`` does."""
-    source = np.concatenate([*(t.value.ravel() for t in tables), np.zeros(chunk)]).reshape(-1, chunk)
-    value = np.take(source, index, axis=0).reshape(len(index), -1)
-    value[:, constant_cols] = constant
+    """One ``(n, width)`` input: columns ``constant_cols`` take
+    ``constant`` and the others, in order, the chunks of ``chunk``
+    elements that ``index[i]`` names in the tables raveled and laid end
+    to end. Table gradients are one ``np.bincount`` per position in a
+    chunk, adding in row order as ``np.add.at`` does."""
+    source = np.concatenate([*(t.value.ravel() for t in tables), np.zeros(0)]).reshape(-1, chunk)
+    value = np.take(source, index, axis=0).reshape(len(index), index.shape[1] * chunk)
+    table_cols = None
+    if len(constant_cols):
+        table_cols = np.delete(np.arange(value.shape[1] + len(constant_cols)), constant_cols)
+        value, gathered = np.empty((len(index), len(table_cols) + len(constant_cols))), value
+        value[:, table_cols], value[:, constant_cols] = gathered, constant
     out = Tensor(value, parents=tuple(tables), op="gather_concat")
 
     def bw(g: np.ndarray) -> None:
-        g = g.reshape(*index.shape, chunk)
+        g = (g if table_cols is None else g[:, table_cols]).reshape(*index.shape, chunk)
         flat = index.ravel()
         grad = np.stack([np.bincount(flat, g[:, :, j].ravel(), len(source)) for j in range(chunk)], axis=1).ravel()
         for t, part in zip(tables, np.split(grad, np.cumsum([t.value.size for t in tables]))):

@@ -139,8 +139,8 @@ class FeatureMatrix:
     the input columns ``num_cols``."""
 
     n_rows: int
-    chunk: int  # gcd of the embed widths; 1 when there are numerics
-    index: np.ndarray  # (n_rows, input_width // chunk), int64
+    chunk: int  # gcd of the embed widths
+    index: np.ndarray  # (n_rows, categorical width // chunk), int64
     num_cols: np.ndarray  # input column of each numeric
     num_values: np.ndarray  # (n_rows, n_numeric)
 
@@ -153,9 +153,8 @@ def build_matrix(log, schema: FeatureSchema) -> FeatureMatrix:
     categorical ids folded modulo their vocabulary, numerics
     standardized with the schema's frozen statistics."""
     n, cats = len(log), [f for f in schema.ordered if f.kind == "categorical"]
-    chunk = math.gcd(*(f.embed_width for f in cats)) if cats and len(cats) == len(schema.ordered) else 1
-    start, past_tables = 0, sum(f.vocab_size * f.embed_width for f in cats) // chunk
-    cols: list[np.ndarray] = []  # one per chunk of the input
+    chunk, start = math.gcd(*(f.embed_width for f in cats)) if cats else 1, 0
+    cols: list[np.ndarray] = []  # one per chunk of the tables
     num_cols, num_values = [], []
     for f in schema.ordered:
         col = log.column(f.name, f.kind)
@@ -166,8 +165,7 @@ def build_matrix(log, schema: FeatureSchema) -> FeatureMatrix:
             start += f.vocab_size * per_row
         else:
             st = schema.stats_for(f.name)
-            num_cols.append(len(cols))
-            cols.append(np.full(n, past_tables))  # reads the zero chunk; the numeric overwrites it
+            num_cols.append(len(cols) * chunk + len(num_cols))
             num_values.append((col - st.mean) / st.std)
     index = np.stack(cols, axis=1) if cols else np.zeros((n, 0), dtype=np.int64)
     numerics = np.stack(num_values, axis=1) if num_values else np.zeros((n, 0))

@@ -358,18 +358,18 @@ def training_step(
     method: str,
     weights: LossWeights,
     ipw: IpwConfig,
-    parameters: Sequence[Tensor] | None = None,
+    parameters: Sequence[Tensor],
 ) -> tuple[LossBundle, list[np.ndarray]]:
     """Forward one batch, assemble the method objective, backward once.
 
-    Returns the bundle and gradients aligned with ``parameters``
-    (default ``params.parameters()``); parameters outside the graph (a
+    Returns the bundle and gradients aligned with ``parameters`` (as
+    ``params.parameters()`` lists them); parameters outside the graph (a
     tower the method never touches) get zero gradients.
     """
     outputs = predict_batch(params, fm)
     bundle = compose_method_loss(method, outputs, o, r, weights, ipw)
     leaf_grads = backward(bundle.total)
-    grads = [leaf_grads[p] if p in leaf_grads else np.zeros_like(p.value) for p in parameters or params.parameters()]
+    grads = [leaf_grads[p] if p in leaf_grads else np.zeros_like(p.value) for p in parameters]
     return bundle, grads
 
 

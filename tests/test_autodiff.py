@@ -33,7 +33,6 @@ def _gather(blocks) -> Tensor:
     reads those rows of the table, an ``(n, k)`` array is constant."""
     tables = [b[0] for b in blocks if isinstance(b, tuple)]
     n = len(blocks[0][1] if isinstance(blocks[0], tuple) else blocks[0])
-    past_tables = sum(t.value.size for t in tables)
     columns, constant_cols, start = [], [], 0
     for b in blocks:
         if isinstance(b, tuple):
@@ -42,8 +41,8 @@ def _gather(blocks) -> Tensor:
             columns += [start + rows * width + j for j in range(width)]
             start += table.value.size
         else:
-            constant_cols += range(len(columns), len(columns) + b.shape[1])
-            columns += [np.full(n, past_tables)] * b.shape[1]
+            at = len(columns) + len(constant_cols)
+            constant_cols += range(at, at + b.shape[1])
     constant = np.concatenate([np.zeros((n, 0))] + [b for b in blocks if not isinstance(b, tuple)], axis=1)
     return gather_concat(tables, np.stack(columns, axis=1), 1, constant, np.array(constant_cols, dtype=np.int64))
 

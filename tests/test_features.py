@@ -185,9 +185,11 @@ def test_matrix_row_subset():
     sub = fm.rows(np.array([4, 0]))
     assert sub.n_rows == 2
     assert sub.num_values[0, 0] == 4.0
-    # chunks of one element: user_cat's (3, 2) table, item_cat's (4, 2)
-    # table from element 6; the numeric's column reads the zero chunk 14
-    assert sub.index.tolist() == [[2, 3, 6, 7, 14], [0, 1, 6, 7, 14]]
+    # chunks of whole width-2 rows: user_cat's (3, 2) table, item_cat's
+    # (4, 2) table from chunk 3; the numeric's input column is 4
+    assert sub.chunk == 2
+    assert sub.index.tolist() == [[1, 3], [0, 3]]
+    assert sub.num_cols.tolist() == [4]
 
 
 def test_matrix_missing_feature_raises():
@@ -221,9 +223,12 @@ EVEN = [
     {"name": "c", "kind": "categorical", "vocab_size": 3, "embed_width": 4},
 ]
 EQUAL = [{"name": f"f{j}", "kind": "categorical", "vocab_size": 16, "embed_width": 4} for j in range(8)]
+PAIRED = [MIXED[1], EVEN[0], MIXED[3], EVEN[2]]  # numerics between tables read in chunks of 2
 
 
-@pytest.mark.parametrize("config", [MIXED, EVEN, EQUAL], ids=["interleaved-numerics", "mixed-widths", "equal-widths"])
+@pytest.mark.parametrize(
+    "config", [MIXED, PAIRED, EVEN, EQUAL], ids=["interleaved-numerics", "numerics-chunk-2", "mixed-widths", "equal-widths"]
+)
 def test_one_bincount_gather_equals_per_table_scatter_bitwise(config):
     # The encoded input is the tables' rows and the numerics in schema
     # order, and each table's gradient is its own np.add.at scatter, bit

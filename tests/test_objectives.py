@@ -423,7 +423,7 @@ def _fm(n, seed):
 def test_single_unclicked_sample_step():
     params = init_model(SCHEMA, ARCH, seed=0)
     bundle, grads = training_step(
-        params, _fm(1, 1), np.array([0.0]), np.array([0.0]), "chorus", LossWeights(), IPW
+        params, _fm(1, 1), np.array([0.0]), np.array([0.0]), "chorus", LossWeights(), IPW, params.parameters()
     )
     assert bundle.l_cvr_ipw.item() == 0.0
     assert bundle.l_uncvr_ipw.item() == 0.0
@@ -436,7 +436,7 @@ def test_single_unclicked_sample_step():
 def test_single_converted_sample_step():
     params = init_model(SCHEMA, ARCH, seed=0)
     bundle, _ = training_step(
-        params, _fm(1, 2), np.array([1.0]), np.array([1.0]), "chorus", LossWeights(), IPW
+        params, _fm(1, 2), np.array([1.0]), np.array([1.0]), "chorus", LossWeights(), IPW, params.parameters()
     )
     assert bundle.l_cvr_ipw.item() > 0.0
     assert bundle.l_uncvr_ipw.item() > 0.0
@@ -450,12 +450,12 @@ def test_step_gradients_aligned_and_zero_for_unused_towers():
     names = [n for n, _ in params.named_parameters()]
     o = np.array([1.0, 0.0, 1.0, 0.0])
     r = np.array([1.0, 0.0, 0.0, 0.0])
-    _, grads = training_step(params, _fm(4, 3), o, r, "esmm", LossWeights(), IPW)
+    _, grads = training_step(params, _fm(4, 3), o, r, "esmm", LossWeights(), IPW, params.parameters())
     assert len(grads) == len(names)
     for name, g in zip(names, grads):
         if name.startswith("tower.uncvr"):
             assert np.all(g == 0.0), f"{name} should be outside the esmm graph"
-    _, grads_chorus = training_step(params, _fm(4, 3), o, r, "chorus", LossWeights(), IPW)
+    _, grads_chorus = training_step(params, _fm(4, 3), o, r, "chorus", LossWeights(), IPW, params.parameters())
     uncvr_total = sum(np.abs(g).sum() for name, g in zip(names, grads_chorus) if name.startswith("tower.uncvr"))
     assert uncvr_total > 0.0
 
@@ -464,9 +464,9 @@ def test_step_gradients_survive_the_next_step():
     params = init_model(SCHEMA, ARCH, seed=5)
     o = np.array([1.0, 0.0, 1.0, 0.0])
     r = np.array([1.0, 0.0, 0.0, 0.0])
-    _, first = training_step(params, _fm(4, 3), o, r, "chorus", LossWeights(), IPW)
+    _, first = training_step(params, _fm(4, 3), o, r, "chorus", LossWeights(), IPW, params.parameters())
     kept = [g.copy() for g in first]
-    _, second = training_step(params, _fm(4, 4), o, r, "chorus", LossWeights(), IPW)
+    _, second = training_step(params, _fm(4, 4), o, r, "chorus", LossWeights(), IPW, params.parameters())
     assert all(np.array_equal(g, k) for g, k in zip(first, kept))
     assert not all(np.array_equal(g, k) for g, k in zip(second, kept))
 
@@ -493,7 +493,9 @@ def test_chorus_step_graph_has_at_most_48_nodes():
     params = init_model(schema, Architecture(encoder_widths=(), tower_widths=(16,)), seed=0)
     o, r = label_arrays(log)
     assert 0 < r.sum() < o.sum() < len(o)  # every term of the objective is live
-    bundle, _ = training_step(params, build_matrix(log, schema), o, r, "chorus", LossWeights(), IPW)
+    bundle, _ = training_step(
+        params, build_matrix(log, schema), o, r, "chorus", LossWeights(), IPW, params.parameters()
+    )
     assert bundle.active_terms() == {"ctr", "ctcvr", "cvr_ipw", "ctuncvr", "uncvr_ipw", "align_ipw"}
     assert _graph_nodes(bundle.total) <= 48
 
@@ -540,7 +542,7 @@ def test_training_steps_are_bitwise_equal_to_per_tower_reference_graph(method, a
     for step in range(3):
         idx = np.arange(step * 256, (step + 1) * 256)
         batch = fm.rows(idx)
-        bundle, grads = training_step(params, batch, o[idx], r[idx], method, LossWeights(), IPW)
+        bundle, grads = training_step(params, batch, o[idx], r[idx], method, LossWeights(), IPW, params.parameters())
         ref = compose_method_loss(method, _reference_outputs(reference, batch), o[idx], r[idx], LossWeights(), IPW)
         leaves = backward(ref.total)
         expected = [leaves[p] if p in leaves else np.zeros_like(p.value) for p in reference.parameters()]

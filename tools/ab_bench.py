@@ -8,10 +8,15 @@ per pair, the parent first in even pairs and the change first in odd
 ones, so drift over the session falls on both sides alike. For every
 end-to-end metric of ``BENCHMARK.json`` it prints each side's median and
 quartiles and how many pairs the change won (ties count for neither),
-then applies the rule for claiming a gain: the change wins at least nine
-tenths of the pairs and its median beats the parent's by more than the
-parent's interquartile range. Every run's metrics are printed to stderr
-as it ends.
+then its verdict. "gain": the change wins at least nine tenths of the
+pairs and its median beats the parent's by more than the parent's
+interquartile range. "regression": the change's median is worse than
+the parent's by more than the metric's bound in ``BENCHMARK.json`` (a
+fraction of the parent's median). "unresolved": the parent's
+interquartile range is wider than that bound, unless every change run
+beats every parent run. "within bound" otherwise. Every run is as long
+as ``BENCHMARK.json`` sets (``run_seconds``), and every run's metrics
+are printed to stderr as it ends.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--workload", required=True, help="workload name, as perfbench/run.py takes it")
     parser.add_argument("--pairs", type=int, default=10, help="parent/change pairs to run (default 10)")
     parser.add_argument("--seed", type=int, default=0, help="workload seed of every run (default 0)")
-    parser.add_argument("--seconds", type=int, default=None, help="run length (default: BENCHMARK.json run_seconds)")
     return parser.parse_args(argv)
 
 
@@ -61,13 +65,15 @@ def summarize(spec: list[dict], runs: dict[str, list[dict[str, float]]]) -> list
         p1, pm, p3 = quartiles(parent)
         c1, cm, c3 = quartiles(change)
         wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
-        gain = sign * (cm - pm)
+        gain, bound = sign * (cm - pm), metric["bound"] * abs(pm)
         if wins >= 0.9 * pairs and gain > p3 - p1:
             verdict = "gain"
-        elif wins <= 0.1 * pairs and -gain > p3 - p1:
-            verdict = "loss"
+        elif -gain > bound:
+            verdict = "regression"
+        elif p3 - p1 > bound and not all(sign * (c - p) > 0 for c in change for p in parent):
+            verdict = "unresolved"
         else:
-            verdict = "no claim"
+            verdict = "within bound"
         ratio = f"{cm / pm:.3f}x" if pm else "-"
         lines.append(
             f"{name:16s} {pm:12.6g} [{p1:.6g}, {p3:.6g}]".ljust(51)
@@ -83,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --pairs must be at least 2", file=sys.stderr)
         return 2
     bench = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else int(bench["run_seconds"])
+    seconds = int(bench["run_seconds"])
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
     for pair in range(args.pairs):
