@@ -37,9 +37,17 @@ __all__ = [
     "OptimizerState",
     "optimizer_step",
     "ACTIVATIONS",
+    "ADAM_BETA1",
+    "ADAM_BETA2",
+    "ADAM_EPSILON",
 ]
 
 ACTIVATIONS = ("relu", "sigmoid", "identity")
+
+# Adam's moment decay rates and denominator offset.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class GraphError(ValueError):
@@ -512,9 +520,6 @@ class OptimizerConfig:
 
     method: str = "adam"
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.method not in ("adam", "sgd"):
@@ -573,7 +578,7 @@ def optimizer_step(
     if config.method == "sgd":
         update = config.learning_rate * g
     else:
-        b1, b2 = config.beta1, config.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1**step
         bias2 = 1.0 - b2**step
         with np.errstate(over="ignore"):  # an overflow is reported by the moment check below
@@ -583,7 +588,7 @@ def optimizer_step(
             state.v += (1.0 - b2) * g * g
         m_hat = state.m / bias1
         v_hat = state.v / bias2
-        update = config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        update = config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     offset = 0
     for p in params:
         p.value -= update[offset : offset + p.value.size].reshape(p.value.shape)

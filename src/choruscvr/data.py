@@ -391,7 +391,8 @@ def read_log(path: str | Path, schema: FeatureSchema) -> tuple[ExposureLog, Inge
     that is not an integer (``nan``, ``2.7``), a numeric value that is
     not finite (``nan``, ``inf``). Funnel violations are dropped and
     counted; kept out-of-vocabulary ids are counted per feature. A header
-    missing the label columns or any schema feature is fatal.
+    missing the label columns or any schema feature, naming a column
+    twice, or carrying some but not all truth columns is fatal.
 
     The body is first read in one vectorized pass; a file that pass
     cannot take exactly as the row parser would is read row by row.
@@ -413,6 +414,12 @@ def read_log(path: str | Path, schema: FeatureSchema) -> tuple[ExposureLog, Inge
     unknown = [c for c in header if c not in known]
     if unknown:
         raise LogFormatError(f"{path}: unknown columns {unknown}")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise LogFormatError(f"{path}: columns named more than once: {repeated}")
+    missing_truth = [c for c in TRUTH_COLUMNS if c not in header]
+    if 0 < len(missing_truth) < len(TRUTH_COLUMNS):
+        raise LogFormatError(f"{path}: truth columns come all or none; missing {missing_truth}")
     layout = _layout(header, schema)
 
     first_line, _, body = raw.partition(b"\n")

@@ -1,12 +1,17 @@
 """Training objectives: funnel losses, IPW debiasing, soft alignment.
 
 All losses are negated mean log-likelihoods over a space within the
-mini-batch. Conversion-side terms are inversely weighted by the click
-propensity so click-space means estimate exposure-space means; the
-un-click analog weights by one minus the propensity. The un-conversion
-(unCVR) head discriminates clicked-but-unconverted samples, and the
-mutual alignment terms tie the two conversion heads together through
-stop-gradient soft labels.
+mini-batch. Conversion-side terms weight each clicked sample by
+1/p_click and divide by the number of clicks in the batch, so they
+estimate the exposure-space mean divided by the click rate, not the
+exposure-space mean itself (that would divide by the batch size); the
+un-click analog weights by one minus the propensity and divides by the
+un-click count. The un-conversion (unCVR) head discriminates
+clicked-but-unconverted samples, and the mutual alignment terms tie the
+two conversion heads together through stop-gradient soft labels.
+
+Each method is one row of :data:`METHOD_TERMS`: the terms its total
+adds, in order.
 
 Space conventions within a batch: exposure = every sample, click =
 samples with o = 1, un-click = o = 0. A space absent from the batch
@@ -15,8 +20,9 @@ contributes zero for its terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+import math
+from dataclasses import astuple, dataclass, fields
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,6 +35,8 @@ __all__ = [
     "IpwConfig",
     "LossWeights",
     "LossBundle",
+    "TERMS",
+    "METHOD_TERMS",
     "METHODS",
     "bce",
     "loss_ctr",
@@ -39,23 +47,29 @@ __all__ = [
     "loss_uncvr_ipw",
     "align_terms",
     "loss_align_ipw",
-    "total_loss",
     "compose_method_loss",
     "training_step",
-    "ipw_mean",
 ]
 
 SOFT_LABEL_CLAMP = 1e-6
 
-METHODS = (
-    "chorus",
-    "chorus_wo_ndm",
-    "chorus_wo_sam",
-    "esmm",
-    "escm2_ipw",
-    "nise",
-    "dcmt_lite",
-)
+# The base terms, in the order of the LossWeights fields that scale them.
+TERMS = ("ctr", "ctcvr", "cvr_ipw", "ctuncvr", "uncvr_ipw", "align_ipw")
+
+# Each method's terms, in the order its total adds them.
+METHOD_TERMS: dict[str, tuple[str, ...]] = {
+    "chorus": TERMS,
+    "chorus_wo_ndm": ("ctr", "ctcvr", "cvr_ipw", "align_ipw", "uncvr_soft"),
+    "chorus_wo_sam": ("ctr", "ctcvr", "cvr_ipw", "ctuncvr", "uncvr_ipw"),
+    "esmm": ("ctr", "ctcvr"),
+    "escm2_ipw": ("ctr", "ctcvr", "cvr_ipw"),
+    "nise": ("ctr", "ctcvr", "cvr_ipw", "cvr_self_distill"),
+    "dcmt_lite": ("ctr", "ctcvr", "cvr_ipw", "cf_tower", "cf_constraint"),
+}
+METHODS = tuple(METHOD_TERMS)
+
+# The methods whose base terms LossWeights scales; every other term has weight 1.
+_WEIGHTED_METHODS = frozenset({"chorus", "chorus_wo_ndm", "chorus_wo_sam"})
 
 
 class ObjectiveError(ValueError):
@@ -82,7 +96,8 @@ class IpwConfig:
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Per-term multipliers of the combined objective.
+    """Multipliers of the base terms of the chorus family, one field per
+    entry of :data:`TERMS` in order (``align`` scales ``align_ipw``).
 
     ``ctr`` is the auxiliary click-loss weight; the conversion terms
     default to 1. Set a weight to 0 to drop its term exactly.
@@ -96,52 +111,24 @@ class LossWeights:
     align: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("ctr", "ctcvr", "cvr_ipw", "ctuncvr", "uncvr_ipw", "align"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"loss weight {name} must be non-negative")
+        for f in fields(self):
+            if not 0.0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"loss weight {f.name} must be finite and non-negative")
 
 
 @dataclass
 class LossBundle:
-    """All term values of one batch plus their weighted total.
+    """The terms that enter one batch's total, by name in the order the
+    total adds them, and the total itself."""
 
-    ``extras`` holds method-specific terms (self-distillation,
-    counterfactual constraints) that enter the total with weight 1.
-    """
-
-    l_ctr: Tensor
-    l_ctcvr: Tensor
-    l_cvr_ipw: Tensor
-    l_ctuncvr: Tensor
-    l_uncvr_ipw: Tensor
-    l_align_ipw: Tensor
-    weights: LossWeights
+    terms: dict[str, Tensor]
     total: Tensor
-    extras: dict[str, Tensor] = field(default_factory=dict)
-
-    def active_terms(self) -> frozenset[str]:
-        """Names of the terms that actually enter the total."""
-        named = {
-            "ctr": self.weights.ctr,
-            "ctcvr": self.weights.ctcvr,
-            "cvr_ipw": self.weights.cvr_ipw,
-            "ctuncvr": self.weights.ctuncvr,
-            "uncvr_ipw": self.weights.uncvr_ipw,
-            "align_ipw": self.weights.align,
-        }
-        return frozenset(k for k, w in named.items() if w > 0) | frozenset(self.extras)
 
     def term_values(self) -> dict[str, float]:
-        vals = {
-            "ctr": self.l_ctr.item(),
-            "ctcvr": self.l_ctcvr.item(),
-            "cvr_ipw": self.l_cvr_ipw.item(),
-            "ctuncvr": self.l_ctuncvr.item(),
-            "uncvr_ipw": self.l_uncvr_ipw.item(),
-            "align_ipw": self.l_align_ipw.item(),
-        }
-        for name, t in self.extras.items():
-            vals[name] = t.item()
+        """Every base term (0.0 when left out), the method's own terms,
+        then ``total``: one ``history.csv`` column each."""
+        vals = dict.fromkeys(TERMS, 0.0)
+        vals.update((name, t.item()) for name, t in self.terms.items())
         vals["total"] = self.total.item()
         return vals
 
@@ -249,43 +236,25 @@ def loss_align_ipw(outputs: TowerOutputs, o: np.ndarray, ipw: IpwConfig) -> Tens
     return weighted_sum(align_terms(outputs, o, ipw), (1.0,) * 4)
 
 
-def total_loss(
-    l_ctr: Tensor,
-    l_ctcvr: Tensor,
-    l_cvr_ipw: Tensor,
-    l_ctuncvr: Tensor,
-    l_uncvr_ipw: Tensor,
-    l_align_ipw: Tensor,
-    weights: LossWeights,
-    extras: Mapping[str, Tensor] | None = None,
-) -> LossBundle:
-    """Weighted sum of the terms; zero-weight terms are skipped so they
-    contribute no gradient at all."""
-    pairs = [
-        (l_ctr, weights.ctr),
-        (l_ctcvr, weights.ctcvr),
-        (l_cvr_ipw, weights.cvr_ipw),
-        (l_ctuncvr, weights.ctuncvr),
-        (l_uncvr_ipw, weights.uncvr_ipw),
-        (l_align_ipw, weights.align),
-    ]
-    pairs = [(term, w) for term, w in pairs if w != 0.0] + [(term, 1.0) for term in (extras or {}).values()]
-    total = weighted_sum(*zip(*pairs)) if pairs else Tensor(0.0)
-    return LossBundle(
-        l_ctr=l_ctr,
-        l_ctcvr=l_ctcvr,
-        l_cvr_ipw=l_cvr_ipw,
-        l_ctuncvr=l_ctuncvr,
-        l_uncvr_ipw=l_uncvr_ipw,
-        l_align_ipw=l_align_ipw,
-        weights=weights,
-        total=total,
-        extras=dict(extras or {}),
-    )
-
-
-def _zero() -> Tensor:
-    return Tensor(0.0)
+# Every term as a function of (outputs, o, r, ipw): the base terms, then
+# the ablation's and the baselines' own terms.
+_TERM_FNS: dict[str, Callable[[TowerOutputs, np.ndarray, np.ndarray, IpwConfig], Tensor]] = {
+    "ctr": lambda out, o, r, ipw: loss_ctr(out, o),
+    "ctcvr": lambda out, o, r, ipw: loss_ctcvr(out, o, r),
+    "cvr_ipw": loss_cvr_ipw,
+    "ctuncvr": lambda out, o, r, ipw: loss_ctuncvr(out, o, r),
+    "uncvr_ipw": loss_uncvr_ipw,
+    "align_ipw": lambda out, o, r, ipw: loss_align_ipw(out, o, ipw),
+    # chorus_wo_ndm: the un-conversion head on the soft label 1 - sg(cvr), click space
+    "uncvr_soft": lambda out, o, r, ipw: _space_mean(bce(out.uncvr, _soft_label(out.cvr, complement=True)), o),
+    # nise: self-distillation of the conversion head on un-clicked samples
+    "cvr_self_distill": lambda out, o, r, ipw: _space_mean(
+        bce(out.cvr, _soft_label(out.cvr, complement=False)), 1.0 - o
+    ),
+    # dcmt_lite: counterfactual tower (label 1 - r) on clicks, soft constraint on exposures
+    "cf_tower": lambda out, o, r, ipw: _space_mean(bce(out.uncvr, 1.0 - r), o),
+    "cf_constraint": lambda out, o, r, ipw: bce(out.cvr, _soft_label(out.uncvr, complement=True)).mean(),
+}
 
 
 def compose_method_loss(
@@ -296,58 +265,27 @@ def compose_method_loss(
     weights: LossWeights,
     ipw: IpwConfig,
 ) -> LossBundle:
-    """Assemble the objective for a method tag on one batch.
+    """The objective of a method tag on one batch: the weighted sum of
+    its :data:`METHOD_TERMS` row, added in order.
 
-    ``weights`` applies to the full model and its ablations; baseline
-    compositions are fixed. Ablations: ``chorus_wo_ndm`` drops the two
-    discrimination terms and instead trains the un-conversion head on
-    the soft label 1 - sg(cvr) in click space; ``chorus_wo_sam`` zeroes
-    the alignment weight.
+    ``weights`` scales the base terms of ``chorus``, ``chorus_wo_ndm``
+    and ``chorus_wo_sam``; baseline terms and method-specific terms have
+    weight 1. A zero-weight term is never built, so it contributes no
+    gradient at all.
     """
+    if method not in METHOD_TERMS:
+        raise ObjectiveError(f"unknown method {method!r}; expected one of {METHODS}")
     o = np.asarray(o, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
     _require_batch(o)
     ctuncvr_label(o, r)  # reject funnel violations up front
 
-    if method == "chorus":
-        eff = weights
-        extras: dict[str, Tensor] = {}
-    elif method == "chorus_wo_ndm":
-        eff = replace(weights, ctuncvr=0.0, uncvr_ipw=0.0)
-        extras = {"uncvr_soft": _space_mean(bce(outputs.uncvr, _soft_label(outputs.cvr, complement=True)), o)}
-    elif method == "chorus_wo_sam":
-        eff = replace(weights, align=0.0)
-        extras = {}
-    elif method == "esmm":
-        eff = LossWeights(ctr=1.0, ctcvr=1.0, cvr_ipw=0.0, ctuncvr=0.0, uncvr_ipw=0.0, align=0.0)
-        extras = {}
-    elif method == "escm2_ipw":
-        eff = LossWeights(ctr=1.0, ctcvr=1.0, cvr_ipw=1.0, ctuncvr=0.0, uncvr_ipw=0.0, align=0.0)
-        extras = {}
-    elif method == "nise":
-        eff = LossWeights(ctr=1.0, ctcvr=1.0, cvr_ipw=1.0, ctuncvr=0.0, uncvr_ipw=0.0, align=0.0)
-        extras = {
-            "cvr_self_distill": _space_mean(bce(outputs.cvr, _soft_label(outputs.cvr, complement=False)), 1.0 - o)
-        }
-    elif method == "dcmt_lite":
-        eff = LossWeights(ctr=1.0, ctcvr=1.0, cvr_ipw=1.0, ctuncvr=0.0, uncvr_ipw=0.0, align=0.0)
-        extras = {
-            "cf_tower": _space_mean(bce(outputs.uncvr, 1.0 - r), o),
-            "cf_constraint": bce(outputs.cvr, _soft_label(outputs.uncvr, complement=True)).mean(),
-        }
-    else:
-        raise ObjectiveError(f"unknown method {method!r}; expected one of {METHODS}")
-
-    return total_loss(
-        l_ctr=loss_ctr(outputs, o) if eff.ctr > 0 else _zero(),
-        l_ctcvr=loss_ctcvr(outputs, o, r) if eff.ctcvr > 0 else _zero(),
-        l_cvr_ipw=loss_cvr_ipw(outputs, o, r, ipw) if eff.cvr_ipw > 0 else _zero(),
-        l_ctuncvr=loss_ctuncvr(outputs, o, r) if eff.ctuncvr > 0 else _zero(),
-        l_uncvr_ipw=loss_uncvr_ipw(outputs, o, r, ipw) if eff.uncvr_ipw > 0 else _zero(),
-        l_align_ipw=loss_align_ipw(outputs, o, ipw) if eff.align > 0 else _zero(),
-        weights=eff,
-        extras=extras,
-    )
+    scale = dict(zip(TERMS, astuple(weights))) if method in _WEIGHTED_METHODS else {}
+    row = [(name, scale.get(name, 1.0)) for name in METHOD_TERMS[method]]
+    row = [(name, w) for name, w in row if w > 0]
+    terms = {name: _TERM_FNS[name](outputs, o, r, ipw) for name, _ in row}
+    total = weighted_sum(list(terms.values()), [w for _, w in row]) if row else Tensor(0.0)
+    return LossBundle(terms, total)
 
 
 def training_step(
@@ -371,10 +309,3 @@ def training_step(
     leaf_grads = backward(bundle.total)
     grads = [leaf_grads[p] if p in leaf_grads else np.zeros_like(p.value) for p in parameters]
     return bundle, grads
-
-
-def ipw_mean(values: np.ndarray, mask: np.ndarray, propensity: np.ndarray, floor: float = 0.01) -> float:
-    """Inverse-propensity estimate of the population mean of ``values``
-    from only the samples where ``mask`` is 1."""
-    w = np.asarray(mask, dtype=np.float64) / np.maximum(propensity, floor)
-    return float(np.mean(w * values))

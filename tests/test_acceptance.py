@@ -36,7 +36,6 @@ from choruscvr.objectives import (
     align_terms,
     bce,
     compose_method_loss,
-    ipw_mean,
     loss_align_ipw,
     loss_ctcvr,
     loss_ctr,
@@ -45,6 +44,8 @@ from choruscvr.objectives import (
     loss_uncvr_ipw,
 )
 from choruscvr.simulator import SimConfig, generate, sim_schema
+
+from oracles import ipw_mean
 
 
 def _verdict(tag: str, ok: bool, detail: str) -> bool:

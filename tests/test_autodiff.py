@@ -7,6 +7,9 @@ import pytest
 
 from choruscvr.autodiff import (
     ACTIVATIONS,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     GraphError,
     OptimizerConfig,
     OptimizerError,
@@ -567,7 +570,7 @@ def test_flat_update_matches_per_parameter_loop_bitwise(method):
     state = OptimizerState.for_params(params)
     m = [np.zeros(s) for s in shapes]
     v = [np.zeros(s) for s in shapes]
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for step in range(1, 51):
         grads = [rng.normal(size=s) * (rng.random(s) < 0.8) for s in shapes]
         optimizer_step(params, grads, state, config)
@@ -581,7 +584,7 @@ def test_flat_update_matches_per_parameter_loop_bitwise(method):
             v[i] += (1.0 - b2) * g * g
             m_hat = m[i] / (1.0 - b1**step)
             v_hat = v[i] / (1.0 - b2**step)
-            expected[i] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+            expected[i] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     assert state.step_count == 50
     for p, e in zip(params, expected):
         assert p.value.tobytes() == e.tobytes()

@@ -104,6 +104,25 @@ def test_unknown_column_fatal(tmp_path):
         read_log(p, SCHEMA)
 
 
+@pytest.mark.parametrize(
+    "header, row",
+    [("sample_id,click,conversion,f0,f0,x", "0,1,0,2,2,0.5"), ("sample_id,click,click,conversion,f0,x", "0,1,0,0,2,0.5")],
+    ids=["feature", "label"],
+)
+def test_duplicate_column_fatal(tmp_path, header, row):
+    # The first copy would be read and the second silently ignored.
+    with pytest.raises(LogFormatError, match="more than once"):
+        read_log(_write(tmp_path, f"{header}\n{row}\n"), SCHEMA)
+
+
+def test_partial_truth_columns_fatal(tmp_path):
+    # Without r_counterfactual the log would read as one with no truth at
+    # all, and every counterfactual metric would vanish without a message.
+    p = _write(tmp_path, "sample_id,click,conversion,f0,x,true_p_click,true_p_conv\n0,1,0,2,0.5,0.5,0.1\n")
+    with pytest.raises(LogFormatError, match="r_counterfactual"):
+        read_log(p, SCHEMA)
+
+
 def test_empty_file_fatal(tmp_path):
     with pytest.raises(LogFormatError, match="empty"):
         read_log(_write(tmp_path, ""), SCHEMA)

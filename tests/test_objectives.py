@@ -23,6 +23,7 @@ from choruscvr.features import build_matrix, build_schema, encode_matrix
 from choruscvr.model import PROB_CLAMP, TOWER_NAMES, Architecture, TowerOutputs, init_model, predict_batch
 from choruscvr.objectives import (
     METHODS,
+    TERMS,
     IpwConfig,
     LossWeights,
     ObjectiveError,
@@ -30,17 +31,17 @@ from choruscvr.objectives import (
     bce,
     compose_method_loss,
     ctuncvr_label,
-    ipw_mean,
     loss_align_ipw,
     loss_ctcvr,
     loss_ctr,
     loss_ctuncvr,
     loss_cvr_ipw,
     loss_uncvr_ipw,
-    total_loss,
     training_step,
 )
 from choruscvr.simulator import SimConfig, generate, sim_schema
+
+from oracles import ipw_mean
 
 TOL = 1e-9
 IPW = IpwConfig()
@@ -268,24 +269,40 @@ def test_attached_propensity_respects_clamp():
 
 
 def test_total_loss_additivity():
-    one = lambda: Tensor(1.0)
-    weights = LossWeights(ctr=0.0)
-    bundle = total_loss(one(), one(), one(), one(), one(), one(), weights)
-    assert bundle.total.item() == pytest.approx(5.0, abs=TOL)
+    out, o, r = _mixed_batch()
+    bundle = compose_method_loss("chorus", out, o, r, LossWeights(ctr=0.0), IPW)
+    parts = [
+        loss_ctcvr(out, o, r),
+        loss_cvr_ipw(out, o, r, IPW),
+        loss_ctuncvr(out, o, r),
+        loss_uncvr_ipw(out, o, r, IPW),
+        loss_align_ipw(out, o, IPW),
+    ]
+    assert list(bundle.terms) == ["ctcvr", "cvr_ipw", "ctuncvr", "uncvr_ipw", "align_ipw"]
+    assert bundle.total.item() == pytest.approx(sum(t.item() for t in parts), abs=1e-12)
 
 
 def test_total_loss_zero_weight_excludes_gradient():
-    terms = [Tensor(float(i + 1)) for i in range(6)]
-    weights = LossWeights(align=0.0)
-    bundle = total_loss(*terms, weights)
+    # Every term that reads the un-conversion head is weighted out.
+    out, o, r = _mixed_batch()
+    weights = LossWeights(ctuncvr=0.0, uncvr_ipw=0.0, align=0.0)
+    bundle = compose_method_loss("chorus", out, o, r, weights, IPW)
+    assert list(bundle.terms) == ["ctr", "ctcvr", "cvr_ipw"]
+    assert bundle.term_values()["align_ipw"] == 0.0
     backward(bundle.total)
-    assert terms[5].grad == 0.0
-    assert terms[0].grad == 1.0
+    assert np.all(out.uncvr.grad == 0.0)
+    assert np.any(out.cvr.grad != 0.0)
 
 
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         LossWeights(cvr_ipw=-0.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_weight_rejected(value):
+    with pytest.raises(ValueError, match="finite"):
+        LossWeights(align=value)
 
 
 def test_ipw_floor_validation():
@@ -328,17 +345,17 @@ def test_nise_self_distillation_is_entropy_at_fixed_point():
     # un-clicked sample with y_cvr = 0.3: bce(p, sg(p)) = H(p)
     out = _outputs([0.5], [0.3], [0.5])
     bundle = compose_method_loss("nise", out, np.array([0.0]), np.array([0.0]), LossWeights(), IPW)
-    assert bundle.extras["cvr_self_distill"].item() == pytest.approx(0.6108643020548935, abs=TOL)
+    assert bundle.terms["cvr_self_distill"].item() == pytest.approx(0.6108643020548935, abs=TOL)
 
 
 def test_dcmt_constraint_minimized_at_complementary_heads():
     # y_cvr + y_cf = 1 -> soft-label bce hits its minimum for that target
     at = compose_method_loss(
         "dcmt_lite", _outputs([0.5], [0.7], [0.3]), np.array([1.0]), np.array([1.0]), LossWeights(), IPW
-    ).extras["cf_constraint"].item()
+    ).terms["cf_constraint"].item()
     off = compose_method_loss(
         "dcmt_lite", _outputs([0.5], [0.6], [0.3]), np.array([1.0]), np.array([1.0]), LossWeights(), IPW
-    ).extras["cf_constraint"].item()
+    ).terms["cf_constraint"].item()
     assert at < off
 
 
@@ -363,9 +380,9 @@ def test_method_tags_cover_paper_set():
 def test_ablation_active_term_wiring():
     out, o, r = _mixed_batch()
     w = LossWeights()
-    full = compose_method_loss("chorus", out, o, r, w, IPW).active_terms()
-    wo_sam = compose_method_loss("chorus_wo_sam", out, o, r, w, IPW).active_terms()
-    wo_ndm = compose_method_loss("chorus_wo_ndm", out, o, r, w, IPW).active_terms()
+    full = set(compose_method_loss("chorus", out, o, r, w, IPW).terms)
+    wo_sam = set(compose_method_loss("chorus_wo_sam", out, o, r, w, IPW).terms)
+    wo_ndm = set(compose_method_loss("chorus_wo_ndm", out, o, r, w, IPW).terms)
     assert full == {"ctr", "ctcvr", "cvr_ipw", "ctuncvr", "uncvr_ipw", "align_ipw"}
     assert full - wo_sam == {"align_ipw"}
     assert wo_sam - full == set()
@@ -373,12 +390,38 @@ def test_ablation_active_term_wiring():
     assert wo_ndm - full == {"uncvr_soft"}
 
 
+@pytest.mark.parametrize("method", ["esmm", "escm2_ipw", "nise", "dcmt_lite"])
+def test_baselines_ignore_configured_weights(method):
+    out, o, r = _mixed_batch()
+    zeroed = LossWeights(ctr=0.0, ctcvr=0.0, cvr_ipw=0.0)
+    expected = compose_method_loss(method, out, o, r, LossWeights(), IPW).term_values()
+    assert compose_method_loss(method, out, o, r, zeroed, IPW).term_values() == expected
+
+
+def test_term_values_keys_per_method():
+    # These keys are the history.csv columns of each method.
+    own = {
+        "chorus": set(),
+        "chorus_wo_ndm": {"uncvr_soft"},
+        "chorus_wo_sam": set(),
+        "esmm": set(),
+        "escm2_ipw": set(),
+        "nise": {"cvr_self_distill"},
+        "dcmt_lite": {"cf_tower", "cf_constraint"},
+    }
+    assert set(own) == set(METHODS)
+    out, o, r = _mixed_batch()
+    for method, extra in own.items():
+        keys = compose_method_loss(method, out, o, r, LossWeights(), IPW).term_values().keys()
+        assert set(keys) == {*TERMS, *extra, "total"}, method
+
+
 def test_wo_ndm_soft_uncvr_is_click_space_mean():
     out = _outputs([0.5, 0.5], [0.7, 0.9], [0.4, 0.4])
     o = np.array([1.0, 0.0])  # only the first sample is clicked
     bundle = compose_method_loss("chorus_wo_ndm", out, o, np.array([1.0, 0.0]), LossWeights(), IPW)
     expected = -(0.3 * math.log(0.4) + 0.7 * math.log(0.6))  # bce(0.4, 1-0.7), no IPW
-    assert bundle.extras["uncvr_soft"].item() == pytest.approx(expected, abs=TOL)
+    assert bundle.terms["uncvr_soft"].item() == pytest.approx(expected, abs=TOL)
 
 
 def test_mask_completeness():
@@ -425,11 +468,11 @@ def test_single_unclicked_sample_step():
     bundle, grads = training_step(
         params, _fm(1, 1), np.array([0.0]), np.array([0.0]), "chorus", LossWeights(), IPW, params.parameters()
     )
-    assert bundle.l_cvr_ipw.item() == 0.0
-    assert bundle.l_uncvr_ipw.item() == 0.0
+    assert bundle.terms["cvr_ipw"].item() == 0.0
+    assert bundle.terms["uncvr_ipw"].item() == 0.0
     out = predict_batch(params, _fm(1, 1))
     t1, t2, t3, t4 = align_terms(out, np.array([0.0]), IPW)
-    assert bundle.l_align_ipw.item() == pytest.approx(t3.item() + t4.item(), abs=1e-12)
+    assert bundle.terms["align_ipw"].item() == pytest.approx(t3.item() + t4.item(), abs=1e-12)
     assert t1.item() == 0.0 and t2.item() == 0.0
 
 
@@ -438,8 +481,8 @@ def test_single_converted_sample_step():
     bundle, _ = training_step(
         params, _fm(1, 2), np.array([1.0]), np.array([1.0]), "chorus", LossWeights(), IPW, params.parameters()
     )
-    assert bundle.l_cvr_ipw.item() > 0.0
-    assert bundle.l_uncvr_ipw.item() > 0.0
+    assert bundle.terms["cvr_ipw"].item() > 0.0
+    assert bundle.terms["uncvr_ipw"].item() > 0.0
     out = predict_batch(params, _fm(1, 2))
     _, _, t3, t4 = align_terms(out, np.array([1.0]), IPW)
     assert t3.item() == 0.0 and t4.item() == 0.0
@@ -496,7 +539,7 @@ def test_chorus_step_graph_has_at_most_48_nodes():
     bundle, _ = training_step(
         params, build_matrix(log, schema), o, r, "chorus", LossWeights(), IPW, params.parameters()
     )
-    assert bundle.active_terms() == {"ctr", "ctcvr", "cvr_ipw", "ctuncvr", "uncvr_ipw", "align_ipw"}
+    assert tuple(bundle.terms) == TERMS
     assert _graph_nodes(bundle.total) <= 48
 
 
