@@ -86,10 +86,18 @@ def no_grad() -> Iterator[None]:
         _grad_enabled = saved
 
 
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, stable in both tails."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function, stable in both tails: ``1 / (1 + e)`` where
+    ``x >= 0`` and ``e / (1 + e)`` elsewhere, with ``e = exp(-|x|)``.
+    Written into ``out`` when given, which may be ``x`` itself."""
+    nonneg = x >= 0.0
+    e = np.abs(x, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = 1.0 + e
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=e, where=nonneg)
+    return e
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

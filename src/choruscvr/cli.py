@@ -14,9 +14,12 @@ cannot define, unwritable outputs).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -409,6 +412,101 @@ def _run_row(method: str, seed: int, result: Mapping[str, Any]) -> dict[str, Any
     return row
 
 
+@dataclass(frozen=True)
+class _SeedJob:
+    """What every seed of one ``compare`` shares: the config, the output
+    root, the methods in table order, and either the simulator config
+    (one dataset per seed) or the pinned dataset, already read."""
+
+    cfg: Mapping
+    config_text: str
+    out_dir: Path
+    methods: tuple[str, ...]
+    schema: FeatureSchema
+    sim: SimConfig | None
+    pinned: LoadedLog | None
+
+
+def _simulate_seed(job: _SeedJob, seed: int) -> Path:
+    # Regenerated on every run, so a changed ``sim`` section never meets
+    # a stale file; generation is deterministic.
+    per_seed = dataclasses.replace(job.sim, seed=job.sim.seed + seed)
+    path = job.out_dir / "datasets" / f"sim_seed{seed}.csv"
+    log, _ = generate(per_seed)
+    write_log(log, path, sim_schema(per_seed))
+    return path
+
+
+def _compare_seed(job: _SeedJob, seed: int) -> tuple[str, list[dict[str, Any]], Exception | None]:
+    """One seed of ``compare``: its dataset (simulated, written and read
+    once, unless pinned), then every method's run on that log.
+
+    Returns what the seed printed, its run rows in method order, and the
+    error that stopped it, if any, so that the caller prints exactly
+    what a serial run would have printed before the error.
+    """
+    stdout = io.StringIO()
+    rows: list[dict[str, Any]] = []
+    try:
+        with contextlib.redirect_stdout(stdout):
+            loaded = job.pinned or _load_dataset(job.cfg, job.schema, str(_simulate_seed(job, seed)))
+            for method in job.methods:
+                run_dir = job.out_dir / "runs" / f"{method}_seed{seed}"
+                result = run_train(job.cfg, job.config_text, run_dir, seed=seed, method=method, loaded=loaded)
+                rows.append(_run_row(method, seed, result))
+    except Exception as exc:
+        return stdout.getvalue(), rows, exc
+    return stdout.getvalue(), rows, None
+
+
+# A pool worker's job, set once as the worker starts; never set in the
+# process that runs ``compare``.
+_worker_job: _SeedJob | None = None
+
+
+def _adopt_job(job: _SeedJob) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _pooled_seed(seed: int) -> tuple[str, list[dict[str, Any]], Exception | None]:
+    from multiprocessing.pool import ExceptionWithTraceback
+
+    text, rows, error = _compare_seed(_worker_job, seed)
+    if error is not None:
+        # Unpickles as ``error`` with the worker's traceback as its cause.
+        error = ExceptionWithTraceback(error, error.__traceback__)
+    return text, rows, error
+
+
+@contextlib.contextmanager
+def _seed_pool(job: _SeedJob, n_seeds: int):
+    """A pool of ``min(cpus, seeds)`` workers that hold ``job``, or None
+    (run inline) when that is one worker or BLAS may run threads.
+
+    ``fork``: a worker starts with the modules already imported and
+    shares a pinned log instead of importing numpy and unpickling the
+    log. Forking is safe only while no other thread runs, so it needs
+    BLAS pinned to one thread (``compare`` itself starts none); forked
+    workers sharing multi-threaded BLAS also ran slower than one serial
+    process.
+    """
+    from . import BLAS_PINNED
+
+    workers = min(os.cpu_count() or 1, n_seeds)
+    if workers < 2 or not BLAS_PINNED:
+        yield None
+        return
+    import multiprocessing  # here, not at module level: ``train`` never pays for it
+
+    pool = multiprocessing.get_context("fork").Pool(workers, _adopt_job, (job,))
+    try:
+        yield pool
+    finally:
+        pool.terminate()
+        pool.join()
+
+
 def run_compare(
     cfg: Mapping,
     config_text: str,
@@ -421,13 +519,21 @@ def run_compare(
     Each seed gets its own simulated dataset (simulator seed = config
     seed + run seed) shared by all methods at that seed, unless
     ``compare.dataset`` pins one file for everything. Each dataset file
-    is read once and its log handed to every run that uses it. Aggregate
-    rows carry per-metric means plus paired mean differences and win
-    counts against the reference method (first method by default).
+    is read once and its log handed to every run that uses it. Seeds run
+    in a process pool (see ``_seed_pool``), one worker per seed at a
+    time; their output and rows are taken in seed order, so every
+    artifact and the printed text match a serial run byte for byte.
+    Aggregate rows carry per-metric means plus paired mean differences
+    and win counts against the reference method (first method by
+    default).
     """
     compare_cfg = _section(cfg, "compare")
     methods = list(methods) if methods else list(compare_cfg.get("methods", []))
     seeds = [int(s) for s in (seeds if seeds is not None else compare_cfg.get("seeds", []))]
+    for label, values in (("methods", methods), ("seeds", seeds)):
+        repeated = [v for v in dict.fromkeys(values) if values.count(v) > 1]
+        if repeated:
+            raise UsageError(f"compare {label} must be distinct; repeated: {repeated}")
     if len(methods) < 2:
         raise UsageError("compare needs at least 2 methods")
     if not seeds:
@@ -440,37 +546,24 @@ def run_compare(
         raise UsageError(f"reference method {reference!r} is not among the compared methods")
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    fixed_dataset = compare_cfg.get("dataset")
-    datasets: dict[int, str] = {}
-    if fixed_dataset:
-        for seed in seeds:
-            datasets[seed] = str(fixed_dataset)
-    else:
-        base_sim = sim_config(cfg)
-        for seed in seeds:
-            ds_dir = out_dir / "datasets"
-            ds_dir.mkdir(exist_ok=True)
-            # Regenerated on every run, so a changed ``sim`` section never
-            # meets a stale file; generation is deterministic.
-            path = ds_dir / f"sim_seed{seed}.csv"
-            per_seed = dataclasses.replace(base_sim, seed=base_sim.seed + seed)
-            log, _ = generate(per_seed)
-            write_log(log, path, sim_schema(per_seed))
-            datasets[seed] = str(path)
-
-    # Seed by seed, so only one seed's log is held at a time; rows are
-    # tabulated method by method below.
     schema = schema_from_config(cfg)
-    loaded: LoadedLog | None = None
+    fixed_dataset = compare_cfg.get("dataset")
+    if fixed_dataset:
+        sim, pinned = None, _load_dataset(cfg, schema, str(fixed_dataset))
+    else:
+        (out_dir / "datasets").mkdir(exist_ok=True)
+        sim, pinned = sim_config(cfg), None
+    job = _SeedJob(cfg, config_text, out_dir, tuple(methods), schema, sim, pinned)
+
     per_method: dict[str, dict[int, dict[str, Any]]] = {m: {} for m in methods}
-    for seed in seeds:
-        if loaded is None or str(loaded.path) != datasets[seed]:
-            loaded = None  # release the previous seed's log before reading the next
-            loaded = _load_dataset(cfg, schema, datasets[seed])
-        for method in methods:
-            run_dir = out_dir / "runs" / f"{method}_seed{seed}"
-            result = run_train(cfg, config_text, run_dir, seed=seed, method=method, loaded=loaded)
-            per_method[method][seed] = _run_row(method, seed, result)
+    with _seed_pool(job, len(seeds)) as pool:
+        results = pool.imap(_pooled_seed, seeds) if pool else (_compare_seed(job, s) for s in seeds)
+        for text, seed_rows, error in results:
+            sys.stdout.write(text)
+            if error is not None:
+                raise error
+            for row in seed_rows:
+                per_method[row["method"]][row["seed"]] = row
 
     rows = [per_method[m][s] for m in methods for s in seeds]
 

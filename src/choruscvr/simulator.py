@@ -170,16 +170,20 @@ def generate(config: SimConfig) -> tuple[ExposureLog, GenerationReport]:
     click_score = SCORE_GAIN_CLICK * (z_cal @ u_click)
     conv_score = SCORE_GAIN_CONV * (z_cal @ u_conv)
 
+    # The bisection's rates are computed in one scratch array: a fresh
+    # process (a ``compare`` worker) pays a page fault per 4 KB for every
+    # new temporary this size, 120 steps over.
+    scratch = np.empty_like(click_score)
     b0 = _calibrate_intercept(
-        lambda b: float(stable_sigmoid(click_score + b).mean()),
+        lambda b: float(stable_sigmoid(np.add(click_score, b, out=scratch), out=scratch).mean()),
         config.target_click_rate,
         "click rate",
     )
     p_click_cal = stable_sigmoid(click_score + b0)
 
     def conv_given_click(c: float) -> float:
-        p_conv = stable_sigmoid(conv_score + c)
-        return float((p_click_cal * p_conv).mean() / p_click_cal.mean())
+        p_conv = stable_sigmoid(np.add(conv_score, c, out=scratch), out=scratch)
+        return float(np.multiply(p_click_cal, p_conv, out=p_conv).mean() / p_click_cal.mean())
 
     c0 = _calibrate_intercept(conv_given_click, config.target_conv_rate_given_click, "conversion rate")
 

@@ -654,3 +654,6 @@ def test_stable_sigmoid_computes_the_three_exp_form_bit_for_bit():
     e = -np.abs(x)
     three_exp = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(e)), np.exp(e) / (1.0 + np.exp(e)))
     assert stable_sigmoid(x).tobytes() == three_exp.tobytes()
+    in_place = x.copy()
+    assert stable_sigmoid(in_place, out=in_place) is in_place
+    assert in_place.tobytes() == three_exp.tobytes()

@@ -2,11 +2,18 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import multiprocessing
+import os
+import shutil
+import time
+from pathlib import Path
 
 import pytest
 import yaml
 
+import choruscvr
 from choruscvr import cli
 from choruscvr.cli import main
 from choruscvr.data import read_log, write_log
@@ -351,11 +358,27 @@ def test_train_writes_timing_per_phase(trained):
     assert all(float(seconds) > 0.0 for _, _, seconds in rows)
 
 
+def _call_log(path):
+    """A recorder that appends one line per call to ``path``: a file, so
+    calls made in ``compare``'s worker processes are seen too."""
+
+    def record(entry):
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(f"{entry}\n")
+
+    return record
+
+
+def _recorded(path):
+    return path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+
+
 def test_compare_hashes_each_seed_dataset_once(tmp_path, monkeypatch):
-    hashed = []
+    calls = tmp_path / "hashed.txt"
+    record = _call_log(calls)
 
     def counting_sha256(path):
-        hashed.append(path.name)
+        record(path.name)
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
     monkeypatch.setattr(cli, "_sha256", counting_sha256)
@@ -363,7 +386,7 @@ def test_compare_hashes_each_seed_dataset_once(tmp_path, monkeypatch):
     out = tmp_path / "cmp"
     args = ["compare", "--config", str(cfg), "--out", str(out), "--methods", "esmm,chorus,nise", "--seeds", "0,1"]
     assert main(args) == 0
-    assert sorted(hashed) == ["sim_seed0.csv", "sim_seed1.csv"]
+    assert sorted(_recorded(calls)) == ["sim_seed0.csv", "sim_seed1.csv"]
     for seed in (0, 1):
         digest = hashlib.sha256((out / "datasets" / f"sim_seed{seed}.csv").read_bytes()).hexdigest()
         for method in ("esmm", "chorus", "nise"):
@@ -372,10 +395,11 @@ def test_compare_hashes_each_seed_dataset_once(tmp_path, monkeypatch):
 
 
 def test_compare_reads_each_seed_log_once(tmp_path, monkeypatch):
-    reads = []
+    calls = tmp_path / "reads.txt"
+    record = _call_log(calls)
 
     def counting_read_log(path, schema):
-        reads.append(path)
+        record(path)
         return read_log(path, schema)
 
     monkeypatch.setattr(cli, "read_log", counting_read_log)
@@ -383,9 +407,136 @@ def test_compare_reads_each_seed_log_once(tmp_path, monkeypatch):
     out = tmp_path / "cmp"
     args = ["compare", "--config", str(cfg), "--out", str(out), "--methods", "esmm,chorus,nise", "--seeds", "0,1"]
     assert main(args) == 0
-    assert sorted(p.name for p in reads) == ["sim_seed0.csv", "sim_seed1.csv"]
+    assert sorted(Path(p).name for p in _recorded(calls)) == ["sim_seed0.csv", "sim_seed1.csv"]
     for method in ("esmm", "chorus", "nise"):
         for seed in (0, 1):
             manifest = json.loads((out / "runs" / f"{method}_seed{seed}" / "manifest.json").read_text())
             assert manifest["ingestion"]["records"] == 3000
             assert manifest["ingestion"]["skipped"] == 0
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seeds", "0,0"), ("--methods", "esmm,esmm")],
+    ids=["seeds", "methods"],
+)
+def test_compare_rejects_repeated_seed_or_method(simulated, tmp_path, capsys, flag, value):
+    _, cfg, _, _ = simulated
+    args = {"--methods": "esmm,chorus", "--seeds": "0", flag: value}
+    out = tmp_path / "x"
+    code = main(["compare", "--config", str(cfg), "--out", str(out), *(a for kv in args.items() for a in kv)])
+    assert code == 2
+    assert "repeated" in capsys.readouterr().err
+    assert not (out / "comparison.csv").exists()
+
+
+def _artifact_digests(out):
+    """sha256 of every artifact ``tools/artifact_digest.py`` hashes."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "artifact_digest.py"
+    spec = importlib.util.spec_from_file_location("artifact_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.digests(out)
+
+
+def _compare_args(cfg, out, methods="esmm,chorus,nise", seeds="0,1"):
+    return ["compare", "--config", str(cfg), "--out", str(out), "--methods", methods, "--seeds", seeds]
+
+
+def test_package_import_pins_blas_to_one_thread():
+    assert choruscvr.BLAS_PINNED
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert os.environ[var] == "1"
+
+
+def test_pooled_compare_matches_serial_bytes_and_stdout(tmp_path, monkeypatch, capsys):
+    cfg, _ = _write_config(tmp_path)
+    out = tmp_path / "cmp"
+    seen = {}
+    for label, cpus in (("pooled", 2), ("serial", 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(_compare_args(cfg, out)) == 0
+        seen[label] = (_artifact_digests(out), capsys.readouterr().out)
+    digests, stdout = seen["pooled"]
+    assert len(digests) == 2 + 3 * 2 * 5 + 2  # datasets, 5 per run, table and manifest
+    assert digests == seen["serial"][0]
+    assert stdout == seen["serial"][1]
+    assert stdout.count("trained ") == 6
+
+
+@pytest.mark.parametrize("pinned", [True, False], ids=["pinned-blas", "threaded-blas"])
+def test_compare_runs_seeds_in_worker_processes(tmp_path, monkeypatch, pinned):
+    calls = tmp_path / "pids.txt"
+    record = _call_log(calls)
+    real_run_train = cli.run_train
+
+    def recording_run_train(*args, **kwargs):
+        record(os.getpid())
+        return real_run_train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_train", recording_run_train)
+    monkeypatch.setattr(choruscvr, "BLAS_PINNED", pinned)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg, _ = _write_config(tmp_path)
+    assert main(_compare_args(cfg, tmp_path / "cmp", methods="esmm,nise")) == 0
+    pids = [int(pid) for pid in _recorded(calls)]
+    assert len(pids) == 4
+    if pinned:
+        assert os.getpid() not in pids
+    else:
+        assert set(pids) == {os.getpid()}
+
+
+def test_compare_reads_pinned_dataset_once_for_all_seeds(simulated, tmp_path, monkeypatch):
+    _, _, _, dataset = simulated
+    calls = tmp_path / "reads.txt"
+    record = _call_log(calls)
+
+    def counting_read_log(path, schema):
+        record(path)
+        return read_log(path, schema)
+
+    monkeypatch.setattr(cli, "read_log", counting_read_log)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(CONFIG + f"compare:\n  dataset: {dataset}\n", encoding="utf-8")
+    out = tmp_path / "cmp"
+    assert main(_compare_args(cfg, out, methods="esmm,nise")) == 0
+    assert _recorded(calls) == [str(dataset)]
+    lines = (out / "comparison.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[:3] for line in lines[1:5]] == [
+        ["run", "esmm", "0"],
+        ["run", "esmm", "1"],
+        ["run", "nise", "0"],
+        ["run", "nise", "1"],
+    ]
+
+
+def test_compare_reports_first_failing_seed_and_leaves_no_workers(tmp_path, monkeypatch, capsys):
+    real_run_train = cli.run_train
+
+    def failing_run_train(*args, seed=None, **kwargs):
+        if seed == 1:
+            time.sleep(1.0)  # seed 2 fails first in wall-clock time
+            raise RuntimeError("seed 1 diverged")
+        if seed == 2:
+            raise RuntimeError("seed 2 diverged")
+        return real_run_train(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli, "run_train", failing_run_train)
+    cfg, _ = _write_config(tmp_path)
+    outcomes = {}
+    for label, cpus in (("pooled", 2), ("serial", 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        out = tmp_path / label
+        code = main(_compare_args(cfg, out, methods="esmm,nise", seeds="0,1,2"))
+        captured = capsys.readouterr()
+        outcomes[label] = (code, captured.out, captured.err)
+        assert multiprocessing.active_children() == []
+        assert not (out / "comparison.csv").exists()
+    assert outcomes["pooled"] == outcomes["serial"]
+    code, stdout, stderr = outcomes["pooled"]
+    assert code == 1
+    assert stderr == "run failed: seed 1 diverged\n"
+    assert stdout.count("trained ") == 2

@@ -17,16 +17,28 @@ interquartile range is wider than that bound, unless every change run
 beats every parent run. "within bound" otherwise. Every run is as long
 as ``BENCHMARK.json`` sets (``run_seconds``), and every run's metrics
 are printed to stderr as it ends.
+
+Each run is reaped with ``os.wait4``, whose resource usage covers the
+run and every process it waited for, so ``tree_peak_rss_mb`` is the
+largest peak resident memory among ``perfbench/run.py`` and the workers
+it waited for (``compare``'s seed pool). ``peak_rss_mb`` counts only
+``run.py``'s own process. The tree line is printed beside the others
+for information, without a verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+# Reported beside the end-to-end metrics, with no verdict.
+TREE_RSS = {"name": "tree_peak_rss_mb", "unit": "MB", "better": "lower"}
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -40,13 +52,22 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict[str, float]:
-    """One untraced benchmark run; its end-to-end metric values."""
+    """One untraced benchmark run; its end-to-end metric values and
+    ``tree_peak_rss_mb``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(argv, cwd=checkout, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read(), err.read()
     if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: run.py exited {proc.returncode}\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {name: m["value"] for name, m in result["metrics"].items()}
+        raise RuntimeError(f"{checkout}: run.py exited {proc.returncode}\n{stderr}")
+    result = json.loads(stdout.strip().splitlines()[-1])
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    metrics[TREE_RSS["name"]] = usage.ru_maxrss / 1024.0
+    return metrics
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -55,7 +76,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(spec: list[dict], runs: dict[str, list[dict[str, float]]]) -> list[str]:
-    """One line per metric: medians, quartiles, wins and the verdict."""
+    """One line per metric: medians, quartiles, wins and the verdict
+    (none for a metric without a bound)."""
     pairs = len(runs["parent"])
     lines = [f"{'metric':16s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s}  wins  verdict"]
     for metric in spec:
@@ -65,8 +87,11 @@ def summarize(spec: list[dict], runs: dict[str, list[dict[str, float]]]) -> list
         p1, pm, p3 = quartiles(parent)
         c1, cm, c3 = quartiles(change)
         wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
-        gain, bound = sign * (cm - pm), metric["bound"] * abs(pm)
-        if wins >= 0.9 * pairs and gain > p3 - p1:
+        gain = sign * (cm - pm)
+        bound = metric["bound"] * abs(pm) if "bound" in metric else None
+        if bound is None:
+            verdict = "informational"
+        elif wins >= 0.9 * pairs and gain > p3 - p1:
             verdict = "gain"
         elif -gain > bound:
             verdict = "regression"
@@ -97,10 +122,10 @@ def main(argv: list[str] | None = None) -> int:
         for side in order:
             metrics = run_once(sides[side], args.workload, args.seed, seconds)
             runs[side].append(metrics)
-            shown = " ".join(f"{m['name']}={metrics[m['name']]:.6g}" for m in bench["end_to_end"])
+            shown = " ".join(f"{m['name']}={metrics[m['name']]:.6g}" for m in [*bench["end_to_end"], TREE_RSS])
             print(f"pair {pair} {side}: {shown}", file=sys.stderr, flush=True)
     print(f"workload {args.workload}, seed {args.seed}, {seconds} s runs, {args.pairs} alternating pairs")
-    print("\n".join(summarize(bench["end_to_end"], runs)))
+    print("\n".join(summarize([*bench["end_to_end"], TREE_RSS], runs)))
     return 0
 
 
