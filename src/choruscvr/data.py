@@ -15,19 +15,19 @@ import csv
 import dataclasses
 import io
 import math
-from operator import attrgetter, index, itemgetter
+from operator import index
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .features import EncodingError, FeatureSchema
 
 __all__ = [
-    "GroundTruth",
-    "ExposureRecord",
     "ExposureLog",
+    "Row",
+    "as_log",
     "IngestionReport",
     "LogFormatError",
     "read_log",
@@ -49,27 +49,6 @@ class LogFormatError(ValueError):
     """The file cannot be interpreted as an exposure log at all."""
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Simulator-only block: true propensities and the counterfactual
-    conversion outcome that would be observed had the click happened."""
-
-    true_p_click: float
-    true_p_conv: float
-    r_counterfactual: int
-
-
-@dataclass(frozen=True)
-class ExposureRecord:
-    """One exposure as a row: what indexing or iterating a log yields."""
-
-    sample_id: int
-    click: int
-    conversion: int
-    features: Mapping[str, float]
-    truth: GroundTruth | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class ExposureLog:
     """An exposure log as columns; row ``i`` of every column is one exposure.
@@ -77,7 +56,9 @@ class ExposureLog:
     ``ids`` holds the raw categorical ids (int64, one column per name in
     ``id_names``) and ``numeric`` the raw numeric features (float64, one
     column per name in ``numeric_names``), each in the schema's declared
-    order. The three truth columns are all present or all ``None``.
+    order. The three truth columns are all present or all ``None``. A log
+    that breaks these shapes raises :class:`LogFormatError` when built.
+    ``log[i]`` is a :class:`Row`, ``log[a:b]`` a log.
     """
 
     sample_id: np.ndarray
@@ -91,68 +72,18 @@ class ExposureLog:
     true_p_conv: np.ndarray | None = None
     r_counterfactual: np.ndarray | None = None
 
-    @classmethod
-    def from_records(cls, records: "ExposureLog | Iterable[ExposureRecord]", schema: FeatureSchema) -> "ExposureLog":
-        """Columns of a sequence of rows; a log is returned as it is.
-
-        Raises :class:`EncodingError` when a row lacks a schema feature or
-        carries a non-integer categorical id, and :class:`LogFormatError`
-        when only some rows carry ground truth.
-        """
-        if isinstance(records, cls):
-            return records
-        records = list(records)
-        n = len(records)
-
-        def column(rows, get, dtype):
-            return np.fromiter(map(get, rows), dtype=dtype, count=n)
-
-        def block(rows, names):
-            cols = [column(rows, itemgetter(k), np.float64) for k in names]
-            return np.stack(cols, axis=1) if cols else np.zeros((n, 0))
-
-        id_names = tuple(f.name for f in schema.features if f.kind == "categorical")
-        numeric_names = tuple(f.name for f in schema.features if f.kind == "numeric")
-        maps = [rec.features for rec in records]
-        try:
-            raw_ids, numeric = block(maps, id_names), block(maps, numeric_names)
-        except KeyError:
-            i, name = next((i, k) for i, m in enumerate(maps) for k in id_names + numeric_names if k not in m)
-            raise EncodingError(f"record {i} is missing feature {name!r}") from None
-        # float64 holds every integer below 2**53 exactly; larger and
-        # non-finite ids are converted from the rows' own values.
-        exact = np.abs(raw_ids) < FLOAT_EXACT_INT
-        ids = np.where(exact, raw_ids, 0.0)
-        integral = np.floor(ids) == ids
-        ids = ids.astype(np.int64)
-        for i, j in zip(*np.nonzero(~exact)):
-            value = _as_id(maps[i][id_names[j]])
-            integral[i, j] = value is not None
-            ids[i, j] = value or 0
-        if not integral.all():
-            name = id_names[int(np.flatnonzero(~integral.all(axis=0))[0])]
-            raise EncodingError(f"{name} must be an integer id")
-        truths = [rec.truth for rec in records]
-        n_truth = sum(t is not None for t in truths)
-        if n_truth not in (0, n):
-            raise LogFormatError("cannot build a log where only some records carry ground truth")
-        truth = {}
-        if n_truth:
-            truth = {
-                "true_p_click": column(truths, attrgetter("true_p_click"), np.float64),
-                "true_p_conv": column(truths, attrgetter("true_p_conv"), np.float64),
-                "r_counterfactual": column(truths, attrgetter("r_counterfactual"), np.int64),
-            }
-        return cls(
-            sample_id=column(records, attrgetter("sample_id"), np.int64),
-            click=column(records, attrgetter("click"), np.int64),
-            conversion=column(records, attrgetter("conversion"), np.int64),
-            id_names=id_names,
-            ids=ids,
-            numeric_names=numeric_names,
-            numeric=numeric,
-            **truth,
-        )
+    def __post_init__(self) -> None:
+        truth = [c for c in TRUTH_COLUMNS if getattr(self, c) is not None]
+        if 0 < len(truth) < len(TRUTH_COLUMNS):
+            raise LogFormatError(f"truth columns come all or none; got only {truth}")
+        n = len(self.sample_id)
+        for c in COLUMNS:
+            col = getattr(self, c)
+            if col is not None and len(col) != n:
+                raise LogFormatError(f"column {c} has {len(col)} rows, sample_id has {n}")
+        for c, names in (("ids", self.id_names), ("numeric", self.numeric_names)):
+            if getattr(self, c).shape[1:] != (len(names),):
+                raise LogFormatError(f"{c} has shape {getattr(self, c).shape}, expected {len(names)} columns")
 
     @property
     def has_truth(self) -> bool:
@@ -174,19 +105,13 @@ class ExposureLog:
     def __len__(self) -> int:
         return len(self.sample_id)
 
-    def __getitem__(self, key) -> "ExposureRecord | ExposureLog":
+    def __getitem__(self, key) -> "Row | ExposureLog":
         if isinstance(key, slice):
             return self.take(key)
-        i = index(key)
-        features = dict(zip(self.id_names, self.ids[i].tolist()))
-        features.update(zip(self.numeric_names, self.numeric[i].tolist()))
-        truth = None
-        if self.has_truth:
-            truth = GroundTruth(float(self.true_p_click[i]), float(self.true_p_conv[i]), int(self.r_counterfactual[i]))
-        return ExposureRecord(int(self.sample_id[i]), int(self.click[i]), int(self.conversion[i]), features, truth)
+        return Row(self, range(len(self))[index(key)])
 
-    def __iter__(self) -> Iterator[ExposureRecord]:
-        return map(self.__getitem__, range(len(self)))
+    def __iter__(self) -> Iterator["Row"]:
+        return (Row(self, i) for i in range(len(self)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExposureLog):
@@ -200,6 +125,37 @@ class ExposureLog:
         return True
 
 
+class Row:
+    """Row ``i`` of ``log``: each column attribute (``click``, ``ids``,
+    ``true_p_conv``, ...) reads that position of the log's column, and a
+    missing truth column reads ``None``."""
+
+    __slots__ = ("log", "i")
+
+    def __init__(self, log: ExposureLog, i: int) -> None:
+        self.log = log
+        self.i = i
+
+    def __getattr__(self, name: str):
+        if name not in COLUMNS:
+            raise AttributeError(name)
+        col = getattr(self.log, name)
+        return None if col is None else col[self.i]
+
+
+def as_log(records: "ExposureLog | Sequence[Row]") -> ExposureLog:
+    """A log as it is; rows of one log as that log's rows at their
+    positions, in order. Rows of different logs raise ``ValueError``."""
+    if isinstance(records, ExposureLog):
+        return records
+    if not len(records):
+        raise ValueError("an empty row list belongs to no log")
+    log = records[0].log
+    if any(row.log is not log for row in records):
+        raise ValueError("cannot join rows of different logs")
+    return log.take(np.fromiter((row.i for row in records), dtype=np.intp, count=len(records)))
+
+
 @dataclass
 class IngestionReport:
     n_lines: int = 0
@@ -211,16 +167,16 @@ class IngestionReport:
     oov_folds: dict[str, int] = field(default_factory=dict)
 
 
-def _as_id(value) -> int | None:
-    """A number or its text as an int64 id; None when it is not one.
+def _as_id(text: str) -> int | None:
+    """An id field as an int64 id; None when it is not one.
 
-    Integers convert exactly at any size, so an id beyond 2**53 keeps its
-    digits; text that is no number raises ``ValueError``.
+    ``int()`` converts exactly at any size, so an id beyond 2**53 keeps
+    its digits; text that is no number raises ``ValueError``.
     """
     try:
-        v = int(value) if isinstance(value, str) else index(value)
-    except (TypeError, ValueError):
-        f = float(value)
+        v = int(text)
+    except ValueError:
+        f = float(text)
         if not f.is_integer():
             return None
         v = int(f)
@@ -462,13 +418,12 @@ def _format_value(x: float) -> str:
     return repr(f)
 
 
-def write_log(records: ExposureLog | Iterable[ExposureRecord], path: str | Path, schema: FeatureSchema) -> None:
+def write_log(log: ExposureLog, path: str | Path, schema: FeatureSchema) -> None:
     """Write a log in the canonical column order, byte-stable.
 
     Truth columns are included exactly when the log carries them and is
-    not empty; a row list where only some rows carry truth is rejected.
+    not empty.
     """
-    log = ExposureLog.from_records(records, schema)
     with_truth = log.has_truth and len(log) > 0
     header = ["sample_id", "click", "conversion", *(f.name for f in schema.features)]
     columns = [map(str, log.sample_id.tolist()), map(str, log.click.tolist()), map(str, log.conversion.tolist())]

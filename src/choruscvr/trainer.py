@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import OptimizerConfig, OptimizerState, no_grad, optimizer_step
-from .data import ExposureLog, ExposureRecord, batch_iter, label_arrays, truth_arrays
+from .data import ExposureLog, Row, as_log, batch_iter, label_arrays, truth_arrays
 from .features import FeatureMatrix, FeatureSchema, build_matrix
 from .metrics import MetricEntry, MetricsReport, UndefinedMetricError, auc, bias_curve, logloss, pcoc
 from .model import Architecture, ModelParams, init_model, predict_batch
@@ -122,25 +122,33 @@ def _diagnostics(term_values: dict[str, float], ctr_scores: np.ndarray) -> str:
 
 def train(
     config: ExperimentConfig,
-    train_records: ExposureLog | Sequence[ExposureRecord],
-    val_records: ExposureLog | Sequence[ExposureRecord],
+    train_records: ExposureLog | Sequence[Row],
+    val_records: ExposureLog | Sequence[Row],
     schema: FeatureSchema,
 ) -> tuple[ModelParams, TrainHistory]:
     """Run the configured method; returns the best-epoch parameters.
+
+    Validation monitors the click-and-convert AUC. A validation split
+    that is empty or whose labels hold one class cannot define it: then
+    every epoch records ``nan``, counts as the best so far, and patience
+    never stops the run.
 
     Raises :class:`TrainingError` with term values and the propensity
     extremes of the offending batch when the loss stops being finite.
     """
     t0 = time.perf_counter()
-    train_log = ExposureLog.from_records(train_records, schema)
-    val_log = ExposureLog.from_records(val_records, schema)
-    if not len(train_log):
+    if not len(train_records):
         raise TrainingError("no training records")
+    train_log = as_log(train_records)
     fm_train = build_matrix(train_log, schema)
     o_train, r_train = label_arrays(train_log)
-    fm_val = build_matrix(val_log, schema) if len(val_log) else None
-    if fm_val is not None:
+    fm_val = None
+    if len(val_records):
+        val_log = as_log(val_records)
         o_val, r_val = label_arrays(val_log)
+        y_val = (o_val * r_val).astype(np.int64)
+        if 0 < y_val.sum() < len(y_val):
+            fm_val = build_matrix(val_log, schema)
 
     params = init_model(schema, config.arch, config.seed)
     history = TrainHistory(build_s=time.perf_counter() - t0)
@@ -174,17 +182,12 @@ def train(
         term_means = {k: v / n_seen for k, v in term_sums.items()}
         t1 = time.perf_counter()
 
-        if fm_val is not None and fm_val.n_rows > 0:
-            val_out = _predict_chunked(params, fm_val)
-            val_auc = auc(val_out["ctcvr"], (o_val * r_val).astype(np.int64))
-        else:
-            val_auc = float("nan")
+        val_auc = float("nan") if fm_val is None else auc(_predict_chunked(params, fm_val)["ctcvr"], y_val)
         history.epochs.append(
             EpochRecord(epoch, term_means, val_auc, steps_s=t1 - t0, val_s=time.perf_counter() - t1)
         )
-        improved = np.isfinite(val_auc) and val_auc > best_auc
-        if improved or fm_val is None or fm_val.n_rows == 0:
-            best_auc = val_auc if np.isfinite(val_auc) else best_auc
+        if fm_val is None or val_auc > best_auc:
+            best_auc = val_auc
             best_params = params.copy()
             history.best_epoch = epoch
             stale = 0
@@ -216,16 +219,6 @@ def default_eval_pairs(log: ExposureLog) -> tuple[tuple[str, str], ...]:
     return OBSERVED_PAIRS
 
 
-def _space_mask(space: str, o: np.ndarray) -> np.ndarray:
-    if space == "exposure":
-        return np.ones_like(o, dtype=bool)
-    if space == "click":
-        return o == 1
-    if space == "unclick":
-        return o == 0
-    raise ValueError(f"unknown space {space!r}")
-
-
 def _entry(scores: np.ndarray, labels: np.ndarray, pcoc_actual: np.ndarray) -> MetricEntry:
     return MetricEntry(
         auc=auc(scores, labels.astype(np.int64)),
@@ -237,55 +230,48 @@ def _entry(scores: np.ndarray, labels: np.ndarray, pcoc_actual: np.ndarray) -> M
 
 def evaluate(
     params: ModelParams,
-    records: ExposureLog | Sequence[ExposureRecord],
-    pairs: Sequence[tuple[str, str]] | None = None,
+    records: ExposureLog | Sequence[Row],
     n_bins: int = 10,
 ) -> MetricsReport:
-    """Score the records and compute metrics for the requested pairs.
+    """Score the records and compute metrics for every applicable pair.
 
     Observed targets: ``ctr``, ``ctcvr``, ``ctuncvr`` (exposure space)
     and ``cvr`` (click space). ``cvr_counterfactual`` compares the
     conversion head against the counterfactual outcome (AUC, logloss)
-    and against the true conversion propensity (calibration ratio);
-    available only on simulator data. The bias curve bins all records
-    by predicted click propensity; without ground truth it falls back
-    to observed conversions among clicked records and is flagged a
-    biased proxy.
+    and against the true conversion propensity (calibration ratio) on
+    the exposure and un-click spaces; available only on simulator data.
+    The bias curve bins all records by predicted click propensity;
+    without ground truth it falls back to observed conversions among
+    clicked records and is flagged a biased proxy.
     """
-    log = ExposureLog.from_records(records, params.schema)
-    if not len(log):
+    if not len(records):
         raise UndefinedMetricError("cannot evaluate an empty record set")
-    if pairs is None:
-        pairs = default_eval_pairs(log)
+    log = as_log(records)
     fm = build_matrix(log, params.schema)
     o, r = label_arrays(log)
     truth = truth_arrays(log)
     out = _predict_chunked(params, fm)
 
-    report = MetricsReport()
-    for space, target in pairs:
-        mask = _space_mask(space, o)
-        if not mask.any():
-            raise UndefinedMetricError(f"requested space {space!r} is empty")
-        if target == "ctr":
-            scores, labels, actual = out["ctr"][mask], o[mask], o[mask]
-        elif target == "ctcvr":
-            scores, labels, actual = out["ctcvr"][mask], (o * r)[mask], (o * r)[mask]
-        elif target == "ctuncvr":
-            scores, labels, actual = out["ctuncvr"][mask], (o * (1 - r))[mask], (o * (1 - r))[mask]
-        elif target == "cvr":
-            scores, labels, actual = out["cvr"][mask], r[mask], r[mask]
-        elif target == "cvr_counterfactual":
-            if truth is None:
-                raise UndefinedMetricError("cvr_counterfactual needs ground-truth columns")
-            _, p_conv, r_cf = truth
-            scores, labels, actual = out["cvr"][mask], r_cf[mask], p_conv[mask]
-        else:
-            raise ValueError(f"unknown target {target!r}")
-        report.entries[(space, target)] = _entry(scores, labels, actual)
-
+    spaces = {"exposure": np.ones_like(o, dtype=bool), "click": o == 1, "unclick": o == 0}
+    # target -> (scores, labels, what the calibration ratio compares against)
+    targets = {
+        "ctr": (out["ctr"], o, o),
+        "ctcvr": (out["ctcvr"], o * r, o * r),
+        "ctuncvr": (out["ctuncvr"], o * (1 - r), o * (1 - r)),
+        "cvr": (out["cvr"], r, r),
+    }
     if truth is not None:
         _, p_conv, r_cf = truth
+        targets["cvr_counterfactual"] = (out["cvr"], r_cf, p_conv)
+    report = MetricsReport()
+    for space, target in default_eval_pairs(log):
+        mask = spaces[space]
+        if not mask.any():
+            raise UndefinedMetricError(f"space {space!r} is empty")
+        scores, labels, actual = targets[target]
+        report.entries[(space, target)] = _entry(scores[mask], labels[mask], actual[mask])
+
+    if truth is not None:
         report.curve = bias_curve(out["ctr"], out["cvr"], r_cf, n_bins=n_bins)
         report.curve_actual_is_proxy = False
     elif (o == 1).sum() >= n_bins:

@@ -1,6 +1,9 @@
-"""Reference estimators the acceptance and objective tests check against."""
+"""Reference estimators the acceptance and objective tests check against,
+and a log built from feature dicts for tests that write rows by hand."""
 
 import numpy as np
+
+from choruscvr.data import ExposureLog
 
 
 def ipw_mean(values: np.ndarray, mask: np.ndarray, propensity: np.ndarray, floor: float = 0.01) -> float:
@@ -13,3 +16,27 @@ def ipw_mean(values: np.ndarray, mask: np.ndarray, propensity: np.ndarray, floor
     """
     w = np.asarray(mask, dtype=np.float64) / np.maximum(propensity, floor)
     return float(np.mean(w * values))
+
+
+def log_of(rows, schema, click=None, conversion=None) -> ExposureLog:
+    """A log of feature dicts, one per row: sample ids count from 0 and
+    labels default to 0. A schema feature some row lacks is left out of
+    the log, so building its matrix names that feature."""
+    n = len(rows)
+
+    def block(kind, dtype):
+        names = tuple(f.name for f in schema.features if f.kind == kind and all(f.name in row for row in rows))
+        return names, np.array([[row[k] for k in names] for row in rows], dtype=dtype).reshape(n, len(names))
+
+    id_names, ids = block("categorical", np.int64)
+    numeric_names, numeric = block("numeric", np.float64)
+    zeros = np.zeros(n, dtype=np.int64)
+    return ExposureLog(
+        sample_id=np.arange(n, dtype=np.int64),
+        click=zeros if click is None else np.asarray(click, dtype=np.int64),
+        conversion=zeros if conversion is None else np.asarray(conversion, dtype=np.int64),
+        id_names=id_names,
+        ids=ids,
+        numeric_names=numeric_names,
+        numeric=numeric,
+    )

@@ -21,7 +21,7 @@ import yaml
 
 from choruscvr import cli
 from choruscvr.autodiff import Tensor, backward, no_grad
-from choruscvr.data import ExposureLog, ExposureRecord, write_log
+from choruscvr.data import write_log
 from choruscvr.features import NumericStats, build_matrix, build_schema, encode_matrix
 from choruscvr.metrics import auc, logloss, pcoc
 from choruscvr.model import (
@@ -45,7 +45,7 @@ from choruscvr.objectives import (
 )
 from choruscvr.simulator import SimConfig, generate, sim_schema
 
-from oracles import ipw_mean
+from oracles import ipw_mean, log_of
 
 
 def _verdict(tag: str, ok: bool, detail: str) -> bool:
@@ -163,8 +163,7 @@ TERM_NAMES = ("ctr", "ctcvr", "cvr_ipw", "ctuncvr", "uncvr_ipw", "align_ipw", "c
 
 def _matrix(rows, schema):
     """Feature rows into model-input columns, through a log."""
-    log = ExposureLog.from_records([ExposureRecord(i, 0, 0, row) for i, row in enumerate(rows)], schema)
-    return build_matrix(log, schema)
+    return build_matrix(log_of(rows, schema), schema)
 
 
 def _draw_case(seed: int):

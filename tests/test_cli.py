@@ -10,6 +10,7 @@ import shutil
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -232,6 +233,24 @@ def test_compare_generates_per_seed_datasets(tmp_path):
             assert (out / "runs" / f"{method}_seed{seed}" / "checkpoint.bin").is_file()
 
 
+def test_compare_survives_a_validation_split_without_positives(tmp_path):
+    # At 600 exposures, seed 4's validation split holds no click-and-
+    # convert positive; its AUC is undefined, and training goes on as if
+    # there were no validation split rather than failing the comparison.
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(
+        "sim: {n_exposures: 600, seed: 0}\n"
+        "model: {embed_width: 4, encoder_widths: [], tower_widths: [16]}\n"
+        "trainer: {method: chorus, epochs: 2, batch_size: 1024, learning_rate: 0.001, patience: 1, seed: 0}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "cmp"
+    args = ["compare", "--config", str(cfg), "--out", str(out), "--methods", "esmm,chorus", "--seeds", "4"]
+    assert main(args) == 0
+    history = (out / "runs" / "chorus_seed4" / "history.csv").read_text().splitlines()
+    assert [line.split(",")[-2:] for line in history[1:]] == [["nan", "0"], ["nan", "1"]]
+
+
 def test_compare_needs_two_methods(simulated, tmp_path):
     _, cfg, _, _ = simulated
     code = main(
@@ -289,7 +308,7 @@ def test_log_without_conversions_exits_1(simulated, tmp_path, capsys):
     schema = sim_schema(SimConfig(**yaml.safe_load(CONFIG)["sim"]))
     records, _ = read_log(dataset, schema)
     no_conv = tmp_path / "no_conv.csv"
-    write_log([dataclasses.replace(rec, conversion=0) for rec in records], no_conv, schema)
+    write_log(dataclasses.replace(records, conversion=np.zeros_like(records.conversion)), no_conv, schema)
     cfg, _ = _write_config(tmp_path, f"  dataset: {no_conv}\n")
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert "run failed" in capsys.readouterr().err

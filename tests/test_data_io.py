@@ -1,22 +1,24 @@
 """Exposure-log CSV round trips, validation, labels, batching."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from choruscvr import data
 from choruscvr.data import (
-    ExposureLog,
-    ExposureRecord,
-    GroundTruth,
     LogFormatError,
+    as_log,
     batch_iter,
     label_arrays,
     read_log,
     truth_arrays,
     write_log,
 )
-from choruscvr.features import EncodingError, build_matrix, build_schema
+from choruscvr.features import build_matrix, build_schema
 from choruscvr.simulator import SimConfig, generate, sim_schema
+
+from oracles import log_of
 
 SCHEMA = build_schema(
     [
@@ -42,7 +44,9 @@ def test_well_formed_file(tmp_path):
     assert report.n_records == 3
     assert report.skipped == []
     assert report.funnel_violations == 0
-    assert records[0] == ExposureRecord(0, 1, 0, {"f0": 2.0, "x": 0.5}, None)
+    row = records[0]
+    assert (row.sample_id, row.click, row.conversion) == (0, 1, 0)
+    assert (row.ids.tolist(), row.numeric.tolist(), row.r_counterfactual) == ([2], [0.5], None)
 
 
 def test_funnel_violation_dropped_and_counted(tmp_path):
@@ -64,7 +68,7 @@ def test_malformed_rows_skipped_and_itemized(tmp_path):
         "4,0,0,0,1.0\n",
     )
     records, report = read_log(p, SCHEMA)
-    assert [r.sample_id for r in records] == [0, 4]
+    assert records.sample_id.tolist() == [0, 4]
     lines = [line for line, _ in report.skipped]
     assert lines == [3, 4, 5]
     assert any("click" in reason for _, reason in report.skipped)
@@ -80,7 +84,7 @@ def test_non_integer_categorical_ids_skipped_and_itemized(tmp_path):
         "3,1,1,3.0,0.25\n",  # integral after parsing, kept
     )
     records, report = read_log(p, SCHEMA)
-    assert [r.sample_id for r in records] == [3]
+    assert records.sample_id.tolist() == [3]
     assert [line for line, _ in report.skipped] == [2, 3, 4]
     assert all("f0 must be an integer id" in reason for _, reason in report.skipped)
     assert "'2.7'" in report.skipped[1][1]
@@ -129,14 +133,11 @@ def test_empty_file_fatal(tmp_path):
 
 
 def test_round_trip_without_truth(tmp_path):
-    records = [
-        ExposureRecord(0, 1, 1, {"f0": 3.0, "x": -0.125}, None),
-        ExposureRecord(1, 0, 0, {"f0": 0.0, "x": 7.5}, None),
-    ]
+    log = log_of([{"f0": 3, "x": -0.125}, {"f0": 0, "x": 7.5}], SCHEMA, click=[1, 0], conversion=[1, 0])
     p = tmp_path / "rt.csv"
-    write_log(records, p, SCHEMA)
+    write_log(log, p, SCHEMA)
     back, report = read_log(p, SCHEMA)
-    assert list(back) == records
+    assert back == log
     assert report.funnel_violations == 0
 
 
@@ -151,13 +152,47 @@ def test_round_trip_simulator_output(tmp_path):
     assert back == records  # field-by-field, including ground truth
 
 
-def test_write_rejects_mixed_truth(tmp_path):
-    records = [
-        ExposureRecord(0, 1, 0, {"f0": 1.0, "x": 0.0}, GroundTruth(0.5, 0.2, 0)),
-        ExposureRecord(1, 0, 0, {"f0": 1.0, "x": 0.0}, None),
-    ]
-    with pytest.raises(LogFormatError, match="ground truth"):
-        write_log(records, tmp_path / "bad.csv", SCHEMA)
+def test_log_rejects_partial_truth():
+    log = log_of([{"f0": 1, "x": 0.0}] * 2, SCHEMA)
+    with pytest.raises(LogFormatError, match="all or none"):
+        dataclasses.replace(log, true_p_click=np.full(2, 0.5), true_p_conv=np.full(2, 0.2))
+    with pytest.raises(LogFormatError, match="all or none"):
+        dataclasses.replace(generate(SimConfig(n_exposures=10, seed=0))[0], r_counterfactual=None)
+
+
+def test_log_rejects_columns_of_other_lengths_or_widths():
+    log = log_of([{"f0": 1, "x": 0.0}] * 3, SCHEMA)
+    with pytest.raises(LogFormatError, match="click has 2 rows"):
+        dataclasses.replace(log, click=log.click[:2])
+    with pytest.raises(LogFormatError, match="ids has shape"):
+        dataclasses.replace(log, ids=np.zeros((3, 2), dtype=np.int64))
+    with pytest.raises(LogFormatError, match="numeric has shape"):
+        dataclasses.replace(log, numeric=np.zeros(3))
+
+
+def test_indexing_yields_a_row_that_reads_the_columns():
+    log, _ = generate(SimConfig(n_exposures=20, seed=2))
+    row = log[-3]
+    assert row.log is log and row.i == 17
+    assert row.click == log.click[17] and row.true_p_conv == log.true_p_conv[17]
+    assert row.ids.tolist() == log.ids[17].tolist()
+    assert dataclasses.replace(log, true_p_click=None, true_p_conv=None, r_counterfactual=None)[0].true_p_click is None
+    assert [r.sample_id for r in log] == log.sample_id.tolist()
+    with pytest.raises(IndexError):
+        log[20]
+    with pytest.raises(AttributeError):
+        row.features
+
+
+def test_as_log_takes_the_rows_at_their_positions():
+    log, _ = generate(SimConfig(n_exposures=20, seed=2))
+    assert as_log(log) is log
+    assert as_log([log[5], log[2], log[5]]) == log.take(np.array([5, 2, 5]))
+    other, _ = generate(SimConfig(n_exposures=20, seed=2))
+    with pytest.raises(ValueError, match="different logs"):
+        as_log([log[0], other[1]])
+    with pytest.raises(ValueError, match="empty"):
+        as_log([])
 
 
 def test_write_is_byte_stable(tmp_path):
@@ -169,14 +204,10 @@ def test_write_is_byte_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def _rec(i, o, r):
-    return ExposureRecord(i, o, r, {"f0": 0.0, "x": 0.0}, None)
-
-
 def test_partition_truth_table():
     # The exposure space splits into clicked (o=1) and unclicked (o=0) rows,
     # and the clicked space into converted (r=1) and unconverted (r=0) rows.
-    o, r = label_arrays(ExposureLog.from_records([_rec(0, 1, 1), _rec(1, 1, 0), _rec(2, 0, 0)], SCHEMA))
+    o, r = label_arrays(log_of([{"f0": 0, "x": 0.0}] * 3, SCHEMA, click=[1, 1, 0], conversion=[1, 0, 0]))
     assert np.flatnonzero(o == 1).tolist() == [0, 1]
     assert np.flatnonzero(o == 0).tolist() == [2]
     assert np.flatnonzero(r == 1).tolist() == [0]
@@ -192,13 +223,12 @@ def test_partition_invariants_on_simulated_data():
 
 
 def test_label_and_truth_arrays():
-    no_features = build_schema([])
-    records = ExposureLog.from_records(
-        [
-            ExposureRecord(0, 1, 1, {}, GroundTruth(0.5, 0.25, 1)),
-            ExposureRecord(1, 0, 0, {}, GroundTruth(0.125, 0.75, 0)),
-        ],
-        no_features,
+    observed = log_of([{}] * 2, build_schema([]), click=[1, 0], conversion=[1, 0])
+    records = dataclasses.replace(
+        observed,
+        true_p_click=np.array([0.5, 0.125]),
+        true_p_conv=np.array([0.25, 0.75]),
+        r_counterfactual=np.array([1, 0]),
     )
     o, r = label_arrays(records)
     assert o.tolist() == [1.0, 0.0]
@@ -209,9 +239,7 @@ def test_label_and_truth_arrays():
     assert p_click.tolist() == [0.5, 0.125]
     assert p_conv.tolist() == [0.25, 0.75]
     assert r_cf.tolist() == [1.0, 0.0]
-    assert truth_arrays(ExposureLog.from_records([ExposureRecord(2, 0, 0, {}, None)], no_features)) is None
-    with pytest.raises(LogFormatError, match="ground truth"):
-        ExposureLog.from_records([records[0], ExposureRecord(2, 0, 0, {}, None)], no_features)
+    assert truth_arrays(observed) is None
 
 
 def test_batch_sizes_with_short_tail():
@@ -243,7 +271,7 @@ def test_batch_iter_rejects_empty_and_bad_size():
 def test_non_finite_numeric_values_skipped_and_itemized(tmp_path):
     p = _write(tmp_path, "sample_id,click,conversion,f0,x\n0,1,0,1,nan\n1,0,0,2,inf\n2,0,0,3,-inf\n3,1,1,0,0.5\n")
     records, report = read_log(p, SCHEMA)
-    assert [r.sample_id for r in records] == [3]
+    assert records.sample_id.tolist() == [3]
     assert report.skipped == [
         (2, "x must be finite, got 'nan'"),
         (3, "x must be finite, got 'inf'"),
@@ -282,9 +310,8 @@ BIG_IDS = [2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63), 5]
 def test_ids_beyond_float64_precision_read_back_exactly(tmp_path, monkeypatch, parser):
     if parser == "row":
         monkeypatch.setattr(data, "_parse_columns", lambda body, layout: None)
-    records = [ExposureRecord(i, 0, 0, {"f0": v, "x": 0.5}) for i, v in enumerate(BIG_IDS)]
     p = tmp_path / "log.csv"
-    write_log(records, p, SCHEMA)
+    write_log(log_of([{"f0": v, "x": 0.5} for v in BIG_IDS], SCHEMA), p, SCHEMA)
     assert "9007199254740993" in p.read_text(encoding="utf-8")
     back, report = read_log(p, SCHEMA)
     assert report.skipped == []
@@ -299,11 +326,3 @@ def test_short_ids_stay_on_the_vectorized_pass(tmp_path, monkeypatch):
     p = _write(tmp_path, "sample_id,click,conversion,f0,x\n0,1,0,900719925474099,0.5\n1,0,0,-3,1.0\n")
     back, _ = read_log(p, SCHEMA)
     assert back.column("f0", "categorical").tolist() == [900719925474099, -3]
-
-
-def test_from_records_keeps_ids_beyond_float64_precision():
-    log = ExposureLog.from_records([ExposureRecord(i, 0, 0, {"f0": v, "x": 0.0}) for i, v in enumerate(BIG_IDS)], SCHEMA)
-    assert log.ids[:, 0].tolist() == BIG_IDS
-    for bad in (2**63, -(2**63) - 1, 1e300, float("nan"), 2.5):
-        with pytest.raises(EncodingError, match="f0 must be an integer id"):
-            ExposureLog.from_records([ExposureRecord(0, 0, 0, {"f0": bad, "x": 0.0})], SCHEMA)

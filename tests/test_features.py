@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from choruscvr.autodiff import Tensor, backward
-from choruscvr.data import ExposureLog, ExposureRecord
+from choruscvr.data import read_log
 from choruscvr.features import (
     EncodingError,
     NumericStats,
@@ -15,11 +15,12 @@ from choruscvr.features import (
     init_tables,
 )
 
+from oracles import log_of
+
 
 def _matrix(rows, schema):
     """Feature rows into model-input columns, through a log."""
-    log = ExposureLog.from_records([ExposureRecord(i, 0, 0, row) for i, row in enumerate(rows)], schema)
-    return build_matrix(log, schema)
+    return build_matrix(log_of(rows, schema), schema)
 
 
 def _encode_one(row, schema, tables) -> np.ndarray:
@@ -126,10 +127,15 @@ def test_missing_feature_names_it():
         _matrix([{"item_cat": 0, "user_cat": 0}], schema)
 
 
-def test_fractional_categorical_id_is_rejected_not_truncated():
+def test_fractional_categorical_id_is_rejected_not_truncated(tmp_path):
+    # A log holds int64 ids, so a fractional id is stopped where it is
+    # read: its row is skipped and itemized, never kept as 2.
     schema = build_schema(_mixed_config())
-    with pytest.raises(EncodingError, match="item_cat must be an integer id"):
-        _matrix([{"item_cat": 2.5, "user_cat": 0, "price": 1.0}], schema)
+    path = tmp_path / "log.csv"
+    path.write_text("sample_id,click,conversion,item_cat,user_cat,price\n0,0,0,2.5,0,1.0\n1,0,0,2,0,1.0\n")
+    log, report = read_log(path, schema)
+    assert report.skipped == [(2, "item_cat must be an integer id, got '2.5'")]
+    assert log.column("item_cat", "categorical").tolist() == [2]
 
 
 def test_out_of_vocabulary_folds_modulo():

@@ -5,7 +5,6 @@ import pytest
 
 from choruscvr import model
 from choruscvr.autodiff import ShapeError, Tensor, backward, no_grad
-from choruscvr.data import ExposureLog, ExposureRecord
 from choruscvr.features import NumericStats, build_matrix, build_schema
 from choruscvr.model import (
     Architecture,
@@ -17,6 +16,8 @@ from choruscvr.model import (
     save_checkpoint,
 )
 from choruscvr.objectives import IpwConfig, LossWeights, compose_method_loss
+
+from oracles import log_of
 
 SCHEMA = build_schema(
     [
@@ -31,8 +32,7 @@ ARCH = Architecture(encoder_widths=(8,), tower_widths=(4,))
 
 def _matrix(rows, schema):
     """Feature rows into model-input columns, through a log."""
-    log = ExposureLog.from_records([ExposureRecord(i, 0, 0, row) for i, row in enumerate(rows)], schema)
-    return build_matrix(log, schema)
+    return build_matrix(log_of(rows, schema), schema)
 
 
 def _rows(n, rng):

@@ -18,7 +18,7 @@ from choruscvr.autodiff import (
     mlp_forward,
     optimizer_step,
 )
-from choruscvr.data import ExposureLog, ExposureRecord, label_arrays
+from choruscvr.data import label_arrays
 from choruscvr.features import build_matrix, build_schema, encode_matrix
 from choruscvr.model import PROB_CLAMP, TOWER_NAMES, Architecture, TowerOutputs, init_model, predict_batch
 from choruscvr.objectives import (
@@ -41,7 +41,7 @@ from choruscvr.objectives import (
 )
 from choruscvr.simulator import SimConfig, generate, sim_schema
 
-from oracles import ipw_mean
+from oracles import ipw_mean, log_of
 
 TOL = 1e-9
 IPW = IpwConfig()
@@ -453,8 +453,7 @@ ARCH = Architecture(encoder_widths=(), tower_widths=(4,))
 
 def _matrix(rows, schema):
     """Feature rows into model-input columns, through a log."""
-    log = ExposureLog.from_records([ExposureRecord(i, 0, 0, row) for i, row in enumerate(rows)], schema)
-    return build_matrix(log, schema)
+    return build_matrix(log_of(rows, schema), schema)
 
 
 def _fm(n, seed):

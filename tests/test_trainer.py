@@ -1,10 +1,11 @@
 """Training loop, splits, evaluation pairs, and history output."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from choruscvr.autodiff import OptimizerConfig
-from choruscvr.data import ExposureLog
 from choruscvr.metrics import UndefinedMetricError
 from choruscvr.model import Architecture, ModelParams, init_model
 from choruscvr.simulator import SimConfig, generate, sim_schema
@@ -29,6 +30,11 @@ def sim_data():
     records, report = generate(config)
     schema = sim_schema(config)
     return records, schema, report
+
+
+def _strip(log):
+    """The log without its ground-truth columns."""
+    return dataclasses.replace(log, true_p_click=None, true_p_conv=None, r_counterfactual=None)
 
 
 def _small_config(**overrides):
@@ -80,6 +86,37 @@ def test_train_requires_records(sim_data):
     _, schema, _ = sim_data
     with pytest.raises(TrainingError):
         train(_small_config(), [], [], schema)
+
+
+def test_single_class_validation_trains_as_without_validation(sim_data):
+    # No click-and-convert positive in the validation split: its AUC is
+    # undefined, so every epoch records nan, counts as the best so far,
+    # and patience cannot stop the run.
+    records, schema, _ = sim_data
+    val = records[2000:2400]
+    no_positive = dataclasses.replace(val, conversion=np.zeros_like(val.conversion))
+    config = _small_config(epochs=3, patience=1)
+    params, history = train(config, records[:2000], no_positive, schema)
+    assert len(history.epochs) == 3
+    assert all(np.isnan(rec.val_ctcvr_auc) for rec in history.epochs)
+    assert history.best_epoch == 3
+    unvalidated, _ = train(config, records[:2000], records[:0], schema)
+    for got, want in zip(params.parameters(), unvalidated.parameters()):
+        assert got.value.tobytes() == want.value.tobytes()
+
+
+def test_train_takes_rows_of_one_log_only(sim_data):
+    records, schema, _ = sim_data
+    config = _small_config(epochs=1)
+    rows = [records[i] for i in range(2000)]
+    from_rows, _ = train(config, rows, [records[i] for i in range(2000, 2400)], schema)
+    from_log, _ = train(config, records[:2000], records[2000:2400], schema)
+    for got, want in zip(from_rows.parameters(), from_log.parameters()):
+        assert got.value.tobytes() == want.value.tobytes()
+    assert evaluate(from_rows, rows).entries == evaluate(from_log, records[:2000]).entries
+    # A slice is a log of its own; its rows do not join the parent's.
+    with pytest.raises(ValueError, match="different logs"):
+        train(config, rows[:10] + [records[:3000][5]], rows[10:20], schema)
 
 
 def test_train_is_deterministic(sim_data):
@@ -158,8 +195,7 @@ def test_best_epoch_params_returned(sim_data):
 def test_default_pairs_depend_on_truth(sim_data):
     records, schema, _ = sim_data
     assert default_eval_pairs(records) == OBSERVED_PAIRS + COUNTERFACTUAL_PAIRS
-    stripped = [rec.__class__(rec.sample_id, rec.click, rec.conversion, rec.features) for rec in records[:50]]
-    assert default_eval_pairs(ExposureLog.from_records(stripped, schema)) == OBSERVED_PAIRS
+    assert default_eval_pairs(_strip(records[:50])) == OBSERVED_PAIRS
 
 
 def test_evaluate_covers_requested_pairs(sim_data):
@@ -167,7 +203,7 @@ def test_evaluate_covers_requested_pairs(sim_data):
     params = init_model(schema, ARCH, seed=0)
     report = evaluate(params, records[:3000])
     assert set(report.entries) == set(OBSERVED_PAIRS + COUNTERFACTUAL_PAIRS)
-    n_click = sum(rec.click for rec in records[:3000])
+    n_click = int(records.click[:3000].sum())
     assert report.entries[("exposure", "ctr")].count == 3000
     assert report.entries[("click", "cvr")].count == n_click
     assert report.entries[("unclick", "cvr_counterfactual")].count == 3000 - n_click
@@ -181,28 +217,20 @@ def test_evaluate_constant_model_scores_half_auc(sim_data):
     params = init_model(schema, ARCH, seed=0)
     for tensor in params.parameters():
         tensor.value[...] = 0.0
-    report = evaluate(params, records[:2000], pairs=[("exposure", "ctr")])
+    report = evaluate(params, records[:2000])
     entry = report.entries[("exposure", "ctr")]
     assert entry.auc == pytest.approx(0.5, abs=1e-12)
-    click_rate = np.mean([rec.click for rec in records[:2000]])
+    click_rate = np.mean(records.click[:2000])
     assert entry.pcoc == pytest.approx(0.5 / click_rate, rel=1e-9)
-
-
-def test_evaluate_counterfactual_needs_truth(sim_data):
-    records, schema, _ = sim_data
-    params = init_model(schema, ARCH, seed=0)
-    stripped = [rec.__class__(rec.sample_id, rec.click, rec.conversion, rec.features) for rec in records[:200]]
-    with pytest.raises(UndefinedMetricError):
-        evaluate(params, stripped, pairs=[("exposure", "cvr_counterfactual")])
 
 
 def test_evaluate_proxy_curve_without_truth(sim_data):
     records, schema, _ = sim_data
     params = init_model(schema, ARCH, seed=0)
-    stripped = [rec.__class__(rec.sample_id, rec.click, rec.conversion, rec.features) for rec in records[:2000]]
-    report = evaluate(params, stripped, pairs=[("exposure", "ctr")])
+    stripped = _strip(records[:2000])
+    report = evaluate(params, stripped)
     assert report.curve_actual_is_proxy is True
-    n_click = sum(rec.click for rec in stripped)
+    n_click = int(stripped.click.sum())
     assert sum(b.count for b in report.curve) == n_click
 
 

@@ -18,6 +18,12 @@ beats every parent run. "within bound" otherwise. Every run is as long
 as ``BENCHMARK.json`` sets (``run_seconds``), and every run's metrics
 are printed to stderr as it ends.
 
+The same comparison is written to ``BENCH_<workload>.json`` in the
+current directory: every run's metrics on each side, each metric's
+medians, quartiles, wins and verdict, ``nproc``, the BLAS thread
+variables each side's ``run.py`` reported, and each checkout's
+``git rev-parse HEAD`` (``null`` outside a git checkout).
+
 Each run is reaped with ``os.wait4``, whose resource usage covers the
 run and every process it waited for, so ``tree_peak_rss_mb`` is the
 largest peak resident memory among ``perfbench/run.py`` and the workers
@@ -39,6 +45,7 @@ from pathlib import Path
 
 # Reported beside the end-to-end metrics, with no verdict.
 TREE_RSS = {"name": "tree_peak_rss_mb", "unit": "MB", "better": "lower"}
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -51,9 +58,9 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict[str, float]:
-    """One untraced benchmark run; its end-to-end metric values and
-    ``tree_peak_rss_mb``."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[dict[str, float], dict]:
+    """One untraced benchmark run: its end-to-end metric values with
+    ``tree_peak_rss_mb``, and the environment ``run.py`` reported."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
         proc = subprocess.Popen(argv, cwd=checkout, stdout=out, stderr=err)
@@ -64,10 +71,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict[str
         stdout, stderr = out.read(), err.read()
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: run.py exited {proc.returncode}\n{stderr}")
-    result = json.loads(stdout.strip().splitlines()[-1])
-    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    lines = stdout.strip().splitlines()
+    env = json.loads(next(line for line in lines if line.startswith("env "))[4:])
+    metrics = {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}
     metrics[TREE_RSS["name"]] = usage.ru_maxrss / 1024.0
-    return metrics
+    return metrics, env
+
+
+def git_head(checkout: Path) -> str | None:
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"], capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -75,11 +88,11 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(spec: list[dict], runs: dict[str, list[dict[str, float]]]) -> list[str]:
-    """One line per metric: medians, quartiles, wins and the verdict
-    (none for a metric without a bound)."""
+def compare(spec: list[dict], runs: dict[str, list[dict[str, float]]]) -> list[dict]:
+    """Per metric: each side's median and quartiles, the change's wins
+    and the verdict ("informational" for a metric without a bound)."""
     pairs = len(runs["parent"])
-    lines = [f"{'metric':16s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s}  wins  verdict"]
+    rows = []
     for metric in spec:
         name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
         parent = [r[name] for r in runs["parent"]]
@@ -99,11 +112,29 @@ def summarize(spec: list[dict], runs: dict[str, list[dict[str, float]]]) -> list
             verdict = "unresolved"
         else:
             verdict = "within bound"
-        ratio = f"{cm / pm:.3f}x" if pm else "-"
+        rows.append(
+            {
+                **metric,
+                "parent": {"median": pm, "q1": p1, "q3": p3},
+                "change": {"median": cm, "q1": c1, "q3": c3},
+                "wins": wins,
+                "pairs": pairs,
+                "verdict": verdict,
+            }
+        )
+    return rows
+
+
+def summarize(rows: list[dict]) -> list[str]:
+    """One line per metric: medians, quartiles, wins and the verdict."""
+    lines = [f"{'metric':16s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s}  wins  verdict"]
+    for row in rows:
+        p, c = row["parent"], row["change"]
+        ratio = f"{c['median'] / p['median']:.3f}x" if p["median"] else "-"
         lines.append(
-            f"{name:16s} {pm:12.6g} [{p1:.6g}, {p3:.6g}]".ljust(51)
-            + f" {cm:12.6g} [{c1:.6g}, {c3:.6g}]".ljust(35)
-            + f" {wins:2d}/{pairs}  {verdict} ({ratio} of parent)"
+            f"{row['name']:16s} {p['median']:12.6g} [{p['q1']:.6g}, {p['q3']:.6g}]".ljust(51)
+            + f" {c['median']:12.6g} [{c['q1']:.6g}, {c['q3']:.6g}]".ljust(35)
+            + f" {row['wins']:2d}/{row['pairs']}  {row['verdict']} ({ratio} of parent)"
         )
     return lines
 
@@ -117,15 +148,29 @@ def main(argv: list[str] | None = None) -> int:
     seconds = int(bench["run_seconds"])
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
+    envs: dict[str, dict] = {}
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            metrics = run_once(sides[side], args.workload, args.seed, seconds)
+            metrics, envs[side] = run_once(sides[side], args.workload, args.seed, seconds)
             runs[side].append(metrics)
             shown = " ".join(f"{m['name']}={metrics[m['name']]:.6g}" for m in [*bench["end_to_end"], TREE_RSS])
             print(f"pair {pair} {side}: {shown}", file=sys.stderr, flush=True)
+    rows = compare([*bench["end_to_end"], TREE_RSS], runs)
     print(f"workload {args.workload}, seed {args.seed}, {seconds} s runs, {args.pairs} alternating pairs")
-    print("\n".join(summarize([*bench["end_to_end"], TREE_RSS], runs)))
+    print("\n".join(summarize(rows)))
+    record = {
+        "workload": args.workload,
+        "seed": args.seed,
+        "run_seconds": seconds,
+        "pairs": args.pairs,
+        "nproc": os.cpu_count(),
+        "blas_threads": {side: {var: env.get(var) for var in BLAS_ENV} for side, env in envs.items()},
+        "git_head": {side: git_head(path) for side, path in sides.items()},
+        "metrics": rows,
+        "runs": runs,
+    }
+    Path(f"BENCH_{args.workload}.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
