@@ -53,11 +53,12 @@ class LogFormatError(ValueError):
 class ExposureLog:
     """An exposure log as columns; row ``i`` of every column is one exposure.
 
-    ``ids`` holds the raw categorical ids (int64, one column per name in
-    ``id_names``) and ``numeric`` the raw numeric features (float64, one
-    column per name in ``numeric_names``), each in the schema's declared
-    order. The three truth columns are all present or all ``None``. A log
-    that breaks these shapes raises :class:`LogFormatError` when built.
+    ``ids`` holds the raw categorical ids (an integer dtype, one column
+    per name in ``id_names``) and ``numeric`` the raw numeric features
+    (float64, one column per name in ``numeric_names``), each in the
+    schema's declared order. The three truth columns are all present or
+    all ``None``. A log that breaks these shapes, or whose ids are not
+    integers, raises :class:`LogFormatError` when built.
     ``log[i]`` is a :class:`Row`, ``log[a:b]`` a log.
     """
 
@@ -84,6 +85,8 @@ class ExposureLog:
         for c, names in (("ids", self.id_names), ("numeric", self.numeric_names)):
             if getattr(self, c).shape[1:] != (len(names),):
                 raise LogFormatError(f"{c} has shape {getattr(self, c).shape}, expected {len(names)} columns")
+        if not np.issubdtype(self.ids.dtype, np.integer):
+            raise LogFormatError(f"column ids has dtype {self.ids.dtype}, expected integers")
 
     @property
     def has_truth(self) -> bool:

@@ -1,15 +1,15 @@
 """Feature schema and encoding into the model's dense input vector.
 
 An exposure's categorical features are looked up in gradient-tracked
-embedding tables and its numeric features are standardized with frozen
-statistics; blocks concatenate user, then item, then cross features,
-each block in schema order.
+embedding tables and its numeric features enter as read; blocks
+concatenate user, then item, then cross features, each block in schema
+order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -21,7 +21,6 @@ __all__ = [
     "FeatureSchema",
     "SchemaError",
     "EncodingError",
-    "NumericStats",
     "build_schema",
     "init_tables",
     "FeatureMatrix",
@@ -50,14 +49,6 @@ class FeatureSpec:
 
 
 @dataclass(frozen=True)
-class NumericStats:
-    """Frozen standardization constants for one numeric feature."""
-
-    mean: float
-    std: float
-
-
-@dataclass(frozen=True)
 class FeatureSchema:
     """Declared feature order plus the derived block layout.
 
@@ -67,7 +58,6 @@ class FeatureSchema:
     """
 
     features: tuple[FeatureSpec, ...]
-    numeric_stats: Mapping[str, NumericStats] = field(default_factory=dict)
 
     @property
     def ordered(self) -> tuple[FeatureSpec, ...]:
@@ -77,14 +67,8 @@ class FeatureSchema:
     def input_width(self) -> int:
         return sum(f.embed_width if f.kind == "categorical" else 1 for f in self.features)
 
-    def stats_for(self, name: str) -> NumericStats:
-        return self.numeric_stats.get(name, NumericStats(0.0, 1.0))
 
-
-def build_schema(
-    config: Sequence[Mapping],
-    numeric_stats: Mapping[str, NumericStats] | None = None,
-) -> FeatureSchema:
+def build_schema(config: Sequence[Mapping]) -> FeatureSchema:
     """Validate feature declarations and fix their order.
 
     Each entry needs ``name`` and ``kind``; categorical entries need
@@ -114,7 +98,7 @@ def build_schema(
             specs.append(FeatureSpec(name, kind, side, vocab, width))
         else:
             specs.append(FeatureSpec(name, kind, side))
-    return FeatureSchema(tuple(specs), dict(numeric_stats or {}))
+    return FeatureSchema(tuple(specs))
 
 
 def init_tables(schema: FeatureSchema, rng: np.random.Generator) -> dict[str, Tensor]:
@@ -135,7 +119,7 @@ class FeatureMatrix:
     """Model-input columns of a log, in its row order, for one
     :func:`~choruscvr.autodiff.gather_concat` per batch. ``index`` holds
     each row's chunks of the tables (in schema order), an id folded modulo
-    its vocabulary as its table row's chunks; standardized numerics fill
+    its vocabulary as its table row's chunks; the numerics, as read, fill
     the input columns ``num_cols``."""
 
     n_rows: int
@@ -150,8 +134,7 @@ class FeatureMatrix:
 
 def build_matrix(log, schema: FeatureSchema) -> FeatureMatrix:
     """Model-input columns of an :class:`~choruscvr.data.ExposureLog`:
-    categorical ids folded modulo their vocabulary, numerics
-    standardized with the schema's frozen statistics."""
+    categorical ids folded modulo their vocabulary, numerics as read."""
     n, cats = len(log), [f for f in schema.ordered if f.kind == "categorical"]
     chunk, start = math.gcd(*(f.embed_width for f in cats)) if cats else 1, 0
     cols: list[np.ndarray] = []  # one per chunk of the tables
@@ -164,9 +147,8 @@ def build_matrix(log, schema: FeatureSchema) -> FeatureMatrix:
             cols += [first + j for j in range(per_row)]
             start += f.vocab_size * per_row
         else:
-            st = schema.stats_for(f.name)
             num_cols.append(len(cols) * chunk + len(num_cols))
-            num_values.append((col - st.mean) / st.std)
+            num_values.append(col)
     index = np.stack(cols, axis=1) if cols else np.zeros((n, 0), dtype=np.int64)
     numerics = np.stack(num_values, axis=1) if num_values else np.zeros((n, 0))
     return FeatureMatrix(n, chunk, index, np.array(num_cols, dtype=np.int64), numerics)

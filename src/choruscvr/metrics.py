@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = [
     "UndefinedMetricError",
@@ -48,7 +47,15 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(f"AUC needs both classes, got {n_pos} positives / {n_neg} negatives")
-    ranks = rankdata(scores, method="average")
+    if np.isnan(scores).any():
+        return float("nan")
+    # Average ranks: each run of equal sorted scores [start, end) shares
+    # rank (start + end + 1) / 2. Half-integer sums are exact below 2**53.
+    order = np.argsort(scores, axis=None, kind="stable")
+    ranked, pos = scores.ravel()[order], pos.ravel()[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    ends = np.r_[starts[1:], scores.size]
+    ranks = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -19,7 +19,6 @@ from .autodiff import Tensor, ShapeError, mlp_forward, tower_heads
 from .features import (
     FeatureMatrix,
     FeatureSchema,
-    NumericStats,
     build_schema,
     encode_matrix,
     init_tables,
@@ -193,7 +192,7 @@ def _schema_to_json(schema: FeatureSchema) -> dict:
             }
             for f in schema.features
         ],
-        "numeric_stats": {k: [v.mean, v.std] for k, v in sorted(schema.numeric_stats.items())},
+        "numeric_stats": {},  # numerics enter as read; the key keeps the header bytes
     }
 
 
@@ -205,8 +204,7 @@ def _schema_from_json(obj: dict) -> FeatureSchema:
             entry["vocab_size"] = f["vocab_size"]
             entry["embed_width"] = f["embed_width"]
         entries.append(entry)
-    stats = {k: NumericStats(mean=v[0], std=v[1]) for k, v in obj["numeric_stats"].items()}
-    return build_schema(entries, stats)
+    return build_schema(entries)
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
@@ -244,6 +242,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise CheckpointError(f"{path}: not a model checkpoint")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {header.get('version')!r}")
+    if header["schema"]["numeric_stats"]:
+        raise CheckpointError(f"{path}: numeric standardization is not supported; numerics enter as read")
     schema = _schema_from_json(header["schema"])
     arch = Architecture(
         encoder_widths=tuple(header["arch"]["encoder_widths"]),

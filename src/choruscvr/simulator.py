@@ -12,8 +12,9 @@ real labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
+
 import numpy as np
-from scipy.special import ndtri
 
 from .autodiff import stable_sigmoid
 from .data import ExposureLog
@@ -151,8 +152,8 @@ def _calibrate_intercept(score_fn, target: float, label: str) -> float:
 def _bin_edges(config: SimConfig) -> np.ndarray:
     """Equal-probability bin edges for z + noise ~ N(0, 1 + noise²)."""
     sigma = np.sqrt(1.0 + config.noise_scale**2)
-    quantiles = np.arange(1, config.feature_bins) / config.feature_bins
-    return ndtri(quantiles) * sigma
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([inv_cdf(k / config.feature_bins) for k in range(1, config.feature_bins)]) * sigma
 
 
 def generate(config: SimConfig) -> tuple[ExposureLog, GenerationReport]:

@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 EVAL_CHUNK = 32_768
+# Train, validation and test shares of a log.
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 
 
 class TrainingError(RuntimeError):
@@ -84,14 +86,13 @@ class TrainHistory:
     build_s: float = 0.0  # wall clock of the feature matrices and labels
 
 
-def split_indices(n: int, seed: int, fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Seeded permutation split into train/validation/test."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
+def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded permutation split into train/validation/test, in
+    ``SPLIT_FRACTIONS``."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x5B17))))
     perm = rng.permutation(n)
-    n_train = int(n * fractions[0])
-    n_val = int(n * fractions[1])
+    n_train = int(n * SPLIT_FRACTIONS[0])
+    n_val = int(n * SPLIT_FRACTIONS[1])
     return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
 
 

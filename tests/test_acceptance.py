@@ -22,7 +22,7 @@ import yaml
 from choruscvr import cli
 from choruscvr.autodiff import Tensor, backward, no_grad
 from choruscvr.data import write_log
-from choruscvr.features import NumericStats, build_matrix, build_schema, encode_matrix
+from choruscvr.features import build_matrix, build_schema, encode_matrix
 from choruscvr.metrics import auc, logloss, pcoc
 from choruscvr.model import (
     Architecture,
@@ -146,7 +146,6 @@ GRAD_SCHEMA = build_schema(
         {"name": "i", "kind": "categorical", "side": "item", "vocab_size": 5, "embed_width": 3},
         {"name": "x", "kind": "numeric", "side": "cross"},
     ],
-    numeric_stats={"x": NumericStats(mean=0.0, std=1.0)},
 )
 GRAD_ARCH = Architecture(encoder_widths=(), tower_widths=(8, 4))
 GRAD_BATCH = 20

@@ -7,6 +7,8 @@ import json
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -460,6 +462,39 @@ def _artifact_digests(out):
 
 def _compare_args(cfg, out, methods="esmm,chorus,nise", seeds="0,1"):
     return ["compare", "--config", str(cfg), "--out", str(out), "--methods", methods, "--seeds", seeds]
+
+
+NO_SCIPY_RUN = """\
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from choruscvr.cli import main
+cfg, pinned, out = sys.argv[1:]
+codes = [
+    main(["simulate", "--config", cfg, "--out", out + "/sim"]),
+    main(["train", "--config", pinned, "--out", out + "/train"]),
+    main(["evaluate", "--config", pinned, "--out", out + "/eval", "--checkpoint", out + "/train/checkpoint.bin"]),
+    main(["compare", "--config", cfg, "--out", out + "/cmp", "--methods", "esmm,chorus", "--seeds", "0"]),
+]
+loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None)
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    cfg, _ = _write_config(tmp_path)
+    pinned = tmp_path / "pinned.yaml"
+    pinned.write_text(CONFIG + f"  dataset: {tmp_path / 'out' / 'sim' / 'dataset.csv'}\n", encoding="utf-8")
+    src = str(Path(choruscvr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, str(cfg), str(pinned), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "scipy": []}
 
 
 def test_package_import_pins_blas_to_one_thread():

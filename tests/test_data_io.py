@@ -170,6 +170,12 @@ def test_log_rejects_columns_of_other_lengths_or_widths():
         dataclasses.replace(log, numeric=np.zeros(3))
 
 
+def test_log_rejects_fractional_ids():
+    log = log_of([{"f0": 2, "x": 0.0}, {"f0": 1, "x": 0.0}], SCHEMA)
+    with pytest.raises(LogFormatError, match="column ids has dtype float64"):
+        dataclasses.replace(log, ids=np.array([[2.5], [1.0]]))
+
+
 def test_indexing_yields_a_row_that_reads_the_columns():
     log, _ = generate(SimConfig(n_exposures=20, seed=2))
     row = log[-3]

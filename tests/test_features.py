@@ -7,7 +7,6 @@ from choruscvr.autodiff import Tensor, backward
 from choruscvr.data import read_log
 from choruscvr.features import (
     EncodingError,
-    NumericStats,
     SchemaError,
     build_matrix,
     build_schema,
@@ -144,13 +143,6 @@ def test_out_of_vocabulary_folds_modulo():
     direct = _encode_one({"item_cat": 1, "user_cat": 0, "price": 0.0}, schema, tables)
     folded = _encode_one({"item_cat": 5, "user_cat": 0, "price": 0.0}, schema, tables)  # 5 % 4 = 1
     assert np.array_equal(direct, folded)
-
-
-def test_numeric_standardization_frozen_stats():
-    schema = build_schema(_mixed_config(), numeric_stats={"price": NumericStats(mean=10.0, std=2.0)})
-    tables = init_tables(schema, np.random.default_rng(0))
-    vec = _encode_one({"item_cat": 0, "user_cat": 0, "price": 14.0}, schema, tables)
-    assert vec[-1] == pytest.approx(2.0)
 
 
 def test_permuting_declared_order_permutes_blocks():

@@ -70,17 +70,27 @@ def test_auc_complement_without_ties():
 
 
 def test_auc_matches_brute_force_with_ties():
+    # Both sides divide the same exact half-integer count by the same
+    # product, so they agree bit for bit; -0.0 ties with 0.0.
     rng = np.random.default_rng(5)
-    for _ in range(50):
+    signed = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, np.inf])
+    for draw in range(150):
         n = int(rng.integers(2, 120))
-        if rng.random() < 0.5:
+        if draw % 3 == 0:
             scores = rng.integers(0, 5, n) / 4.0  # heavy ties
+        elif draw % 3 == 1:
+            scores = rng.choice(signed, n)
         else:
             scores = rng.random(n)
         labels = rng.integers(0, 2, n)
         labels[0] = 0
         labels[-1] = 1
-        assert auc(scores, labels) == pytest.approx(_brute_force_auc(scores, labels), abs=1e-12)
+        assert auc(scores, labels) == _brute_force_auc(scores, labels)
+
+
+def test_auc_of_a_nan_score_is_nan():
+    scores = np.array([0.1, np.nan, 0.7, 0.3])
+    assert np.isnan(auc(scores, np.array([0, 1, 1, 0])))
 
 
 def test_logloss_half_scores():

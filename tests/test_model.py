@@ -5,7 +5,7 @@ import pytest
 
 from choruscvr import model
 from choruscvr.autodiff import ShapeError, Tensor, backward, no_grad
-from choruscvr.features import NumericStats, build_matrix, build_schema
+from choruscvr.features import build_matrix, build_schema
 from choruscvr.model import (
     Architecture,
     CheckpointError,
@@ -25,7 +25,6 @@ SCHEMA = build_schema(
         {"name": "c1", "kind": "categorical", "vocab_size": 4, "embed_width": 2},
         {"name": "z", "kind": "numeric"},
     ],
-    numeric_stats={"z": NumericStats(mean=1.0, std=2.0)},
 )
 ARCH = Architecture(encoder_widths=(8,), tower_widths=(4,))
 
@@ -204,6 +203,18 @@ def test_checkpoint_rejects_truncation(tmp_path):
     raw = p.read_bytes()
     p.write_bytes(raw[: len(raw) - 16])
     with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(p)
+
+
+def test_checkpoint_rejects_numeric_standardization(tmp_path):
+    # Numerics enter the model as read; a header carrying standardization
+    # stats must not load as a model that silently ignores them.
+    p = tmp_path / "model.bin"
+    save_checkpoint(init_model(SCHEMA, ARCH, seed=59), p)
+    raw = p.read_bytes()
+    assert raw.count(b'"numeric_stats":{}') == 1
+    p.write_bytes(raw.replace(b'"numeric_stats":{}', b'"numeric_stats":{"z":[1.0,2.0]}'))
+    with pytest.raises(CheckpointError, match="numeric standardization"):
         load_checkpoint(p)
 
 
