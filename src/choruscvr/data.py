@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import io
 import math
+import re
 from operator import index
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +44,12 @@ COLUMNS = ("sample_id", "click", "conversion", "ids", "numeric", *TRUTH_COLUMNS)
 INT64_BOUND = 2.0**63
 # Beyond this magnitude float64 no longer holds every integer exactly.
 FLOAT_EXACT_INT = 2.0**53
+# read_log's vectorized pass and write_log take the body in blocks of
+# this many lines, so their scratch memory is one block's, not the log's.
+BLOCK_LINES = 8192
+# What ``surrogateescape`` decodes a byte that is not UTF-8 to; valid
+# UTF-8 never decodes to a lone surrogate.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 class LogFormatError(ValueError):
@@ -267,6 +274,9 @@ def _parse_rows(reader: Iterator[list[str]], layout: _Layout):
     floats: list[tuple[float, ...]] = []
     for line_no, row in enumerate(reader, start=2):
         n_lines += 1
+        if _NOT_UTF8.search("".join(row)):
+            skipped.append((line_no, "not valid UTF-8"))
+            continue
         if len(row) != layout.width:
             skipped.append((line_no, f"expected {layout.width} fields, got {len(row)}"))
             continue
@@ -294,7 +304,7 @@ _FAST_BYTES = b"0123456789,\n-+.eE"
 
 
 def _parse_columns(body: bytes, layout: _Layout):
-    """The whole body in one vectorized pass.
+    """One block of whole lines in one vectorized pass.
 
     Returns ``None`` unless every line is one the row parser would keep
     or drop as a funnel violation, with the same values; the row parser
@@ -342,6 +352,33 @@ def _parse_columns(body: bytes, layout: _Layout):
     return len(table), [], ints, floats
 
 
+def _parse_blocks(raw: bytes, start: int, layout: _Layout):
+    """The body from byte ``start`` on, through :func:`_parse_columns`
+    in blocks of ``BLOCK_LINES`` whole lines, filled into one pair
+    of matrices; ``None`` when the body is empty or any block is refused."""
+    if start >= len(raw):
+        return None
+    newlines = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8, offset=start) == ord("\n")) + start
+    # The end of every BLOCK_LINES-th line, and of the file, which may
+    # close a short last block or a last line without a newline.
+    cuts = sorted({start, len(raw), *(newlines[BLOCK_LINES - 1 :: BLOCK_LINES] + 1).tolist()})
+    n_rows = len(newlines) + (not raw.endswith(b"\n"))
+    ints = np.empty((n_rows, 3 + len(layout.ids) + layout.has_truth), dtype=np.int64)
+    floats = np.empty((n_rows, len(layout.numerics) + len(layout.probabilities)), dtype=np.float64)
+    for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        parsed = _parse_columns(raw[lo:hi], layout)
+        if parsed is None:
+            return None
+        rows = slice(k * BLOCK_LINES, (k + 1) * BLOCK_LINES)
+        ints[rows], floats[rows] = parsed[2:]
+    return n_rows, [], ints, floats
+
+
+def _text_rows(raw: bytes) -> Iterator[list[str]]:
+    """The whole file's CSV rows, bytes that are not UTF-8 escaped."""
+    return csv.reader(io.StringIO(raw.decode("utf-8", "surrogateescape"), newline=""))
+
+
 def read_log(path: str | Path, schema: FeatureSchema) -> tuple[ExposureLog, IngestionReport]:
     """Parse a CSV exposure log against the schema.
 
@@ -353,16 +390,25 @@ def read_log(path: str | Path, schema: FeatureSchema) -> tuple[ExposureLog, Inge
     missing the label columns or any schema feature, naming a column
     twice, or carrying some but not all truth columns is fatal.
 
-    The body is first read in one vectorized pass; a file that pass
-    cannot take exactly as the row parser would is read row by row.
+    The body is first read by a vectorized pass, one block of
+    ``BLOCK_LINES`` lines at a time, with only the header decoded;
+    a file that pass cannot take exactly as the row parser would is read
+    row by row. A row that is not UTF-8 is skipped and itemized; a
+    header that is not is fatal.
     """
     path = Path(path)
     raw = path.read_bytes()
-    reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
+    first_line = io.BytesIO(raw).readline().rstrip(b"\n")  # no copy of the body
     try:
-        header = next(reader)
-    except StopIteration:
-        raise LogFormatError(f"{path}: empty file") from None
+        head = first_line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LogFormatError(f"{path}: header is not valid UTF-8: {exc}") from None
+    # A header line without quotes or CR is what the csv reader would
+    # make of it, so the body can go to the vectorized pass undecoded.
+    plain = bool(raw) and '"' not in head and "\r" not in head
+    header = head.split(",") if plain else next(_text_rows(raw), None)
+    if header is None:
+        raise LogFormatError(f"{path}: empty file")
     for required in ("sample_id", "click", "conversion"):
         if required not in header:
             raise LogFormatError(f"{path}: missing required column {required!r}")
@@ -381,12 +427,16 @@ def read_log(path: str | Path, schema: FeatureSchema) -> tuple[ExposureLog, Inge
         raise LogFormatError(f"{path}: truth columns come all or none; missing {missing_truth}")
     layout = _layout(header, schema)
 
-    first_line, _, body = raw.partition(b"\n")
-    parsed = _parse_columns(body, layout) if first_line == ",".join(header).encode("utf-8") else None
-    n_lines, skipped, ints, floats = parsed or _parse_rows(reader, layout)
+    parsed = _parse_blocks(raw, len(first_line) + 1, layout) if plain else None
+    if parsed is None:
+        rows = _text_rows(raw)
+        next(rows)  # the header
+        parsed = _parse_rows(rows, layout)
+    n_lines, skipped, ints, floats = parsed
 
     funnel = (ints[:, 2] == 1) & (ints[:, 1] == 0)
-    ints, floats = ints[~funnel], floats[~funnel]
+    if funnel.any():
+        ints, floats = ints[~funnel], floats[~funnel]
     n_ids, n_numerics = len(layout.ids), len(layout.numerics)
     truth = {}
     if layout.has_truth:
@@ -421,29 +471,55 @@ def _format_value(x: float) -> str:
     return repr(f)
 
 
+# 10**0 .. 10**19: a uint64 has at most 20 digits.
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+
+
+def _each(fn):
+    """A column formatter that calls ``fn`` on each value."""
+    return lambda col: list(map(fn, col.tolist()))
+
+
+def _int_text(col: np.ndarray) -> list[str]:
+    """``str`` of each value of an integer column, formatted in bulk: the
+    digits go into a fixed-width code-point matrix read as strings, whose
+    trailing NULs drop. Other dtypes take ``str`` per value."""
+    if not np.issubdtype(col.dtype, np.integer):
+        return _each(str)(col)
+    neg = col < 0
+    mag = col.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # |v| modulo 2**64, exact for -2**63 too
+    n_digits = np.maximum(np.searchsorted(_POW10, mag, side="right"), 1)
+    width = int(n_digits.max(initial=1))
+    chars = np.zeros((len(col), width + 1), dtype=np.uint32)  # one spare column for a sign
+    for j in range(width):
+        p = n_digits - 1 - j  # the power of ten of digit j, counted from the left
+        chars[:, j] = np.where(p >= 0, mag // _POW10[np.maximum(p, 0)] % 10 + ord("0"), 0)
+    chars[neg] = np.roll(chars[neg], 1, axis=1)
+    chars[neg, 0] = ord("-")
+    return chars.view(f"U{width + 1}").ravel().tolist()
+
+
 def write_log(log: ExposureLog, path: str | Path, schema: FeatureSchema) -> None:
     """Write a log in the canonical column order, byte-stable.
 
     Truth columns are included exactly when the log carries them and is
-    not empty.
+    not empty. Rows are formatted and written ``BLOCK_LINES`` at a time.
     """
     with_truth = log.has_truth and len(log) > 0
     header = ["sample_id", "click", "conversion", *(f.name for f in schema.features)]
-    columns = [map(str, log.sample_id.tolist()), map(str, log.click.tolist()), map(str, log.conversion.tolist())]
+    columns = [(log.sample_id, _int_text), (log.click, _int_text), (log.conversion, _int_text)]
     for f in schema.features:
-        values = log.column(f.name, f.kind).tolist()
-        columns.append(map(str, values) if f.kind == "categorical" else map(_format_value, values))
+        columns.append((log.column(f.name, f.kind), _int_text if f.kind == "categorical" else _each(_format_value)))
     if with_truth:
         header += list(TRUTH_COLUMNS)
-        columns += [
-            map(repr, log.true_p_click.tolist()),
-            map(repr, log.true_p_conv.tolist()),
-            map(str, log.r_counterfactual.tolist()),
-        ]
+        columns += [(log.true_p_click, _each(repr)), (log.true_p_conv, _each(repr)), (log.r_counterfactual, _int_text)]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        if len(log):
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        for lo in range(0, len(log), BLOCK_LINES):
+            fields = [text(col[lo : lo + BLOCK_LINES]) for col, text in columns]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+            del fields  # before the next block's are made
 
 
 def label_arrays(log: ExposureLog) -> tuple[np.ndarray, np.ndarray]:

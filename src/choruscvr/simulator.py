@@ -33,7 +33,8 @@ __all__ = [
 SCORE_GAIN_CLICK = 2.0
 SCORE_GAIN_CONV = 2.0
 # Generation is chunked so shards could run in parallel; chunking is
-# part of the stream layout, so it must stay fixed for determinism.
+# part of the stream layout, so it must stay fixed for determinism. Each
+# shard fills its rows of preallocated columns.
 SHARD_SIZE = 50_000
 CALIBRATION_DRAWS = 50_000
 CALIBRATION_MAX_ITERS = 60
@@ -187,31 +188,34 @@ def generate(config: SimConfig) -> tuple[ExposureLog, GenerationReport]:
         return float(np.multiply(p_click_cal, p_conv, out=p_conv).mean() / p_click_cal.mean())
 
     c0 = _calibrate_intercept(conv_given_click, config.target_conv_rate_given_click, "conversion rate")
+    del z_cal, click_score, conv_score, scratch, p_click_cal  # before the shards allocate
 
     edges = _bin_edges(config)
-    n_shards = (config.n_exposures + SHARD_SIZE - 1) // SHARD_SIZE
-    shard_seqs = root.spawn(n_shards)
-    shards = []
-    for shard, seq in enumerate(shard_seqs):
-        n = min(SHARD_SIZE, config.n_exposures - shard * SHARD_SIZE)
+    n, dim = config.n_exposures, config.latent_dim
+    o, r_cf, bins = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty((n, dim), dtype=np.int64)
+    p_click, p_conv = np.empty(n), np.empty(n)
+    for shard, seq in enumerate(root.spawn((n + SHARD_SIZE - 1) // SHARD_SIZE)):
+        rows = slice(shard * SHARD_SIZE, min((shard + 1) * SHARD_SIZE, n))
+        m = rows.stop - rows.start
         rng = np.random.Generator(np.random.PCG64(seq))
-        z = rng.standard_normal((n, config.latent_dim))
-        p_click = stable_sigmoid(SCORE_GAIN_CLICK * (z @ u_click) + b0)
-        p_conv = stable_sigmoid(SCORE_GAIN_CONV * (z @ u_conv) + c0)
-        o = (rng.random(n) < p_click).astype(np.int64)
-        r_cf = (rng.random(n) < p_conv).astype(np.int64)
-        noise = config.noise_scale * rng.standard_normal((n, config.latent_dim))
-        bins = np.searchsorted(edges, z + noise).astype(np.int64)
-        shards.append((o, o * r_cf, bins, p_click, p_conv, r_cf))
-    o, r_obs, bins, p_click, p_conv, r_cf = (np.concatenate(col) for col in zip(*shards))
+        z = rng.standard_normal((m, dim))
+        stable_sigmoid(np.add(SCORE_GAIN_CLICK * (z @ u_click), b0, out=p_click[rows]), out=p_click[rows])
+        stable_sigmoid(np.add(SCORE_GAIN_CONV * (z @ u_conv), c0, out=p_conv[rows]), out=p_conv[rows])
+        o[rows] = rng.random(m) < p_click[rows]
+        r_cf[rows] = rng.random(m) < p_conv[rows]
+        noise = rng.standard_normal((m, dim))
+        noise *= config.noise_scale
+        z += noise
+        bins[rows] = np.searchsorted(edges, z)
+    r_obs = o * r_cf
     log = ExposureLog(
-        sample_id=np.arange(config.n_exposures, dtype=np.int64),
+        sample_id=np.arange(n, dtype=np.int64),
         click=o,
         conversion=r_obs,
-        id_names=tuple(f"f{d}" for d in range(config.latent_dim)),
+        id_names=tuple(f"f{d}" for d in range(dim)),
         ids=bins,
         numeric_names=(),
-        numeric=np.zeros((config.n_exposures, 0)),
+        numeric=np.zeros((n, 0)),
         true_p_click=p_click,
         true_p_conv=p_conv,
         r_counterfactual=r_cf,

@@ -36,7 +36,7 @@ __all__ = [
     "write_timing",
 ]
 
-EVAL_CHUNK = 32_768
+EVAL_CHUNK = 8192  # a power of two: chunked scores keep the bits of one pass
 # Train, validation and test shares of a log.
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 

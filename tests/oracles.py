@@ -1,9 +1,13 @@
 """Reference estimators the acceptance and objective tests check against,
-and a log built from feature dicts for tests that write rows by hand."""
+a log built from feature dicts for tests that write rows by hand, and a
+per-value CSV writer that ``write_log``'s bytes are checked against."""
+
+import csv
+from pathlib import Path
 
 import numpy as np
 
-from choruscvr.data import ExposureLog
+from choruscvr.data import TRUTH_COLUMNS, ExposureLog
 
 
 def ipw_mean(values: np.ndarray, mask: np.ndarray, propensity: np.ndarray, floor: float = 0.01) -> float:
@@ -40,3 +44,33 @@ def log_of(rows, schema, click=None, conversion=None) -> ExposureLog:
         numeric_names=numeric_names,
         numeric=numeric,
     )
+
+
+def _format_value(x: float) -> str:
+    f = float(x)
+    if f.is_integer():
+        return str(int(f))
+    return repr(f)
+
+
+def write_log_reference(log: ExposureLog, path, schema) -> None:
+    """``write_log`` one value at a time: ``str`` of each integer,
+    ``repr`` of each truth probability, an integer-valued numeric as an
+    integer and any other numeric as its ``repr``."""
+    with_truth = log.has_truth and len(log) > 0
+    header = ["sample_id", "click", "conversion", *(f.name for f in schema.features)]
+    columns = [map(str, log.sample_id.tolist()), map(str, log.click.tolist()), map(str, log.conversion.tolist())]
+    for f in schema.features:
+        values = log.column(f.name, f.kind).tolist()
+        columns.append(map(str, values) if f.kind == "categorical" else map(_format_value, values))
+    if with_truth:
+        header += list(TRUTH_COLUMNS)
+        columns += [
+            map(repr, log.true_p_click.tolist()),
+            map(repr, log.true_p_conv.tolist()),
+            map(str, log.r_counterfactual.tolist()),
+        ]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        if len(log):
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")

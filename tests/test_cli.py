@@ -364,6 +364,19 @@ def test_ingestion_report_in_train_and_evaluate_manifests(simulated, tmp_path):
     assert json.loads((tmp_path / "eval" / "manifest.json").read_text())["ingestion"] == expected
 
 
+def test_a_data_row_that_is_not_utf8_is_skipped_not_fatal(simulated, tmp_path):
+    _, _, _, dataset = simulated
+    lines = dataset.read_bytes().split(b"\n")
+    lines[5] = lines[5][:-1] + b"\xff"  # the last byte of line 6
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_bytes(b"\n".join(lines))
+    cfg, _ = _write_config(tmp_path, f"  dataset: {dirty}\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    ingestion = json.loads((tmp_path / "run" / "manifest.json").read_text())["ingestion"]
+    assert (ingestion["lines"], ingestion["records"]) == (3000, 2999)
+    assert ingestion["skipped_rows"] == [[6, "not valid UTF-8"]]
+
+
 def test_train_writes_timing_per_phase(trained):
     _, out, _ = trained
     lines = (out / "timing.csv").read_text(encoding="utf-8").strip().splitlines()

@@ -7,6 +7,7 @@ import pytest
 
 from choruscvr import data
 from choruscvr.data import (
+    ExposureLog,
     LogFormatError,
     as_log,
     batch_iter,
@@ -18,7 +19,7 @@ from choruscvr.data import (
 from choruscvr.features import build_matrix, build_schema
 from choruscvr.simulator import SimConfig, generate, sim_schema
 
-from oracles import log_of
+from oracles import log_of, write_log_reference
 
 SCHEMA = build_schema(
     [
@@ -332,3 +333,72 @@ def test_short_ids_stay_on_the_vectorized_pass(tmp_path, monkeypatch):
     p = _write(tmp_path, "sample_id,click,conversion,f0,x\n0,1,0,900719925474099,0.5\n1,0,0,-3,1.0\n")
     back, _ = read_log(p, SCHEMA)
     assert back.column("f0", "categorical").tolist() == [900719925474099, -3]
+
+
+def test_a_row_that_is_not_utf8_is_skipped_and_itemized(tmp_path):
+    p = tmp_path / "log.csv"
+    p.write_bytes(b"sample_id,click,conversion,f0,x\n0,1,0,2,0.5\n1,0,0,1,\xff\n2,1,1,3,2.25\n")
+    back, report = read_log(p, SCHEMA)
+    assert back.sample_id.tolist() == [0, 2]
+    assert (report.n_lines, report.n_records, report.skipped) == (3, 2, [(3, "not valid UTF-8")])
+
+
+def test_a_header_that_is_not_utf8_is_fatal(tmp_path):
+    p = tmp_path / "log.csv"
+    p.write_bytes(b"sample_id,click,conversion,f0,x\xff\n0,1,0,2,0.5\n")
+    with pytest.raises(LogFormatError, match="UTF-8"):
+        read_log(p, SCHEMA)
+
+
+def _mixed_log(sample_id, ids, numeric, truth):
+    """A log of the ``c0,x,c1`` schema below, with or without truth."""
+    n = len(sample_id)
+    rng = np.random.default_rng(n)
+    click = rng.integers(0, 2, n)
+    columns = {}
+    if truth:
+        columns = {"true_p_click": rng.random(n), "true_p_conv": rng.random(n), "r_counterfactual": rng.integers(0, 2, n)}
+    return ExposureLog(
+        sample_id=np.asarray(sample_id, dtype=np.int64),
+        click=click,
+        conversion=click * columns.get("r_counterfactual", 0),
+        id_names=("c0", "c1"),
+        ids=np.asarray(ids, dtype=np.int64).reshape(n, 2),
+        numeric_names=("x",),
+        numeric=np.asarray(numeric, dtype=np.float64).reshape(n, 1),
+        **columns,
+    )
+
+
+MIXED = build_schema(
+    [
+        {"name": "c0", "kind": "categorical", "vocab_size": 7},
+        {"name": "x", "kind": "numeric"},
+        {"name": "c1", "kind": "categorical", "vocab_size": 40},
+    ]
+)
+EXTREMES = [-(2**63), 2**63 - 1, -(2**63) + 1, 2**53 + 1, -1, 0, 9, 10, -10, 99, 100, 10**18, -(10**18)]
+TWO_BLOCKS_AND_ONE = 2 * data.BLOCK_LINES + 1
+WRITE_CASES = {
+    "extreme_ids": _mixed_log(EXTREMES, np.column_stack([EXTREMES, EXTREMES[::-1]]), np.zeros(13), truth=True),
+    "negative_and_zero_ids": _mixed_log([-3, 0, 5], [[-1, 0], [0, -7], [-123456, 0]], [0.5, 1.5, -2.5], truth=True),
+    "integer_valued_numerics": _mixed_log(
+        range(8), np.ones((8, 2)), [2.0, -0.0, 0.0, -3.0, 1e20, 2.0**63, 0.1, 5e-324], truth=True
+    ),
+    "empty": _mixed_log([], np.zeros((0, 2)), [], truth=True),
+    "without_truth": _mixed_log([4, 5, 6], [[1, 2], [3, 4], [5, 6]], [0.25, 1.0, -7.5], truth=False),
+    "two_blocks_and_one_row": _mixed_log(
+        np.arange(TWO_BLOCKS_AND_ONE) * 7919 - 10**6,
+        np.random.default_rng(0).integers(-50, 50, (TWO_BLOCKS_AND_ONE, 2)),
+        np.random.default_rng(1).normal(size=TWO_BLOCKS_AND_ONE).round(1),
+        truth=True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(WRITE_CASES))
+def test_write_matches_the_per_value_writer_byte_for_byte(tmp_path, case):
+    log = WRITE_CASES[case]
+    write_log(log, tmp_path / "bulk.csv", MIXED)
+    write_log_reference(log, tmp_path / "reference.csv", MIXED)
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -130,7 +130,7 @@ DAMAGES += [(f"{column}={value!r}", _set(index, value)) for index, column, value
 SCHEMA = build_schema([{"name": "f0", "kind": "categorical", "vocab_size": 4}, {"name": "x", "kind": "numeric"}])
 
 
-def _read_both_ways(tmp_path_factory, clicks, damage, with_truth):
+def _read_both_ways(tmp_path_factory, clicks, damage, with_truth, final_newline=True):
     """A clean log with some lines damaged, read by ``read_log`` and by the
     row parser alone."""
     rng = np.random.default_rng(len(clicks))
@@ -144,7 +144,7 @@ def _read_both_ways(tmp_path_factory, clicks, damage, with_truth):
         if lines:
             lines[where % len(lines)] = fn(lines[where % len(lines)].split(","))
     path = tmp_path_factory.mktemp("differential") / "log.csv"
-    path.write_bytes(("\n".join([header, *lines]) + "\n").encode("utf-8"))
+    path.write_bytes(("\n".join([header, *lines]) + "\n" * final_newline).encode("utf-8"))
     fast = read_log(path, SCHEMA)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data, "_parse_columns", lambda *args: None)
@@ -165,11 +165,48 @@ def test_each_damage_reads_as_the_row_parser_reads_it(tmp_path_factory, damage, 
     clicks=st.lists(st.integers(0, 1), max_size=20),
     damage=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(DAMAGES)), max_size=4),
     with_truth=st.booleans(),
+    block_lines=st.sampled_from([data.BLOCK_LINES, 2]),
+    final_newline=st.booleans(),
 )
-def test_damaged_logs_read_as_the_row_parser_reads_them(tmp_path_factory, clicks, damage, with_truth):
-    fast, rows = _read_both_ways(tmp_path_factory, clicks, damage, with_truth)
+def test_damaged_logs_read_as_the_row_parser_reads_them(
+    tmp_path_factory, clicks, damage, with_truth, block_lines, final_newline
+):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "BLOCK_LINES", block_lines)
+        fast, rows = _read_both_ways(tmp_path_factory, clicks, damage, with_truth, final_newline)
     assert fast[0] == rows[0]
     assert fast[1] == rows[1]
+
+
+@pytest.mark.parametrize("damage", DAMAGES, ids=[name for name, _ in DAMAGES])
+def test_damage_in_any_block_reads_as_the_row_parser_reads_it(tmp_path_factory, monkeypatch, damage):
+    """Blocks of 2 lines over 9 lines: damage in the first, a middle and
+    the last (short) block, with and without a final newline."""
+    monkeypatch.setattr(data, "BLOCK_LINES", 2)
+    clicks = [1, 0, 1, 0, 0, 1, 1, 0, 1]
+    for where in (0, 4, 8):
+        for final_newline in (True, False):
+            fast, rows = _read_both_ways(tmp_path_factory, clicks, [(where, damage)], True, final_newline)
+            assert fast[0] == rows[0]
+            assert fast[1] == rows[1]
+
+
+def test_a_clean_log_in_blocks_takes_the_vectorized_pass(tmp_path, monkeypatch):
+    """Every block accepted, the last one short and without a newline."""
+    log, _ = generate(SimConfig(n_exposures=9, latent_dim=2, seed=3))
+    schema = build_schema([{"name": f"f{d}", "kind": "categorical", "vocab_size": 16} for d in range(2)])
+    path = tmp_path / "log.csv"
+    write_log(log, path, schema)
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+
+    def no_row_parser(*args):
+        raise AssertionError("the row parser ran on a clean log")
+
+    monkeypatch.setattr(data, "BLOCK_LINES", 2)
+    monkeypatch.setattr(data, "_parse_rows", no_row_parser)
+    back, report = read_log(path, schema)
+    assert back == log
+    assert (report.n_lines, report.n_records) == (9, 9)
 
 
 @settings(max_examples=20)
