@@ -44,9 +44,12 @@ COLUMNS = ("sample_id", "click", "conversion", "ids", "numeric", *TRUTH_COLUMNS)
 INT64_BOUND = 2.0**63
 # Beyond this magnitude float64 no longer holds every integer exactly.
 FLOAT_EXACT_INT = 2.0**53
-# read_log's vectorized pass and write_log take the body in blocks of
-# this many lines, so their scratch memory is one block's, not the log's.
+# write_log formats and writes this many rows at a time.
 BLOCK_LINES = 8192
+# read_log's vectorized pass reads the body this many bytes at a time and
+# parses each read's whole lines as one block (a longer line waits for the
+# reads that end it), so it holds a few times one block, not the file.
+READ_BLOCK_BYTES = 1 << 16
 # What ``surrogateescape`` decodes a byte that is not UTF-8 to; valid
 # UTF-8 never decodes to a lone surrogate.
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
@@ -223,6 +226,16 @@ class _Layout:
     def has_truth(self) -> bool:
         return bool(self.probabilities)
 
+    @property
+    def int_columns(self) -> tuple[int, ...]:
+        """The CSV columns of the int64 matrix, in its order."""
+        return (self.sample_id, *self.labels[:2], *self.ids, *self.labels[2:])
+
+    @property
+    def float_columns(self) -> tuple[int, ...]:
+        """The CSV columns of the float64 matrix, in its order."""
+        return (*self.numerics, *self.probabilities)
+
     def parse_row(self, row: list[str]) -> tuple[tuple[int, ...], tuple[float, ...]]:
         """One CSV row; ``ValueError`` names the first bad field."""
         sample_id = int(row[self.sample_id])
@@ -266,14 +279,22 @@ def _layout(header: list[str], schema: FeatureSchema) -> _Layout:
     )
 
 
-def _parse_rows(reader: Iterator[list[str]], layout: _Layout):
-    """Row by row: every malformed row is skipped and itemized."""
-    n_lines = 0
+def _parse_rows(text: str, layout: _Layout):
+    """Row by row: every malformed row is skipped and itemized at the line
+    where it starts. Lines end at ``\\n``, as in the vectorized pass, so a
+    quoted field that holds a newline spans two lines and a lone CR none."""
+    buf = io.StringIO(text, newline="")
+    reader = csv.reader(buf)
+    next(reader, None)  # the header
+    start = end = buf.tell()
+    n_lines = text.count("\n", start) + (start < len(text) and not text.endswith("\n"))
+    line_no = 1 + text.count("\n", 0, start)
     skipped: list[tuple[int, str]] = []
     ints: list[tuple[int, ...]] = []
     floats: list[tuple[float, ...]] = []
-    for line_no, row in enumerate(reader, start=2):
-        n_lines += 1
+    for row in reader:
+        line_no += text.count("\n", start, end)  # the lines of the previous record
+        start, end = end, buf.tell()
         if _NOT_UTF8.search("".join(row)):
             skipped.append((line_no, "not valid UTF-8"))
             continue
@@ -287,13 +308,11 @@ def _parse_rows(reader: Iterator[list[str]], layout: _Layout):
             continue
         ints.append(i)
         floats.append(f)
-    n_int = 3 + len(layout.ids) + layout.has_truth
-    n_float = len(layout.numerics) + len(layout.probabilities)
     return (
         n_lines,
         skipped,
-        np.array(ints, dtype=np.int64).reshape(len(ints), n_int),
-        np.array(floats, dtype=np.float64).reshape(len(floats), n_float),
+        np.array(ints, dtype=np.int64).reshape(len(ints), len(layout.int_columns)),
+        np.array(floats, dtype=np.float64).reshape(len(floats), len(layout.float_columns)),
     )
 
 
@@ -303,86 +322,115 @@ def _parse_rows(reader: Iterator[list[str]], layout: _Layout):
 _FAST_BYTES = b"0123456789,\n-+.eE"
 
 
-def _parse_columns(body: bytes, layout: _Layout):
-    """One block of whole lines in one vectorized pass.
+def _parse_columns(body: bytes, layout: _Layout) -> np.ndarray | None:
+    """One block of whole lines in one vectorized pass: its fields as a
+    float64 table, one row per line.
 
     Returns ``None`` unless every line is one the row parser would keep
     or drop as a funnel violation, with the same values; the row parser
-    then reads the file and itemizes what is wrong.
+    then reads the file and itemizes what is wrong. Its scratch is a
+    few times the block: a byte mask and the field ends, then the table.
     """
     if not body or body.translate(None, _FAST_BYTES):
         return None
     if not body.endswith(b"\n"):
         body += b"\n"
+    width = layout.width
     chars = np.frombuffer(body, dtype=np.uint8)
-    newline = chars == ord("\n")
-    ends = np.flatnonzero(newline | (chars == ord(",")))
-    if ends.size % layout.width:
-        return None
-    at_newline = newline[ends].reshape(-1, layout.width)
-    if not at_newline[:, -1].all() or at_newline[:, :-1].any():
-        return None  # a line with the wrong number of fields
-    widths = np.diff(ends, prepend=-1) - 1
-    if not widths.all():
-        return None  # an empty field
-    widths = widths.reshape(-1, layout.width)
     # int() takes no '.' or exponent in a sample id, unlike float().
-    not_int = np.flatnonzero((chars == ord(".")) | (chars == ord("e")) | (chars == ord("E")))
-    if np.any(np.searchsorted(ends, not_int) % layout.width == layout.sample_id):
+    mask = chars == ord(".")
+    mask |= chars == ord("e")
+    mask |= chars == ord("E")
+    not_int = np.flatnonzero(mask)
+    np.equal(chars, ord("\n"), out=mask)
+    n_lines = np.count_nonzero(mask)
+    mask |= chars == ord(",")
+    if mask[0] or (mask[1:] & mask[:-1]).any():
+        return None  # an empty field
+    ends = np.flatnonzero(mask)  # the separator that closes each field
+    del mask
+    # As many separators as fields and a newline closing every width-th
+    # field: with no newline left over, each line has the header's count.
+    if ends.size != n_lines * width or (chars[ends[width - 1 :: width]] != ord("\n")).any():
         return None
+    if np.any(np.searchsorted(ends, not_int) % width == layout.sample_id):
+        return None
+    fields = ends.reshape(-1, width)
+    for c in layout.labels:
+        before = fields[:, c - 1] if c else np.r_[-1, fields[:-1, -1]]
+        if (fields[:, c] - before != 2).any():
+            return None  # a label of more than one character
+    del ends, fields
     try:
         table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2, dtype=np.float64)
     except ValueError:
         return None
-    labels = table[:, layout.labels]
-    if (widths[:, layout.labels] != 1).any() or ((labels != 0) & (labels != 1)).any():
-        return None
-    sample_id = table[:, layout.sample_id]
-    ids = table[:, layout.ids]
-    numerics = table[:, layout.numerics]
-    # Beyond 2**53 float64 rounds; such ids go to the row parser's int().
-    if (np.abs(sample_id) >= FLOAT_EXACT_INT).any():
-        return None
-    if not ((np.abs(ids) < FLOAT_EXACT_INT) & (np.floor(ids) == ids)).all():
-        return None
-    if not np.isfinite(numerics).all():
-        return None
-    ints = np.column_stack([sample_id, labels[:, :2], ids, labels[:, 2:]]).astype(np.int64)
-    floats = np.column_stack([numerics, table[:, layout.probabilities]])
-    return len(table), [], ints, floats
-
-
-def _parse_blocks(raw: bytes, start: int, layout: _Layout):
-    """The body from byte ``start`` on, through :func:`_parse_columns`
-    in blocks of ``BLOCK_LINES`` whole lines, filled into one pair
-    of matrices; ``None`` when the body is empty or any block is refused."""
-    if start >= len(raw):
-        return None
-    newlines = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8, offset=start) == ord("\n")) + start
-    # The end of every BLOCK_LINES-th line, and of the file, which may
-    # close a short last block or a last line without a newline.
-    cuts = sorted({start, len(raw), *(newlines[BLOCK_LINES - 1 :: BLOCK_LINES] + 1).tolist()})
-    n_rows = len(newlines) + (not raw.endswith(b"\n"))
-    ints = np.empty((n_rows, 3 + len(layout.ids) + layout.has_truth), dtype=np.int64)
-    floats = np.empty((n_rows, len(layout.numerics) + len(layout.probabilities)), dtype=np.float64)
-    for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-        parsed = _parse_columns(raw[lo:hi], layout)
-        if parsed is None:
+    for c in layout.labels:
+        if ((table[:, c] != 0) & (table[:, c] != 1)).any():
             return None
-        rows = slice(k * BLOCK_LINES, (k + 1) * BLOCK_LINES)
-        ints[rows], floats[rows] = parsed[2:]
+    # Beyond 2**53 float64 rounds; such ids go to the row parser's int().
+    if (np.abs(table[:, layout.sample_id]) >= FLOAT_EXACT_INT).any():
+        return None
+    for c in layout.ids:
+        col = table[:, c]
+        if not ((np.abs(col) < FLOAT_EXACT_INT) & (np.floor(col) == col)).all():
+            return None
+    for c in layout.numerics:
+        if not np.isfinite(table[:, c]).all():
+            return None
+    return table
+
+
+def _parse_blocks(path: Path, start: int, layout: _Layout):
+    """The file from byte ``start`` on, read ``READ_BLOCK_BYTES`` at a
+    time and passed to :func:`_parse_columns` in blocks of whole lines,
+    their columns written into one pair of matrices; ``None`` when that
+    body is empty or any block is refused. One pass counts the lines, a
+    second parses them, and neither holds more than a block of the file."""
+    with path.open("rb") as fh:
+        fh.seek(start)
+        n_rows, last = 0, b""
+        while chunk := fh.read(READ_BLOCK_BYTES):
+            n_rows, last = n_rows + chunk.count(b"\n"), chunk
+        if not last:
+            return None
+        n_rows += not last.endswith(b"\n")  # a last line without a newline
+        ints = np.empty((n_rows, len(layout.int_columns)), dtype=np.int64)
+        floats = np.empty((n_rows, len(layout.float_columns)), dtype=np.float64)
+        fh.seek(start)
+        row, rest = 0, b""
+        while True:
+            chunk = fh.read(READ_BLOCK_BYTES)
+            block = rest + chunk
+            if not block:
+                break
+            # Up to the last newline read, and at the end of the file to its
+            # end; a line longer than a read leaves no block yet.
+            cut = block.rfind(b"\n") + 1 if chunk else len(block)
+            block, rest = block[:cut], block[cut:]
+            if not block:
+                continue
+            table = _parse_columns(block, layout)
+            if table is None:
+                return None
+            rows = slice(row, row + len(table))
+            for matrix, columns in ((ints, layout.int_columns), (floats, layout.float_columns)):
+                for k, c in enumerate(columns):
+                    matrix[rows, k] = table[:, c]
+            row = rows.stop
     return n_rows, [], ints, floats
 
 
-def _text_rows(raw: bytes) -> Iterator[list[str]]:
-    """The whole file's CSV rows, bytes that are not UTF-8 escaped."""
-    return csv.reader(io.StringIO(raw.decode("utf-8", "surrogateescape"), newline=""))
+def _text(path: Path) -> str:
+    """The whole file as text, bytes that are not UTF-8 escaped."""
+    return path.read_bytes().decode("utf-8", "surrogateescape")
 
 
 def read_log(path: str | Path, schema: FeatureSchema) -> tuple[ExposureLog, IngestionReport]:
     """Parse a CSV exposure log against the schema.
 
-    Malformed rows are skipped and itemized (line number, reason): a
+    Malformed rows are skipped and itemized (line number, reason), at
+    the line where the row starts, lines ending at ``\\n``: a
     wrong field count, a label other than ``0``/``1``, a categorical id
     that is not an integer (``nan``, ``2.7``), a numeric value that is
     not finite (``nan``, ``inf``). Funnel violations are dropped and
@@ -390,23 +438,24 @@ def read_log(path: str | Path, schema: FeatureSchema) -> tuple[ExposureLog, Inge
     missing the label columns or any schema feature, naming a column
     twice, or carrying some but not all truth columns is fatal.
 
-    The body is first read by a vectorized pass, one block of
-    ``BLOCK_LINES`` lines at a time, with only the header decoded;
-    a file that pass cannot take exactly as the row parser would is read
-    row by row. A row that is not UTF-8 is skipped and itemized; a
-    header that is not is fatal.
+    The body is first read by a vectorized pass, one block of whole
+    lines of about ``READ_BLOCK_BYTES`` at a time, with only the header
+    decoded and never the whole file in memory; a file that pass cannot
+    take exactly as the row parser would is read whole, row by row. A
+    row that is not UTF-8 is skipped and itemized; a header that is not
+    is fatal.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    first_line = io.BytesIO(raw).readline().rstrip(b"\n")  # no copy of the body
+    with path.open("rb") as fh:
+        first_line = fh.readline()
     try:
-        head = first_line.decode("utf-8")
+        head = first_line.rstrip(b"\n").decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LogFormatError(f"{path}: header is not valid UTF-8: {exc}") from None
     # A header line without quotes or CR is what the csv reader would
     # make of it, so the body can go to the vectorized pass undecoded.
-    plain = bool(raw) and '"' not in head and "\r" not in head
-    header = head.split(",") if plain else next(_text_rows(raw), None)
+    plain = bool(first_line) and '"' not in head and "\r" not in head
+    header = head.split(",") if plain else next(csv.reader(io.StringIO(_text(path), newline="")), None)
     if header is None:
         raise LogFormatError(f"{path}: empty file")
     for required in ("sample_id", "click", "conversion"):
@@ -427,11 +476,9 @@ def read_log(path: str | Path, schema: FeatureSchema) -> tuple[ExposureLog, Inge
         raise LogFormatError(f"{path}: truth columns come all or none; missing {missing_truth}")
     layout = _layout(header, schema)
 
-    parsed = _parse_blocks(raw, len(first_line) + 1, layout) if plain else None
+    parsed = _parse_blocks(path, len(first_line), layout) if plain else None
     if parsed is None:
-        rows = _text_rows(raw)
-        next(rows)  # the header
-        parsed = _parse_rows(rows, layout)
+        parsed = _parse_rows(_text(path), layout)
     n_lines, skipped, ints, floats = parsed
 
     funnel = (ints[:, 2] == 1) & (ints[:, 1] == 0)
@@ -481,11 +528,25 @@ def _each(fn):
 
 
 def _int_text(col: np.ndarray) -> list[str]:
-    """``str`` of each value of an integer column, formatted in bulk: the
-    digits go into a fixed-width code-point matrix read as strings, whose
-    trailing NULs drop. Other dtypes take ``str`` per value."""
+    """``str`` of each value of an integer column. A column whose values
+    span fewer than a quarter of its rows (labels, binned ids) formats
+    each value of that span once, and its rows share those strings; any
+    other is formatted in bulk by :func:`_digits`. Other dtypes take
+    ``str`` per value."""
     if not np.issubdtype(col.dtype, np.integer):
         return _each(str)(col)
+    if len(col):
+        low, span = col.min(), int(col.max()) - int(col.min())
+        if span < len(col) // 4:
+            text = _digits(low + np.arange(span + 1, dtype=col.dtype))
+            return list(map(text.__getitem__, (col - low).tolist()))
+    return _digits(col)
+
+
+def _digits(col: np.ndarray) -> list[str]:
+    """``str`` of each value of an integer column, formatted in bulk: the
+    digits go into a fixed-width code-point matrix read as strings, whose
+    trailing NULs drop."""
     neg = col < 0
     mag = col.astype(np.uint64)
     np.negative(mag, out=mag, where=neg)  # |v| modulo 2**64, exact for -2**63 too

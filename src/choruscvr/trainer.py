@@ -36,7 +36,7 @@ __all__ = [
     "write_timing",
 ]
 
-EVAL_CHUNK = 8192  # a power of two: chunked scores keep the bits of one pass
+EVAL_CHUNK = 2048  # a power of two: chunked scores keep the bits of one pass
 # Train, validation and test shares of a log.
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 
@@ -83,7 +83,7 @@ class EpochRecord:
 class TrainHistory:
     epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = 0  # 1-based; 0 means no epoch ran
-    build_s: float = 0.0  # wall clock of the feature matrices and labels
+    build_s: float = 0.0  # wall clock of the training feature matrix and the labels
 
 
 def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,14 +106,17 @@ def _scores(params: ModelParams, fm: FeatureMatrix) -> dict[str, np.ndarray]:
         return predict_batch(params, fm).values()
 
 
-def _predict_chunked(params: ModelParams, fm: FeatureMatrix) -> dict[str, np.ndarray]:
-    if fm.n_rows <= EVAL_CHUNK:
-        return _scores(params, fm)
-    chunks = [
-        _scores(params, fm.rows(np.arange(lo, min(lo + EVAL_CHUNK, fm.n_rows))))
-        for lo in range(0, fm.n_rows, EVAL_CHUNK)
-    ]
-    return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
+def _score_log(params: ModelParams, log: ExposureLog) -> dict[str, np.ndarray]:
+    """Every head's scores of the log's rows, ``EVAL_CHUNK`` rows at a
+    time: only one chunk's feature matrix and forward pass exist at once."""
+    out: dict[str, np.ndarray] = {}
+    for lo in range(0, len(log), EVAL_CHUNK):
+        chunk = _scores(params, build_matrix(log[lo : lo + EVAL_CHUNK], params.schema))
+        if not out:
+            out = {k: np.empty(len(log), dtype=v.dtype) for k, v in chunk.items()}
+        for k, v in chunk.items():
+            out[k][lo : lo + len(v)] = v
+    return out
 
 
 def _diagnostics(term_values: dict[str, float], ctr_scores: np.ndarray) -> str:
@@ -143,13 +146,12 @@ def train(
     train_log = as_log(train_records)
     fm_train = build_matrix(train_log, schema)
     o_train, r_train = label_arrays(train_log)
-    fm_val = None
-    if len(val_records):
-        val_log = as_log(val_records)
+    val_log = as_log(val_records) if len(val_records) else None
+    if val_log is not None:
         o_val, r_val = label_arrays(val_log)
         y_val = (o_val * r_val).astype(np.int64)
-        if 0 < y_val.sum() < len(y_val):
-            fm_val = build_matrix(val_log, schema)
+        if not 0 < y_val.sum() < len(y_val):
+            val_log = None  # one class: no AUC to monitor
 
     params = init_model(schema, config.arch, config.seed)
     history = TrainHistory(build_s=time.perf_counter() - t0)
@@ -183,11 +185,11 @@ def train(
         term_means = {k: v / n_seen for k, v in term_sums.items()}
         t1 = time.perf_counter()
 
-        val_auc = float("nan") if fm_val is None else auc(_predict_chunked(params, fm_val)["ctcvr"], y_val)
+        val_auc = float("nan") if val_log is None else auc(_score_log(params, val_log)["ctcvr"], y_val)
         history.epochs.append(
             EpochRecord(epoch, term_means, val_auc, steps_s=t1 - t0, val_s=time.perf_counter() - t1)
         )
-        if fm_val is None or val_auc > best_auc:
+        if val_log is None or val_auc > best_auc:
             best_auc = val_auc
             best_params = params.copy()
             history.best_epoch = epoch
@@ -222,7 +224,7 @@ def default_eval_pairs(log: ExposureLog) -> tuple[tuple[str, str], ...]:
 
 def _entry(scores: np.ndarray, labels: np.ndarray, pcoc_actual: np.ndarray) -> MetricEntry:
     return MetricEntry(
-        auc=auc(scores, labels.astype(np.int64)),
+        auc=auc(scores, labels),
         logloss=logloss(scores, labels),
         pcoc=pcoc(scores, pcoc_actual),
         count=int(scores.size),
@@ -248,17 +250,19 @@ def evaluate(
     if not len(records):
         raise UndefinedMetricError("cannot evaluate an empty record set")
     log = as_log(records)
-    fm = build_matrix(log, params.schema)
     o, r = label_arrays(log)
     truth = truth_arrays(log)
-    out = _predict_chunked(params, fm)
+    out = _score_log(params, log)
 
-    spaces = {"exposure": np.ones_like(o, dtype=bool), "click": o == 1, "unclick": o == 0}
+    clicked = o == 1
+    # The exposure space is every row: a slice, so its pairs copy nothing.
+    spaces = {"exposure": slice(None), "click": clicked, "unclick": o == 0}
+    ctcvr, ctuncvr = o * r, o * (1 - r)
     # target -> (scores, labels, what the calibration ratio compares against)
     targets = {
         "ctr": (out["ctr"], o, o),
-        "ctcvr": (out["ctcvr"], o * r, o * r),
-        "ctuncvr": (out["ctuncvr"], o * (1 - r), o * (1 - r)),
+        "ctcvr": (out["ctcvr"], ctcvr, ctcvr),
+        "ctuncvr": (out["ctuncvr"], ctuncvr, ctuncvr),
         "cvr": (out["cvr"], r, r),
     }
     if truth is not None:
@@ -266,17 +270,16 @@ def evaluate(
         targets["cvr_counterfactual"] = (out["cvr"], r_cf, p_conv)
     report = MetricsReport()
     for space, target in default_eval_pairs(log):
-        mask = spaces[space]
-        if not mask.any():
+        rows = spaces[space]
+        if space != "exposure" and not rows.any():
             raise UndefinedMetricError(f"space {space!r} is empty")
         scores, labels, actual = targets[target]
-        report.entries[(space, target)] = _entry(scores[mask], labels[mask], actual[mask])
+        report.entries[(space, target)] = _entry(scores[rows], labels[rows], actual[rows])
 
     if truth is not None:
         report.curve = bias_curve(out["ctr"], out["cvr"], r_cf, n_bins=n_bins)
         report.curve_actual_is_proxy = False
-    elif (o == 1).sum() >= n_bins:
-        clicked = o == 1
+    elif clicked.sum() >= n_bins:
         report.curve = bias_curve(out["ctr"][clicked], out["cvr"][clicked], r[clicked], n_bins=n_bins)
         report.curve_actual_is_proxy = True
     return report

@@ -343,6 +343,23 @@ def test_a_row_that_is_not_utf8_is_skipped_and_itemized(tmp_path):
     assert (report.n_lines, report.n_records, report.skipped) == (3, 2, [(3, "not valid UTF-8")])
 
 
+@pytest.mark.parametrize(
+    "body, skipped, n_lines",
+    [
+        # A quoted newline: the record starts on line 3 and ends on line 4.
+        (b'1,0,0,1,0.5\n"2\n",0,0,1,0.5\n3,0,0,1,nan\n', [(5, "x must be finite, got 'nan'")], 4),
+        # A lone CR ends a record but not a line.
+        (b"1,0,0,1,0.5\r2,0,0,1,nan\n3,0,0,1", [(2, "x must be finite, got 'nan'"), (3, "expected 5 fields, got 4")], 2),
+    ],
+    ids=["quoted_newline", "lone_cr"],
+)
+def test_skipped_rows_are_numbered_by_the_line_they_start_on(tmp_path, body, skipped, n_lines):
+    p = tmp_path / "log.csv"
+    p.write_bytes(b"sample_id,click,conversion,f0,x\n" + body)
+    _, report = read_log(p, SCHEMA)
+    assert (report.skipped, report.n_lines) == (skipped, n_lines)
+
+
 def test_a_header_that_is_not_utf8_is_fatal(tmp_path):
     p = tmp_path / "log.csv"
     p.write_bytes(b"sample_id,click,conversion,f0,x\xff\n0,1,0,2,0.5\n")
@@ -384,6 +401,13 @@ WRITE_CASES = {
     "negative_and_zero_ids": _mixed_log([-3, 0, 5], [[-1, 0], [0, -7], [-123456, 0]], [0.5, 1.5, -2.5], truth=True),
     "integer_valued_numerics": _mixed_log(
         range(8), np.ones((8, 2)), [2.0, -0.0, 0.0, -3.0, 1e20, 2.0**63, 0.1, 5e-324], truth=True
+    ),
+    # Ids of a narrow span, formatted once per value, at both int64 edges.
+    "narrow_ids_at_int64_edges": _mixed_log(
+        range(40),
+        np.column_stack([-(2**63) + np.arange(40) % 4, 2**63 - 1 - np.arange(40) % 3]),
+        np.zeros(40),
+        truth=True,
     ),
     "empty": _mixed_log([], np.zeros((0, 2)), [], truth=True),
     "without_truth": _mixed_log([4, 5, 6], [[1, 2], [3, 4], [5, 6]], [0.25, 1.0, -7.5], truth=False),

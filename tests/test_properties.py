@@ -165,14 +165,14 @@ def test_each_damage_reads_as_the_row_parser_reads_it(tmp_path_factory, damage, 
     clicks=st.lists(st.integers(0, 1), max_size=20),
     damage=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(DAMAGES)), max_size=4),
     with_truth=st.booleans(),
-    block_lines=st.sampled_from([data.BLOCK_LINES, 2]),
+    block_bytes=st.sampled_from([data.READ_BLOCK_BYTES, 64]),
     final_newline=st.booleans(),
 )
 def test_damaged_logs_read_as_the_row_parser_reads_them(
-    tmp_path_factory, clicks, damage, with_truth, block_lines, final_newline
+    tmp_path_factory, clicks, damage, with_truth, block_bytes, final_newline
 ):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data, "BLOCK_LINES", block_lines)
+        mp.setattr(data, "READ_BLOCK_BYTES", block_bytes)
         fast, rows = _read_both_ways(tmp_path_factory, clicks, damage, with_truth, final_newline)
     assert fast[0] == rows[0]
     assert fast[1] == rows[1]
@@ -180,9 +180,10 @@ def test_damaged_logs_read_as_the_row_parser_reads_them(
 
 @pytest.mark.parametrize("damage", DAMAGES, ids=[name for name, _ in DAMAGES])
 def test_damage_in_any_block_reads_as_the_row_parser_reads_it(tmp_path_factory, monkeypatch, damage):
-    """Blocks of 2 lines over 9 lines: damage in the first, a middle and
-    the last (short) block, with and without a final newline."""
-    monkeypatch.setattr(data, "BLOCK_LINES", 2)
+    """Blocks of about two lines (150 bytes) over 9 lines: damage in the
+    first, a middle and the last (short) block, with and without a final
+    newline."""
+    monkeypatch.setattr(data, "READ_BLOCK_BYTES", 150)
     clicks = [1, 0, 1, 0, 0, 1, 1, 0, 1]
     for where in (0, 4, 8):
         for final_newline in (True, False):
@@ -202,7 +203,7 @@ def test_a_clean_log_in_blocks_takes_the_vectorized_pass(tmp_path, monkeypatch):
     def no_row_parser(*args):
         raise AssertionError("the row parser ran on a clean log")
 
-    monkeypatch.setattr(data, "BLOCK_LINES", 2)
+    monkeypatch.setattr(data, "READ_BLOCK_BYTES", 64)
     monkeypatch.setattr(data, "_parse_rows", no_row_parser)
     back, report = read_log(path, schema)
     assert back == log

@@ -5,7 +5,11 @@
 Runs, in one process and in this order, the layers of the benchmark's
 ``ingest`` workload: ``simulator.generate``, ``data.write_log`` (to a
 temporary file), ``data.read_log`` of that file and ``trainer.evaluate``
-of an untrained model on the read-back log. The model is the acceptance
+of an untrained model on the read-back log. It runs that sequence
+``PASSES`` times, as the benchmark repeats the workload, each pass's logs
+held until the next pass has made its own, and prints ``ru_maxrss``
+after each pass: the resident high-water can creep over repeats, which
+one pass does not show. The model is the acceptance
 protocol's (embedding width 4, no encoder, one tower layer of 16). It
 imports the package from the ``src/`` next to this file, so two
 checkouts can be compared. For each layer it prints the tracemalloc peak
@@ -29,6 +33,7 @@ from choruscvr import data, model, simulator, trainer  # noqa: E402
 from choruscvr.model import Architecture  # noqa: E402
 
 MB = 1024.0 * 1024.0
+PASSES = 3
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -38,6 +43,10 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def maxrss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def measure(name: str, fn, note=lambda peak: ""):
     """Print ``fn()``'s tracemalloc peak and retained bytes, then
     ``ru_maxrss``; return its result."""
@@ -45,9 +54,8 @@ def measure(name: str, fn, note=lambda peak: ""):
     before = tracemalloc.get_traced_memory()[0]
     result = fn()
     current, peak = tracemalloc.get_traced_memory()
-    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     peak -= before
-    print(f"{name:<10} {peak / MB:8.1f} {(current - before) / MB:11.1f} {maxrss:9.1f}  {note(peak)}".rstrip())
+    print(f"{name:<10} {peak / MB:8.1f} {(current - before) / MB:11.1f} {maxrss_mb():9.1f}  {note(peak)}".rstrip())
     return result
 
 
@@ -61,15 +69,17 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.csv"
         tracemalloc.start()
-        log = measure("generate", lambda: simulator.generate(sim)[0])
-        measure("write_log", lambda: data.write_log(log, path, schema))
-        size = path.stat().st_size
-        back = measure(
-            "read_log",
-            lambda: data.read_log(path, schema)[0],
-            lambda peak: f"file {size / MB:.2f} MB, peak {peak / size:.1f}x file",
-        )
-        measure("evaluate", lambda: trainer.evaluate(params, back))
+        for n_pass in range(1, PASSES + 1):
+            log = measure("generate", lambda: simulator.generate(sim)[0])
+            measure("write_log", lambda: data.write_log(log, path, schema))
+            size = path.stat().st_size
+            back = measure(
+                "read_log",
+                lambda: data.read_log(path, schema)[0],
+                lambda peak: f"file {size / MB:.2f} MB, peak {peak / size:.1f}x file",
+            )
+            measure("evaluate", lambda: trainer.evaluate(params, back))
+            print(f"pass {n_pass}: ru_maxrss {maxrss_mb():.1f} MB")
         tracemalloc.stop()
     return 0
 
