@@ -31,7 +31,7 @@ import yaml
 
 from . import __version__
 from .autodiff import OptimizerConfig
-from .data import ExposureLog, IngestionReport, read_log, write_log
+from .data import ExposureLog, IngestionReport, read_log, screen_log, write_log
 from .features import FeatureSchema, build_schema
 from .metrics import UndefinedMetricError, write_report
 from .model import Architecture, save_checkpoint, load_checkpoint
@@ -256,8 +256,8 @@ def run_simulate(cfg: Mapping, config_text: str, out_dir: Path, seed: int | None
 
 @dataclass(frozen=True)
 class LoadedLog:
-    """A dataset as read once: its path, content digest, columns, report
-    and read time."""
+    """A dataset as loaded once: its path, content digest, columns, report
+    and load time (the read, or the screen of a log kept in memory)."""
 
     path: Path
     sha256: str
@@ -276,7 +276,10 @@ def _load_dataset(cfg: Mapping, schema: FeatureSchema, dataset_path: str | None)
         raise UsageError(f"dataset not found: {path}")
     t0 = time.perf_counter()
     log, report = read_log(path, schema)
-    read_s = time.perf_counter() - t0
+    return _loaded(path, log, report, time.perf_counter() - t0)
+
+
+def _loaded(path: Path, log: ExposureLog, report: IngestionReport, read_s: float) -> LoadedLog:
     n_oov = sum(report.oov_folds.values())
     if report.funnel_violations or report.skipped or n_oov:
         print(
@@ -298,8 +301,8 @@ def run_train(
 ) -> dict[str, Any]:
     """Train one method on the configured dataset; write artifacts.
 
-    ``loaded`` is a dataset already read (``compare`` reads each seed's
-    log once for all its methods); otherwise the dataset is read here.
+    ``loaded`` is a dataset already loaded (``compare`` loads each
+    seed's log once for all its methods); otherwise it is read here.
     """
     schema = schema_from_config(cfg)
     config = experiment_config(cfg, method=method, seed=seed)
@@ -427,19 +430,25 @@ class _SeedJob:
     pinned: LoadedLog | None
 
 
-def _simulate_seed(job: _SeedJob, seed: int) -> Path:
+def _simulate_seed(job: _SeedJob, seed: int) -> LoadedLog:
+    """The seed's dataset, written and kept in memory as ``read_log`` would
+    read it back; a schema not naming exactly its id columns reads it."""
     # Regenerated on every run, so a changed ``sim`` section never meets
     # a stale file; generation is deterministic.
     per_seed = dataclasses.replace(job.sim, seed=job.sim.seed + seed)
     path = job.out_dir / "datasets" / f"sim_seed{seed}.csv"
     log, _ = generate(per_seed)
     write_log(log, path, sim_schema(per_seed))
-    return path
+    if [(f.name, f.kind) for f in job.schema.features] != [(name, "categorical") for name in log.id_names]:
+        return _load_dataset(job.cfg, job.schema, str(path))
+    t0 = time.perf_counter()
+    log, report = screen_log(log, job.schema, len(log), [])
+    return _loaded(path, log, report, time.perf_counter() - t0)
 
 
 def _compare_seed(job: _SeedJob, seed: int) -> tuple[str, list[dict[str, Any]], Exception | None]:
-    """One seed of ``compare``: its dataset (simulated, written and read
-    once, unless pinned), then every method's run on that log.
+    """One seed of ``compare``: its dataset (simulated, written and kept
+    in memory, unless pinned), then every method's run on that log.
 
     Returns what the seed printed, its run rows in method order, and the
     error that stopped it, if any, so that the caller prints exactly
@@ -449,7 +458,7 @@ def _compare_seed(job: _SeedJob, seed: int) -> tuple[str, list[dict[str, Any]], 
     rows: list[dict[str, Any]] = []
     try:
         with contextlib.redirect_stdout(stdout):
-            loaded = job.pinned or _load_dataset(job.cfg, job.schema, str(_simulate_seed(job, seed)))
+            loaded = job.pinned or _simulate_seed(job, seed)
             for method in job.methods:
                 run_dir = job.out_dir / "runs" / f"{method}_seed{seed}"
                 result = run_train(job.cfg, job.config_text, run_dir, seed=seed, method=method, loaded=loaded)
@@ -518,11 +527,12 @@ def run_compare(
 
     Each seed gets its own simulated dataset (simulator seed = config
     seed + run seed) shared by all methods at that seed, unless
-    ``compare.dataset`` pins one file for everything. Each dataset file
-    is read once and its log handed to every run that uses it. Seeds run
-    in a process pool (see ``_seed_pool``), one worker per seed at a
-    time; their output and rows are taken in seed order, so every
-    artifact and the printed text match a serial run byte for byte.
+    ``compare.dataset`` pins one file for everything. A simulated log is
+    written, hashed and kept in memory, a pinned file read once, and the
+    log handed to every run that uses it. Seeds run in a process pool
+    (see ``_seed_pool``), one worker per seed at a time; their output and
+    rows are taken in seed order, so every artifact and the printed text
+    match a serial run byte for byte.
     Aggregate rows carry per-metric means plus paired mean differences
     and win counts against the reference method (first method by
     default).

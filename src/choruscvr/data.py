@@ -32,6 +32,7 @@ __all__ = [
     "IngestionReport",
     "LogFormatError",
     "read_log",
+    "screen_log",
     "write_log",
     "batch_iter",
     "label_arrays",
@@ -455,7 +456,8 @@ def read_log(path: str | Path, schema: FeatureSchema) -> tuple[ExposureLog, Inge
     # A header line without quotes or CR is what the csv reader would
     # make of it, so the body can go to the vectorized pass undecoded.
     plain = bool(first_line) and '"' not in head and "\r" not in head
-    header = head.split(",") if plain else next(csv.reader(io.StringIO(_text(path), newline="")), None)
+    text = None if plain else _text(path)  # decoded once, for the header and the row parser
+    header = head.split(",") if plain else next(csv.reader(io.StringIO(text, newline="")), None)
     if header is None:
         raise LogFormatError(f"{path}: empty file")
     for required in ("sample_id", "click", "conversion"):
@@ -478,12 +480,9 @@ def read_log(path: str | Path, schema: FeatureSchema) -> tuple[ExposureLog, Inge
 
     parsed = _parse_blocks(path, len(first_line), layout) if plain else None
     if parsed is None:
-        parsed = _parse_rows(_text(path), layout)
+        parsed = _parse_rows(text or _text(path), layout)
     n_lines, skipped, ints, floats = parsed
 
-    funnel = (ints[:, 2] == 1) & (ints[:, 1] == 0)
-    if funnel.any():
-        ints, floats = ints[~funnel], floats[~funnel]
     n_ids, n_numerics = len(layout.ids), len(layout.numerics)
     truth = {}
     if layout.has_truth:
@@ -502,13 +501,24 @@ def read_log(path: str | Path, schema: FeatureSchema) -> tuple[ExposureLog, Inge
         numeric=floats[:, :n_numerics],
         **truth,
     )
+    return screen_log(log, schema, n_lines, skipped)
+
+
+def screen_log(log: ExposureLog, schema: FeatureSchema, n_lines: int, skipped) -> tuple[ExposureLog, IngestionReport]:
+    """The log ``read_log`` keeps of these columns, and its report: funnel
+    violations dropped and counted, kept out-of-vocabulary ids counted per
+    categorical feature. ``n_lines`` and ``skipped`` are what the parse
+    saw; a log made in memory has one line per row and skips none."""
+    funnel = (log.conversion == 1) & (log.click == 0)
+    n_funnel = int(np.count_nonzero(funnel))
+    if n_funnel:
+        log = log.take(~funnel)
     oov = {}
     for f in schema.features:
         if f.kind == "categorical":
             col = log.column(f.name, f.kind)
             oov[f.name] = int(np.count_nonzero((col < 0) | (col >= f.vocab_size)))
-    report = IngestionReport(n_lines, len(log), skipped, int(funnel.sum()), oov)
-    return log, report
+    return log, IngestionReport(n_lines, len(log), skipped, n_funnel, oov)
 
 
 def _format_value(x: float) -> str:

@@ -11,6 +11,7 @@ real labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -131,17 +132,52 @@ def _directions(config: SimConfig, rng: np.random.Generator) -> tuple[np.ndarray
     return u_click, u_conv
 
 
-def _calibrate_intercept(score_fn, target: float, label: str) -> float:
-    """Bisect the intercept so the Monte-Carlo rate hits the target."""
-    lo, hi = -30.0, 30.0
+def _calibrate_intercept(rate_fn, score: np.ndarray, target: float, label: str) -> float:
+    """The intercept at which the Monte-Carlo rate hits the target: the
+    bits that ``CALIBRATION_MAX_ITERS`` halvings of [-30, 30] return, from
+    far fewer rate passes. ``rate_fn(b)`` is the rate at intercept ``b``
+    and its slope there; ``score`` is the linear score ``b`` shifts.
+
+    The computed rate is a float mean of monotone sigmoids, so it is
+    monotone in ``b``. Newton steps from ``logit(target) - mean(score)``,
+    then single-ulp steps, close a bracket of adjacent evaluated
+    intercepts ``rate(lo) < target <= rate(hi)``; a slope that is not
+    positive and finite, or a step out of the bracket, takes its
+    midpoint. The bisection is then replayed on memoised rates: only a
+    midpoint strictly inside ``(lo, hi)`` is evaluated, and the bracket
+    decides every other.
+    """
+    memo: dict[float, tuple[float, float]] = {}
+    lo, hi = -math.inf, math.inf
+
+    def rate(b: float) -> tuple[float, float]:
+        nonlocal lo, hi
+        if b not in memo:  # a new b lies inside (lo, hi), or is the last midpoint
+            memo[b] = rate_fn(b)
+            lo, hi = (b, hi) if memo[b][0] < target else (lo, b)
+        return memo[b]
+
+    # Newton aims half an ulp below the target, where the rounded rate
+    # reaches it, so it lands by the crossing even where the rate stays
+    # flat across many ulps of the intercept.
+    half_ulp = 0.5 * float(np.spacing(target))
+    b = math.log(target / (1.0 - target)) - float(score.mean())
+    while np.nextafter(left := max(lo, -30.0), right := min(hi, 30.0)) < right:
+        if not left < b < right:
+            b = 0.5 * (left + right)
+        r, slope = rate(b)
+        step = b - (r - target + half_ulp) / slope if 0.0 < slope < math.inf else math.nan
+        b = np.nextafter(b, math.inf if r < target else -math.inf) if step == b else step
+
+    left, right = -30.0, 30.0
     for _ in range(CALIBRATION_MAX_ITERS):
-        mid = 0.5 * (lo + hi)
-        if score_fn(mid) < target:
-            lo = mid
+        mid = 0.5 * (left + right)
+        if mid <= lo or (mid < hi and rate(mid)[0] < target):
+            left = mid
         else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    achieved = score_fn(mid)
+            right = mid
+    mid = 0.5 * (left + right)
+    achieved = rate(mid)[0]
     if abs(achieved - target) > RATE_REL_TOL * target:
         raise SimulationError(
             f"{label} calibration failed after {CALIBRATION_MAX_ITERS} iterations: "
@@ -172,23 +208,27 @@ def generate(config: SimConfig) -> tuple[ExposureLog, GenerationReport]:
     click_score = SCORE_GAIN_CLICK * (z_cal @ u_click)
     conv_score = SCORE_GAIN_CONV * (z_cal @ u_conv)
 
-    # The bisection's rates are computed in one scratch array: a fresh
-    # process (a ``compare`` worker) pays a page fault per 4 KB for every
-    # new temporary this size, 120 steps over.
-    scratch = np.empty_like(click_score)
-    b0 = _calibrate_intercept(
-        lambda b: float(stable_sigmoid(np.add(click_score, b, out=scratch), out=scratch).mean()),
-        config.target_click_rate,
-        "click rate",
-    )
+    # Rates are computed in scratch arrays: a fresh process (a ``compare``
+    # worker) pays a page fault per 4 KB of every new temporary this size.
+    scratch, product = np.empty_like(click_score), np.empty_like(click_score)
+
+    def click_rate(b: float) -> tuple[float, float]:
+        p = stable_sigmoid(np.add(click_score, b, out=scratch), out=scratch)
+        rate = float(p.mean())
+        return rate, rate - float(p @ p) / len(p)  # mean p(1 - p)
+
+    b0 = _calibrate_intercept(click_rate, click_score, config.target_click_rate, "click rate")
     p_click_cal = stable_sigmoid(click_score + b0)
+    click_mean = p_click_cal.mean()
 
-    def conv_given_click(c: float) -> float:
-        p_conv = stable_sigmoid(np.add(conv_score, c, out=scratch), out=scratch)
-        return float(np.multiply(p_click_cal, p_conv, out=p_conv).mean() / p_click_cal.mean())
+    def conv_given_click(c: float) -> tuple[float, float]:
+        p = stable_sigmoid(np.add(conv_score, c, out=scratch), out=scratch)
+        q = np.multiply(p_click_cal, p, out=product)
+        rate = q.mean() / click_mean
+        return float(rate), float(rate - (q @ p) / len(p) / click_mean)  # mean p_click p(1 - p) / mean p_click
 
-    c0 = _calibrate_intercept(conv_given_click, config.target_conv_rate_given_click, "conversion rate")
-    del z_cal, click_score, conv_score, scratch, p_click_cal  # before the shards allocate
+    c0 = _calibrate_intercept(conv_given_click, conv_score, config.target_conv_rate_given_click, "conversion rate")
+    del z_cal, click_score, conv_score, scratch, product, p_click_cal  # before the shards allocate
 
     edges = _bin_edges(config)
     n, dim = config.n_exposures, config.latent_dim

@@ -1,12 +1,16 @@
 """Reference estimators the acceptance and objective tests check against,
-a log built from feature dicts for tests that write rows by hand, and a
-per-value CSV writer that ``write_log``'s bytes are checked against."""
+a log built from feature dicts for tests that write rows by hand, a
+per-value CSV writer that ``write_log``'s bytes are checked against, and
+the plain bisection that the simulator's intercept calibration must
+reproduce bit for bit."""
 
 import csv
 from pathlib import Path
 
 import numpy as np
 
+from choruscvr import simulator
+from choruscvr.autodiff import stable_sigmoid
 from choruscvr.data import TRUTH_COLUMNS, ExposureLog
 
 
@@ -74,3 +78,52 @@ def write_log_reference(log: ExposureLog, path, schema) -> None:
         csv.writer(fh, lineterminator="\n").writerow(header)
         if len(log):
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+
+
+def bisect_intercept(score_fn, target: float, label: str) -> float:
+    """Bisect the intercept in [-30, 30] so the Monte-Carlo rate
+    ``score_fn(b)`` hits the target: ``CALIBRATION_MAX_ITERS`` halvings,
+    then one more rate at the final midpoint, checked against the
+    tolerance."""
+    lo, hi = -30.0, 30.0
+    for _ in range(simulator.CALIBRATION_MAX_ITERS):
+        mid = 0.5 * (lo + hi)
+        if score_fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    mid = 0.5 * (lo + hi)
+    achieved = score_fn(mid)
+    if abs(achieved - target) > simulator.RATE_REL_TOL * target:
+        raise simulator.SimulationError(
+            f"{label} calibration failed after {simulator.CALIBRATION_MAX_ITERS} iterations: "
+            f"achieved {achieved:.6f}, target {target:.6f}"
+        )
+    return mid
+
+
+def bisected_intercepts(config: simulator.SimConfig) -> tuple[float, float]:
+    """The click and conversion intercepts of ``config`` by
+    :func:`bisect_intercept`, on the same calibration draws and rates
+    as ``simulator.generate``."""
+    root = np.random.SeedSequence(config.seed)
+    dir_seq, cal_seq = root.spawn(2)
+    u_click, u_conv = simulator._directions(config, np.random.Generator(np.random.PCG64(dir_seq)))
+    cal_rng = np.random.Generator(np.random.PCG64(cal_seq))
+    z_cal = cal_rng.standard_normal((simulator.CALIBRATION_DRAWS, config.latent_dim))
+    click_score = simulator.SCORE_GAIN_CLICK * (z_cal @ u_click)
+    conv_score = simulator.SCORE_GAIN_CONV * (z_cal @ u_conv)
+    scratch = np.empty_like(click_score)  # no fresh temporary per rate
+
+    def click_rate(b):
+        return float(stable_sigmoid(np.add(click_score, b, out=scratch), out=scratch).mean())
+
+    b0 = bisect_intercept(click_rate, config.target_click_rate, "click rate")
+    p_click = stable_sigmoid(click_score + b0)
+
+    def conv_given_click(c):
+        p_conv = stable_sigmoid(np.add(conv_score, c, out=scratch), out=scratch)
+        return float(np.multiply(p_click, p_conv, out=p_conv).mean() / p_click.mean())
+
+    c0 = bisect_intercept(conv_given_click, config.target_conv_rate_given_click, "conversion rate")
+    return b0, c0

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import multiprocessing
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -428,7 +429,7 @@ def test_compare_hashes_each_seed_dataset_once(tmp_path, monkeypatch):
             assert manifest["dataset_sha256"] == digest
 
 
-def test_compare_reads_each_seed_log_once(tmp_path, monkeypatch):
+def test_compare_makes_no_read_for_simulated_seeds(tmp_path, monkeypatch):
     calls = tmp_path / "reads.txt"
     record = _call_log(calls)
 
@@ -441,12 +442,80 @@ def test_compare_reads_each_seed_log_once(tmp_path, monkeypatch):
     out = tmp_path / "cmp"
     args = ["compare", "--config", str(cfg), "--out", str(out), "--methods", "esmm,chorus,nise", "--seeds", "0,1"]
     assert main(args) == 0
-    assert sorted(Path(p).name for p in _recorded(calls)) == ["sim_seed0.csv", "sim_seed1.csv"]
+    assert _recorded(calls) == []
     for method in ("esmm", "chorus", "nise"):
         for seed in (0, 1):
             manifest = json.loads((out / "runs" / f"{method}_seed{seed}" / "manifest.json").read_text())
             assert manifest["ingestion"]["records"] == 3000
             assert manifest["ingestion"]["skipped"] == 0
+
+
+def _trained_logs(tmp_path, monkeypatch):
+    """Record the log and ingestion report each ``run_train`` is handed, in
+    ``tmp_path``, keyed by run directory: workers write them as files."""
+    real_run_train = cli.run_train
+
+    def recording_run_train(cfg, config_text, out_dir, *args, loaded=None, **kwargs):
+        with (tmp_path / f"{Path(out_dir).name}.pkl").open("wb") as fh:
+            pickle.dump((loaded.log, loaded.report), fh)
+        return real_run_train(cfg, config_text, out_dir, *args, loaded=loaded, **kwargs)
+
+    monkeypatch.setattr(cli, "run_train", recording_run_train)
+
+    def recorded(run):
+        with (tmp_path / f"{run}.pkl").open("rb") as fh:
+            return pickle.load(fh)
+
+    return recorded
+
+
+def test_compare_trains_on_the_log_its_dataset_reads_back_as(tmp_path, monkeypatch):
+    trained = _trained_logs(tmp_path, monkeypatch)
+    cfg, text = _write_config(tmp_path)
+    out = tmp_path / "cmp"
+    assert main(_compare_args(cfg, out)) == 0
+    schema = cli.schema_from_config(yaml.safe_load(text))
+    for seed in (0, 1):
+        back, report = read_log(out / "datasets" / f"sim_seed{seed}.csv", schema)
+        for method in ("esmm", "chorus", "nise"):
+            log, _ = trained(f"{method}_seed{seed}")
+            assert log == back
+            manifest = json.loads((out / "runs" / f"{method}_seed{seed}" / "manifest.json").read_text())
+            assert manifest["ingestion"] == json.loads(json.dumps(cli._ingestion(report)))
+
+
+def _features(dims):
+    """A ``features`` section of ``dims`` categorical ids with a vocabulary of 6."""
+    return "features:\n" + "".join(
+        f"  - {{name: f{d}, kind: categorical, side: cross, vocab_size: 6, embed_width: 4}}\n" for d in range(dims)
+    )
+
+
+def test_compare_screens_a_simulated_log_as_reading_it_would(tmp_path, monkeypatch, capsys):
+    # Bins 6 and 7 of the simulator's 8 fall outside a vocabulary of 6.
+    trained = _trained_logs(tmp_path, monkeypatch)
+    cfg = tmp_path / "config.yaml"
+    text = CONFIG + _features(4)
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "cmp"
+    assert main(_compare_args(cfg, out, methods="esmm,nise", seeds="0")) == 0
+    back, report = read_log(out / "datasets" / "sim_seed0.csv", cli.schema_from_config(yaml.safe_load(text)))
+    n_oov = sum(report.oov_folds.values())
+    assert n_oov > 0
+    assert trained("esmm_seed0") == trained("nise_seed0")
+    log, got = trained("esmm_seed0")
+    assert log == back
+    assert got == report
+    assert f"ingestion: 3000 records, 0 funnel violations dropped, 0 rows skipped, {n_oov} out-of-vocabulary" in (
+        capsys.readouterr().out
+    )
+
+
+def test_compare_reads_a_simulated_log_its_features_do_not_name(tmp_path, capsys):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(CONFIG + _features(3), encoding="utf-8")
+    assert main(_compare_args(cfg, tmp_path / "cmp", methods="esmm,nise", seeds="0")) == 2
+    assert "unknown columns ['f3']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -360,6 +360,27 @@ def test_skipped_rows_are_numbered_by_the_line_they_start_on(tmp_path, body, ski
     assert (report.skipped, report.n_lines) == (skipped, n_lines)
 
 
+def test_a_quoted_header_decodes_the_file_once(tmp_path, monkeypatch):
+    body = "0,1,0,2,0.5\n1,0,1,1,0.5\n2,0,0,9,nan\n3,1,1,3,2.25\n"
+    plain = _write(tmp_path, "sample_id,click,conversion,f0,x\n" + body)
+    expected = read_log(plain, SCHEMA)
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text('sample_id,click,conversion,"f0",x\n' + body, encoding="utf-8")
+    decoded = []
+    real_text = data._text
+
+    def counting_text(path):
+        decoded.append(path)
+        return real_text(path)
+
+    monkeypatch.setattr(data, "_text", counting_text)
+    back, report = read_log(quoted, SCHEMA)
+    assert decoded == [quoted]
+    assert back == expected[0]
+    assert report == expected[1]
+    assert (report.n_records, report.funnel_violations, report.oov_folds) == (2, 1, {"f0": 0})
+
+
 def test_a_header_that_is_not_utf8_is_fatal(tmp_path):
     p = tmp_path / "log.csv"
     p.write_bytes(b"sample_id,click,conversion,f0,x\xff\n0,1,0,2,0.5\n")

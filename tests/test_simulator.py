@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from choruscvr import simulator
 from choruscvr.features import build_schema
 from choruscvr.simulator import SimConfig, SimulationError, generate, sim_schema, space_stats
 
-from oracles import log_of
+from oracles import bisected_intercepts, log_of
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +35,63 @@ def test_low_latent_dim_needs_full_correlation():
         generate(SimConfig(n_exposures=10, latent_dim=1, correlation=0.5))
     records, _ = generate(SimConfig(n_exposures=10, latent_dim=1, correlation=1.0))
     assert len(records) == 10
+
+
+# Calibration depends on every field but ``n_exposures``, so one row each.
+CALIBRATION_GRID = {
+    "default": {},
+    "latent_dim_4": {"latent_dim": 4},
+    "click_rate_0.02": {"target_click_rate": 0.02},
+    "correlation_0.95": {"correlation": 0.95},
+}
+
+
+def _intercepts(config):
+    _, report = generate(config)
+    return report.click_intercept, report.conv_intercept
+
+
+@pytest.mark.parametrize("overrides", CALIBRATION_GRID.values(), ids=CALIBRATION_GRID.keys())
+def test_intercepts_are_the_bisections_bits(overrides):
+    for seed in range(100):
+        config = SimConfig(n_exposures=1, seed=seed, **overrides)
+        assert _intercepts(config) == bisected_intercepts(config), seed
+
+
+def test_one_dim_high_conversion_intercepts_are_the_bisections_bits():
+    # The conversion rate near 0.9 stays flat across many ulps of its
+    # intercept, and one latent dimension makes both scores one direction.
+    for seed in range(20):
+        config = SimConfig(n_exposures=1, latent_dim=1, correlation=1.0, target_conv_rate_given_click=0.9, seed=seed)
+        assert _intercepts(config) == bisected_intercepts(config), seed
+
+
+def test_protocol_calibration_needs_at_most_20_rate_passes(monkeypatch):
+    passes = []
+    calibrate = simulator._calibrate_intercept
+
+    def counting(rate_fn, *args):
+        def counted(b):
+            passes.append(b)
+            return rate_fn(b)
+
+        return calibrate(counted, *args)
+
+    monkeypatch.setattr(simulator, "_calibrate_intercept", counting)
+    for seed in range(5):  # the acceptance protocol's five seeds
+        passes.clear()
+        generate(SimConfig(n_exposures=1, seed=seed))
+        assert len(passes) <= 20, (seed, len(passes))
+
+
+def test_unreachable_click_rate_fails_as_the_bisection_does():
+    config = SimConfig(n_exposures=1, target_click_rate=1e-15)
+    with pytest.raises(SimulationError) as expected:
+        bisected_intercepts(config)
+    with pytest.raises(SimulationError) as got:
+        generate(config)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("click rate calibration failed after 60 iterations")
 
 
 def test_funnel_consistency(default_100k):

@@ -1,4 +1,5 @@
-"""Print the sha256 of every deterministic artifact of two small ``compare`` runs.
+"""Print the sha256 of every deterministic artifact of two small ``compare``
+runs and four ``simulate`` runs.
 
 Runs ``choruscvr compare`` for all seven methods on two seeds (20k
 simulated exposures each) in a fresh temporary directory, importing the
@@ -6,12 +7,15 @@ package from the ``src/`` next to this file, once per config in
 ``CONFIGS``: ``default`` is the acceptance model with default loss
 weights; ``weighted`` adds an encoder, a second tower layer, non-default
 ``objective.weights`` (``align: 0.5``, ``ctcvr: 0``) and attached IPW
-weights (``ipw.detach: false``). It prints one
-``<sha256>  <config>/<relative path>`` line per artifact, sorted by
-path. Manifests are hashed without ``dataset_path`` (it names the
-temporary directory), and files a manifest lists under
-``nondeterministic`` (wall-clock timing) are left out. Two checkouts
-wrote the same bytes exactly when their outputs are equal:
+weights (``ipw.detach: false``). Then it runs ``choruscvr simulate`` at
+2,000 exposures once per config in ``SIM_CONFIGS`` (the default and one
+changed field each), whose ``true_p_*`` columns move with any bit of the
+calibrated intercepts. It prints one ``<sha256>  <config>/<relative
+path>`` line per artifact, sorted by path within each run. Manifests
+are hashed without ``dataset_path`` (it names the temporary directory),
+and files a manifest lists under ``nondeterministic`` (wall-clock
+timing) are left out. Two checkouts wrote the same bytes exactly when
+their outputs are equal:
 
     python tools/artifact_digest.py > a.txt
     python /path/to/other/checkout/tools/artifact_digest.py > b.txt
@@ -71,6 +75,16 @@ objective:
     + TRAINER,
 }
 
+SIM_CONFIGS = {
+    f"simulate/{label}": "sim:\n  n_exposures: 2000\n  seed: 0\n" + extra
+    for label, extra in (
+        ("default", ""),
+        ("latent_dim_4", "  latent_dim: 4\n"),
+        ("click_rate_0.02", "  target_click_rate: 0.02\n"),
+        ("correlation_0.95", "  correlation: 0.95\n"),
+    )
+}
+
 
 def digests(out: Path) -> dict[str, str]:
     """Relative path -> sha256 of every deterministic file under ``out``."""
@@ -90,18 +104,20 @@ def digests(out: Path) -> dict[str, str]:
 
 
 def main() -> int:
+    compare = ["compare", "--methods", ",".join(METHODS), "--seeds", "0,1"]
+    runs = [(label, text, compare) for label, text in CONFIGS.items()]
+    runs += [(label, text, ["simulate"]) for label, text in SIM_CONFIGS.items()]
     with tempfile.TemporaryDirectory() as tmp:
-        for label, text in CONFIGS.items():
+        for label, text, command in runs:
             root = Path(tmp) / label
-            root.mkdir()
+            root.mkdir(parents=True)
             config = root / "config.yaml"
             config.write_text(text, encoding="utf-8")
             out = root / "out"
-            argv = ["compare", "--config", str(config), "--out", str(out), "--methods", ",".join(METHODS), "--seeds", "0,1"]
             with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(argv)
+                code = cli.main([*command, "--config", str(config), "--out", str(out)])
             if code:
-                print(f"compare ({label}) exited {code}", file=sys.stderr)
+                print(f"{command[0]} ({label}) exited {code}", file=sys.stderr)
                 return code
             for name, digest in digests(out).items():
                 print(f"{digest}  {label}/{name}")
