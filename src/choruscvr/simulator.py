@@ -138,8 +138,8 @@ def _calibrate_intercept(rate_fn, score: np.ndarray, target: float, label: str) 
     far fewer rate passes. ``rate_fn(b)`` is the rate at intercept ``b``
     and its slope there; ``score`` is the linear score ``b`` shifts.
 
-    The computed rate is a float mean of monotone sigmoids, so it is
-    monotone in ``b``. Newton steps from ``logit(target) - mean(score)``,
+    The computed rate, a float mean of sigmoids, is taken as monotone in
+    ``b``. Newton steps from ``logit(target) - mean(score)``,
     then single-ulp steps, close a bracket of adjacent evaluated
     intercepts ``rate(lo) < target <= rate(hi)``; a slope that is not
     positive and finite, or a step out of the bracket, takes its

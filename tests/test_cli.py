@@ -478,8 +478,9 @@ def test_compare_trains_on_the_log_its_dataset_reads_back_as(tmp_path, monkeypat
     for seed in (0, 1):
         back, report = read_log(out / "datasets" / f"sim_seed{seed}.csv", schema)
         for method in ("esmm", "chorus", "nise"):
-            log, _ = trained(f"{method}_seed{seed}")
+            log, got = trained(f"{method}_seed{seed}")
             assert log == back
+            assert got == report
             manifest = json.loads((out / "runs" / f"{method}_seed{seed}" / "manifest.json").read_text())
             assert manifest["ingestion"] == json.loads(json.dumps(cli._ingestion(report)))
 
