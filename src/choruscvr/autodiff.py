@@ -28,6 +28,7 @@ __all__ = [
     "stop_gradient",
     "dense",
     "bce",
+    "inverse_propensity",
     "masked_mean",
     "weighted_sum",
     "gather_concat",
@@ -100,16 +101,6 @@ def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return e
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` over dimensions that numpy broadcasting expanded."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 def _accumulate(node: "Tensor", g: np.ndarray) -> None:
     """Add ``g`` into ``node``'s gradient for the current backward pass.
 
@@ -120,6 +111,15 @@ def _accumulate(node: "Tensor", g: np.ndarray) -> None:
     a zero reaches the parameters only as a zero step.
     """
     node._grad = g if node._grad is None else node._grad + g
+
+
+def _same_shape(value: np.ndarray, operands: Sequence["Tensor"], op: str) -> np.ndarray:
+    """``value``, once each node operand is found to have its shape: no
+    backward sums a broadcast gradient back into a smaller operand."""
+    for t in operands:
+        if t.value.shape != value.shape:
+            raise ShapeError(f"{op}: operand shape {t.value.shape} differs from result shape {value.shape}")
+    return value
 
 
 class Tensor:
@@ -190,55 +190,15 @@ class Tensor:
 
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other) -> "Tensor":
-        a_val, b_val, parents = _operands(self, other)
-        out = Tensor(a_val + b_val, parents=parents, op="add")
-
-        def bw(g: np.ndarray) -> None:
-            for p in parents:
-                _accumulate(p, _unbroadcast(g, p.value.shape))
-
-        return out._attach(bw)
-
-    def __neg__(self) -> "Tensor":
-        out = Tensor(-self.value, parents=(self,), op="neg")
-
-        def bw(g: np.ndarray) -> None:
-            _accumulate(self, -g)
-
-        return out._attach(bw)
-
-    def __rsub__(self, other) -> "Tensor":
-        return self.__neg__().__add__(other)
-
     def __mul__(self, other) -> "Tensor":
-        a_val, b_val, parents = _operands(self, other)
-        out = Tensor(a_val * b_val, parents=parents, op="mul")
+        b_val = other.value if isinstance(other, Tensor) else np.asarray(other, dtype=np.float64)
+        parents = (self, other) if isinstance(other, Tensor) else (self,)
+        out = Tensor(_same_shape(self.value * b_val, parents, "mul"), parents=parents, op="mul")
 
         def bw(g: np.ndarray) -> None:
+            _accumulate(self, g * b_val)
             if isinstance(other, Tensor):
-                _accumulate(self, _unbroadcast(g * other.value, self.value.shape))
-                _accumulate(other, _unbroadcast(g * self.value, other.value.shape))
-            else:
-                _accumulate(self, _unbroadcast(g * b_val, self.value.shape))
-
-        return out._attach(bw)
-
-    def reciprocal(self) -> "Tensor":
-        value = 1.0 / self.value
-        out = Tensor(value, parents=(self,), op="reciprocal")
-
-        def bw(g: np.ndarray) -> None:
-            _accumulate(self, -g * value * value)
-
-        return out._attach(bw)
-
-    def clamp_min(self, floor: float) -> "Tensor":
-        """max(x, floor); gradient passes where x > floor."""
-        out = Tensor(np.maximum(self.value, floor), parents=(self,), op="clamp_min")
-
-        def bw(g: np.ndarray) -> None:
-            _accumulate(self, g * (self.value > floor))
+                _accumulate(other, g * self.value)
 
         return out._attach(bw)
 
@@ -252,12 +212,6 @@ class Tensor:
             _accumulate(self, np.full(self.value.shape, g / n))
 
         return out._attach(bw)
-
-
-def _operands(a: Tensor, b) -> tuple[np.ndarray, np.ndarray, tuple[Tensor, ...]]:
-    if isinstance(b, Tensor):
-        return a.value, b.value, (a, b)
-    return a.value, np.asarray(b, dtype=np.float64), (a,)
 
 
 def stop_gradient(t: Tensor, value: np.ndarray | None = None) -> Tensor:
@@ -277,7 +231,9 @@ def stop_gradient(t: Tensor, value: np.ndarray | None = None) -> Tensor:
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
-    """``activation(x @ w + b)``; ``x`` is a vector ``(d,)`` or a batch ``(n, d)``."""
+    """``activation(x @ w + b)`` on a batch ``x`` of shape ``(n, d)``."""
+    if x.value.ndim != 2:
+        raise ShapeError(f"dense takes an (n, d) batch, got shape {x.value.shape}")
     z = x.value @ w.value + b.value
     if activation == "relu":
         value = np.maximum(z, 0.0)
@@ -295,12 +251,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
         elif activation == "sigmoid":
             g = g * value * (1.0 - value)
         _accumulate(x, g @ w.value.T)
-        if x.value.ndim == 1:
-            _accumulate(w, np.outer(x.value, g))
-            _accumulate(b, g)
-        else:
-            _accumulate(w, x.value.T @ g)
-            _accumulate(b, g.sum(axis=0))
+        _accumulate(w, x.value.T @ g)
+        _accumulate(b, g.sum(axis=0))
 
     return out._attach(bw)
 
@@ -310,13 +262,29 @@ def bce(p: Tensor, y) -> Tensor:
     (0, 1). The label ``y`` may be soft and may be a graph node."""
     y_val, parents = (y.value, (p, y)) if isinstance(y, Tensor) else (np.asarray(y, dtype=np.float64), (p,))
     log_p, log_q = np.log(p.value), np.log(1.0 - p.value)
-    out = Tensor(-(y_val * log_p + (1.0 - y_val) * log_q), parents=parents, op="bce")
+    out = Tensor(_same_shape(-(y_val * log_p + (1.0 - y_val) * log_q), parents, "bce"), parents=parents, op="bce")
 
     def bw(g: np.ndarray) -> None:
         dp = (1.0 - y_val) / (1.0 - p.value) - y_val / p.value
-        _accumulate(p, _unbroadcast(g * dp, p.value.shape))
+        _accumulate(p, g * dp)
         if len(parents) == 2:
-            _accumulate(y, _unbroadcast(g * (log_q - log_p), y.value.shape))
+            _accumulate(y, g * (log_q - log_p))
+
+    return out._attach(bw)
+
+
+def inverse_propensity(p: Tensor, floor: float, complement: bool) -> Tensor:
+    """``1 / max(q, floor)`` with ``q`` = ``p``, or ``1 - p`` when
+    ``complement`` is set: one node in place of the chain ``q``,
+    ``clamp_min(floor)``, ``reciprocal``, whose value and gradient bits
+    it keeps. The gradient passes where ``q > floor``."""
+    q = 1.0 - p.value if complement else p.value
+    value = 1.0 / np.maximum(q, floor)
+    out = Tensor(value, parents=(p,), op="inverse_propensity")
+
+    def bw(g: np.ndarray) -> None:
+        gq = -g * value * value * (q > floor)
+        _accumulate(p, -gq if complement else gq)
 
     return out._attach(bw)
 
@@ -324,7 +292,8 @@ def bce(p: Tensor, y) -> Tensor:
 def masked_mean(x: Tensor, mask: np.ndarray, weights=None) -> Tensor:
     """``sum(x * weights * mask) / sum(mask)`` over a non-empty 0/1 mask.
 
-    ``weights`` is an array, a graph node or ``None`` (all ones). Samples
+    ``weights`` is an array, a graph node (an attached
+    :func:`inverse_propensity`) or ``None`` (all ones). Samples
     outside the mask pass exactly zero gradient to ``x`` and ``weights``.
     """
     scale = mask / float(mask.sum())
@@ -383,8 +352,8 @@ def gather_concat(
 
 
 def tower_heads(x: Tensor, towers: Sequence[Sequence[tuple[Tensor, Tensor]]], clamp: float) -> tuple[Tensor, ...]:
-    """Each tower's relu hidden layers and sigmoid output unit on ``x``
-    ``(n, d)`` (or one row ``(d,)``), clipped into ``[clamp, 1 - clamp]``:
+    """Each tower's relu hidden layers and sigmoid output unit on the
+    batch ``x`` ``(n, d)``, clipped into ``[clamp, 1 - clamp]``:
     one node with the heads as the rows of its value, returned as one
     ``(n,)`` view node per head. Towers have equal depth; a hidden layer
     runs one matmul per tower into slices of one wide buffer, so values
@@ -395,13 +364,14 @@ def tower_heads(x: Tensor, towers: Sequence[Sequence[tuple[Tensor, Tensor]]], cl
     depth = len(towers[0])
     if any(len(layers) != depth for layers in towers):
         raise ShapeError("towers differ in depth")
-    x_rows = np.atleast_2d(x.value)
-    inputs = [x_rows] * len(towers)
+    if x.value.ndim != 2:
+        raise ShapeError(f"tower_heads takes an (n, d) batch, got shape {x.value.shape}")
+    inputs = [x.value] * len(towers)
     hidden: list[tuple[np.ndarray, list[slice]]] = []  # per hidden layer: relu output, tower columns
     for layer in range(depth - 1):
         ends = np.cumsum([t[layer][1].value.size for t in towers])
         slices = [slice(end - t[layer][1].value.size, end) for t, end in zip(towers, ends)]
-        h = np.empty((len(x_rows), ends[-1]))
+        h = np.empty((len(x.value), ends[-1]))
         for a, t, s in zip(inputs, towers, slices):
             np.matmul(a, t[layer][0].value, out=h[:, s])
         h += np.concatenate([t[layer][1].value for t in towers])
@@ -432,11 +402,11 @@ def tower_heads(x: Tensor, towers: Sequence[Sequence[tuple[Tensor, Tensor]]], cl
         gx = None
         for t in arrived:
             w, b = towers[t][0]
-            _accumulate(w, x_rows.T @ gz[t])
+            _accumulate(w, x.value.T @ gz[t])
             _accumulate(b, gb[t])
             part = gz[t] @ w.value.T
             gx = part if gx is None else np.add(gx, part, out=gx)
-        _accumulate(x, gx.reshape(x.value.shape))
+        _accumulate(x, gx)
 
     def head(t: int) -> Tensor:
         def head_bw(g: np.ndarray) -> None:
@@ -501,8 +471,8 @@ def mlp_forward(
     """Run ``x`` through :func:`dense` layers ``(W, b)`` with per-layer
     activations.
 
-    ``x`` is a vector ``(d,)`` or a batch ``(n, d)``. Dimensions must
-    chain: each layer consumes the previous layer's output width.
+    ``x`` is a batch ``(n, d)``. Dimensions must chain: each layer
+    consumes the previous layer's output width.
     """
     if len(layers) != len(activations):
         raise ShapeError(f"{len(layers)} layers but {len(activations)} activation tags")

@@ -257,7 +257,8 @@ def run_simulate(cfg: Mapping, config_text: str, out_dir: Path, seed: int | None
 @dataclass(frozen=True)
 class LoadedLog:
     """A dataset as loaded once: its path, content digest, columns, report
-    and load time (the read, or the screen of a log kept in memory)."""
+    and load time (the read; for a log ``compare`` simulates, also its
+    generate and write)."""
 
     path: Path
     sha256: str
@@ -432,17 +433,19 @@ class _SeedJob:
 
 def _simulate_seed(job: _SeedJob, seed: int) -> LoadedLog:
     """The seed's dataset, written and kept in memory as ``read_log`` would
-    read it back; a schema not naming exactly its id columns reads it."""
+    read it back; a schema not naming exactly its id columns reads it.
+    Its load time covers the generate and the write as well."""
     # Regenerated on every run, so a changed ``sim`` section never meets
     # a stale file; generation is deterministic.
     per_seed = dataclasses.replace(job.sim, seed=job.sim.seed + seed)
     path = job.out_dir / "datasets" / f"sim_seed{seed}.csv"
+    t0 = time.perf_counter()
     log, _ = generate(per_seed)
     write_log(log, path, sim_schema(per_seed))
     if [(f.name, f.kind) for f in job.schema.features] != [(name, "categorical") for name in log.id_names]:
-        return _load_dataset(job.cfg, job.schema, str(path))
-    t0 = time.perf_counter()
-    log, report = screen_log(log, job.schema, len(log), [])
+        log, report = read_log(path, job.schema)
+    else:
+        log, report = screen_log(log, job.schema, len(log), [])
     return _loaded(path, log, report, time.perf_counter() - t0)
 
 

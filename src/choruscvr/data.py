@@ -528,47 +528,21 @@ def _format_value(x: float) -> str:
     return repr(f)
 
 
-# 10**0 .. 10**19: a uint64 has at most 20 digits.
-_POW10 = 10 ** np.arange(20, dtype=np.uint64)
-
-
 def _each(fn):
     """A column formatter that calls ``fn`` on each value."""
     return lambda col: list(map(fn, col.tolist()))
 
 
 def _int_text(col: np.ndarray) -> list[str]:
-    """``str`` of each value of an integer column. A column whose values
+    """``str`` of each value of a column. An integer column whose values
     span fewer than a quarter of its rows (labels, binned ids) formats
-    each value of that span once, and its rows share those strings; any
-    other is formatted in bulk by :func:`_digits`. Other dtypes take
-    ``str`` per value."""
-    if not np.issubdtype(col.dtype, np.integer):
-        return _each(str)(col)
-    if len(col):
+    each value of that span once, and its rows share those strings."""
+    if np.issubdtype(col.dtype, np.integer) and len(col):
         low, span = col.min(), int(col.max()) - int(col.min())
         if span < len(col) // 4:
-            text = _digits(low + np.arange(span + 1, dtype=col.dtype))
+            text = _each(str)(low + np.arange(span + 1, dtype=col.dtype))
             return list(map(text.__getitem__, (col - low).tolist()))
-    return _digits(col)
-
-
-def _digits(col: np.ndarray) -> list[str]:
-    """``str`` of each value of an integer column, formatted in bulk: the
-    digits go into a fixed-width code-point matrix read as strings, whose
-    trailing NULs drop."""
-    neg = col < 0
-    mag = col.astype(np.uint64)
-    np.negative(mag, out=mag, where=neg)  # |v| modulo 2**64, exact for -2**63 too
-    n_digits = np.maximum(np.searchsorted(_POW10, mag, side="right"), 1)
-    width = int(n_digits.max(initial=1))
-    chars = np.zeros((len(col), width + 1), dtype=np.uint32)  # one spare column for a sign
-    for j in range(width):
-        p = n_digits - 1 - j  # the power of ten of digit j, counted from the left
-        chars[:, j] = np.where(p >= 0, mag // _POW10[np.maximum(p, 0)] % 10 + ord("0"), 0)
-    chars[neg] = np.roll(chars[neg], 1, axis=1)
-    chars[neg, 0] = ord("-")
-    return chars.view(f"U{width + 1}").ravel().tolist()
+    return _each(str)(col)
 
 
 def write_log(log: ExposureLog, path: str | Path, schema: FeatureSchema) -> None:

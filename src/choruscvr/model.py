@@ -30,7 +30,6 @@ __all__ = [
     "TowerOutputs",
     "CheckpointError",
     "init_model",
-    "predict",
     "predict_batch",
     "save_checkpoint",
     "load_checkpoint",
@@ -165,16 +164,13 @@ def init_model(schema: FeatureSchema, arch: Architecture, seed: int) -> ModelPar
     return ModelParams(schema, arch, seed, tables, encoder, towers)
 
 
-def predict(params: ModelParams, x: Tensor) -> TowerOutputs:
-    """Score an encoded batch (n, input_width); keeps the graph unless
-    called under :func:`~choruscvr.autodiff.no_grad`."""
+def predict_batch(params: ModelParams, fm: FeatureMatrix) -> TowerOutputs:
+    """Score a feature matrix; keeps the graph unless called under
+    :func:`~choruscvr.autodiff.no_grad`."""
+    x = encode_matrix(fm, params.schema, params.tables)
     h = mlp_forward(params.encoder, x, ["relu"] * len(params.encoder))
     ctr, cvr, uncvr = tower_heads(h, [params.towers[t] for t in TOWER_NAMES], PROB_CLAMP)
     return TowerOutputs(ctr=ctr, cvr=cvr, uncvr=uncvr, ctcvr=ctr * cvr, ctuncvr=ctr * uncvr)
-
-
-def predict_batch(params: ModelParams, fm: FeatureMatrix) -> TowerOutputs:
-    return predict(params, encode_matrix(fm, params.schema, params.tables))
 
 
 # -- checkpointing ------------------------------------------------------------

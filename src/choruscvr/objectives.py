@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, backward, bce, masked_mean, stop_gradient, weighted_sum
+from .autodiff import Tensor, backward, bce, inverse_propensity, masked_mean, stop_gradient, weighted_sum
 from .features import FeatureMatrix
 from .model import ModelParams, TowerOutputs, predict_batch
 
@@ -149,17 +149,12 @@ def _space_mean(per_sample: Tensor, mask: np.ndarray, weights=None) -> Tensor:
     return masked_mean(per_sample, mask, weights)
 
 
-def _click_weights(outputs: TowerOutputs, ipw: IpwConfig):
-    """1 / max(p_click, floor); numpy when detached, graph otherwise."""
-    if ipw.detach:
-        return 1.0 / np.maximum(outputs.ctr.value, ipw.floor)
-    return outputs.ctr.clamp_min(ipw.floor).reciprocal()
-
-
-def _unclick_weights(outputs: TowerOutputs, ipw: IpwConfig):
-    if ipw.detach:
-        return 1.0 / np.maximum(1.0 - outputs.ctr.value, ipw.floor)
-    return (1.0 - outputs.ctr).clamp_min(ipw.floor).reciprocal()
+def _propensity_weights(outputs: TowerOutputs, ipw: IpwConfig, complement: bool = False):
+    """1 / max(q, floor) with q = p_click, or 1 - p_click when
+    ``complement`` is set: the :func:`inverse_propensity` node, or its
+    value when detached."""
+    w = inverse_propensity(outputs.ctr, ipw.floor, complement)
+    return w.value if ipw.detach else w
 
 
 def _soft_label(source: Tensor, complement: bool) -> Tensor:
@@ -184,7 +179,7 @@ def loss_ctcvr(outputs: TowerOutputs, o: np.ndarray, r: np.ndarray) -> Tensor:
 def loss_cvr_ipw(outputs: TowerOutputs, o: np.ndarray, r: np.ndarray, ipw: IpwConfig) -> Tensor:
     """Click-space conversion loss, inversely weighted by click
     propensity; zero when the batch has no clicks."""
-    return _space_mean(bce(outputs.cvr, r), o, _click_weights(outputs, ipw))
+    return _space_mean(bce(outputs.cvr, r), o, _propensity_weights(outputs, ipw))
 
 
 def ctuncvr_label(o: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -205,7 +200,7 @@ def loss_ctuncvr(outputs: TowerOutputs, o: np.ndarray, r: np.ndarray) -> Tensor:
 def loss_uncvr_ipw(outputs: TowerOutputs, o: np.ndarray, r: np.ndarray, ipw: IpwConfig) -> Tensor:
     """Click-space un-conversion loss (label 1 - r), inversely weighted
     by click propensity."""
-    return _space_mean(bce(outputs.uncvr, 1.0 - r), o, _click_weights(outputs, ipw))
+    return _space_mean(bce(outputs.uncvr, 1.0 - r), o, _propensity_weights(outputs, ipw))
 
 
 def align_terms(outputs: TowerOutputs, o: np.ndarray, ipw: IpwConfig) -> tuple[Tensor, Tensor, Tensor, Tensor]:
@@ -218,8 +213,8 @@ def align_terms(outputs: TowerOutputs, o: np.ndarray, ipw: IpwConfig) -> tuple[T
     """
     o = np.asarray(o, dtype=np.float64)
     n_mask = 1.0 - o
-    w_click = _click_weights(outputs, ipw)
-    w_unclick = _unclick_weights(outputs, ipw)
+    w_click = _propensity_weights(outputs, ipw)
+    w_unclick = _propensity_weights(outputs, ipw, complement=True)
     cvr_to_uncvr = bce(outputs.cvr, _soft_label(outputs.uncvr, complement=True))
     uncvr_to_cvr = bce(outputs.uncvr, _soft_label(outputs.cvr, complement=True))
     return (

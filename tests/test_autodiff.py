@@ -16,10 +16,12 @@ from choruscvr.autodiff import (
     OptimizerState,
     ShapeError,
     Tensor,
+    _accumulate,
     backward,
     bce,
     dense,
     gather_concat,
+    inverse_propensity,
     masked_mean,
     mlp_forward,
     no_grad,
@@ -50,35 +52,35 @@ def _gather(blocks) -> Tensor:
     return gather_concat(tables, np.stack(columns, axis=1), 1, constant, np.array(constant_cols, dtype=np.int64))
 
 
-def test_add_mul_scalar_chain():
+def test_mul_and_weighted_sum_chain():
     a = Tensor(2.0)
     b = Tensor(3.0)
-    out = (a * b + a) * 2.0
+    out = weighted_sum([a * b, a], [2.0, 2.0])
     backward(out)
     assert out.item() == 16.0
     assert a.grad == pytest.approx(8.0)  # d/da 2(ab + a) = 2(b + 1)
     assert b.grad == pytest.approx(4.0)
 
 
-def test_broadcast_bias_gradient_sums_over_batch():
-    x = Tensor(np.ones((4, 2)))
-    b = Tensor(np.zeros(2))
-    out = (x + b).mean()
-    backward(out)
-    assert np.array_equal(b.grad, np.full(2, 0.5))  # four rows of 1/8
-
-
 def _unit_layer(width: int = 1) -> tuple[Tensor, Tensor]:
     return Tensor(np.eye(width)), Tensor(np.zeros(width))
 
 
+def test_dense_bias_gradient_sums_over_batch():
+    w, b = _unit_layer(2)
+    out = dense(Tensor(np.ones((4, 2))), w, b, "identity").mean()
+    backward(out)
+    assert np.array_equal(b.grad, np.full(2, 0.5))  # four rows of 1/8
+
+
 def test_matmul_vector_and_batch():
-    # the matmul of a dense layer, identity activation and zero bias
+    # the matmul of a dense layer, identity activation and zero bias, on a
+    # row vector (a batch of one) and on a batch of two
     w = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
     b = Tensor(np.zeros(2))
-    x = Tensor(np.array([1.0, 1.0, 1.0]))
+    x = Tensor(np.array([[1.0, 1.0, 1.0]]))
     backward(dense(x, w, b, "identity").mean())
-    assert np.array_equal(x.grad, np.array([1.5, 3.5, 5.5]))
+    assert np.array_equal(x.grad, np.array([[1.5, 3.5, 5.5]]))
     assert np.array_equal(w.grad, np.full((3, 2), 0.5))
     xs = Tensor(np.ones((2, 3)))
     backward(dense(xs, w, b, "identity").mean())
@@ -102,11 +104,11 @@ def test_linear_gradient_is_input():
 
 
 def test_sigmoid_derivative_at_zero():
-    z = Tensor(np.array([0.0]))
+    z = Tensor(np.array([[0.0]]))
     s = dense(z, *_unit_layer(), "sigmoid")
     backward(s.mean())
-    assert s.value[0] == 0.5
-    assert z.grad[0] == pytest.approx(0.25)
+    assert s.value[0, 0] == 0.5
+    assert z.grad[0, 0] == pytest.approx(0.25)
 
 
 def test_sigmoid_stable_in_tails():
@@ -115,10 +117,10 @@ def test_sigmoid_stable_in_tails():
     assert s.value[0, 0] >= 0.0 and s.value[1, 0] <= 1.0
 
 
-def test_log_and_reciprocal():
+def test_log_and_inverse_propensity():
     # -bce(x, 1) = ln x
     x = Tensor(0.5)
-    out = -bce(x, 1.0) + x.reciprocal()
+    out = weighted_sum([bce(x, 1.0), inverse_propensity(x, 0.01, False)], [-1.0, 1.0])
     backward(out)
     assert out.item() == pytest.approx(np.log(0.5) + 2.0)
     assert x.grad == pytest.approx(2.0 - 4.0)
@@ -133,11 +135,14 @@ def test_tower_heads_clip_blocks_gradient_outside_band():
     assert np.array_equal(x.grad, [[0.0], [0.25 / 3.0], [0.0]])
 
 
-def test_clamp_min_gradient():
-    x = Tensor(np.array([0.005, 0.5]))
-    out = x.clamp_min(0.01).mean()
-    backward(out)
-    assert np.array_equal(x.grad, np.array([0.0, 0.5]))
+@pytest.mark.parametrize("complement", [False, True], ids=["click", "unclick"])
+def test_inverse_propensity_floor_blocks_gradient(complement):
+    # q = 0.005 sits below the floor, q = 0.5 above it: d/dq mean(1/q) = -2
+    x = Tensor(np.array([0.995, 0.5]) if complement else np.array([0.005, 0.5]))
+    out = inverse_propensity(x, 0.01, complement)
+    backward(out.mean())
+    assert np.array_equal(out.value, [100.0, 2.0])
+    assert np.array_equal(x.grad, [0.0, 2.0] if complement else [0.0, -2.0])
 
 
 def test_mean_and_sum():
@@ -242,7 +247,8 @@ def test_no_grad_same_values_no_parents():
     def forward():
         x = _gather([(table, np.array([0, 0])), np.ones((2, 1))])
         (p,) = tower_heads(x, [[(w, b)]], 1e-7)
-        kept = masked_mean(bce(p, stop_gradient(p, 1.0 - p.value)), np.array([1.0, 0.0]), p.reciprocal())
+        weights = inverse_propensity(p, 0.01, False)
+        kept = masked_mean(bce(p, stop_gradient(p, 1.0 - p.value)), np.array([1.0, 0.0]), weights)
         return weighted_sum([kept, dense(x, w, b, "relu").mean()], [1.0, 2.0])
 
     graph = forward()
@@ -286,21 +292,21 @@ def _two_layer():
 def test_mlp_identity_passthrough():
     # zero weights, zero bias, identity activation -> output zero
     layers = [(Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))]
-    out = mlp_forward(layers, np.array([1.0, 2.0, 3.0]), ["identity"])
-    assert np.array_equal(out.value, np.zeros(2))
+    out = mlp_forward(layers, np.array([[1.0, 2.0, 3.0]]), ["identity"])
+    assert np.array_equal(out.value, np.zeros((1, 2)))
 
 
 def test_mlp_zero_weights_sigmoid_gives_half():
     layers = [(Tensor(np.zeros((4, 1))), Tensor(np.zeros(1)))]
-    out = mlp_forward(layers, np.ones(4), ["sigmoid"])
-    assert out.value[0] == pytest.approx(0.5)
+    out = mlp_forward(layers, np.ones((1, 4)), ["sigmoid"])
+    assert out.value[0, 0] == pytest.approx(0.5)
 
 
 def test_mlp_two_layer_hand_evaluation():
     # plain-math oracle: h = [0.75, -0.7] -> relu [0.75, 0] -> 0.575 -> sigmoid
     layers = _two_layer()
-    out = mlp_forward(layers, np.array([1.0, 2.0]), ["relu", "sigmoid"])
-    assert out.value[0] == pytest.approx(0.6399160967377341, abs=1e-12)
+    out = mlp_forward(layers, np.array([[1.0, 2.0]]), ["relu", "sigmoid"])
+    assert out.value[0, 0] == pytest.approx(0.6399160967377341, abs=1e-12)
     backward(out.mean())
     w2, _ = layers[1]
     w1, _ = layers[0]
@@ -313,25 +319,25 @@ def test_mlp_batch_matches_single_rows():
     layers = _two_layer()
     xs = np.array([[1.0, 2.0], [0.3, -0.7]])
     batch = mlp_forward(layers, xs, ["relu", "sigmoid"])
-    for i, row in enumerate(xs):
-        single = mlp_forward(layers, row, ["relu", "sigmoid"])
-        assert single.value[0] == pytest.approx(batch.value[i, 0], abs=1e-15)
+    for i in range(len(xs)):
+        single = mlp_forward(layers, xs[i : i + 1], ["relu", "sigmoid"])
+        assert single.value[0, 0] == pytest.approx(batch.value[i, 0], abs=1e-15)
 
 
 def test_mlp_layer_mismatch_names_layer():
     layers = _two_layer()
     with pytest.raises(ShapeError, match="layer 0"):
-        mlp_forward(layers, np.ones(3), ["relu", "sigmoid"])
+        mlp_forward(layers, np.ones((1, 3)), ["relu", "sigmoid"])
 
 
 def test_mlp_activation_count_checked():
     with pytest.raises(ShapeError):
-        mlp_forward(_two_layer(), np.ones(2), ["relu"])
+        mlp_forward(_two_layer(), np.ones((1, 2)), ["relu"])
 
 
 def test_mlp_unknown_activation():
     with pytest.raises(GraphError, match="unknown activation"):
-        mlp_forward(_two_layer(), np.ones(2), ["relu", "tanh"])
+        mlp_forward(_two_layer(), np.ones((1, 2)), ["relu", "tanh"])
 
 
 def test_mlp_finite_difference_three_layers():
@@ -389,7 +395,7 @@ def _check_central_differences(loss, leaves, step=1e-6, tol=1e-6):
 
 
 @pytest.mark.parametrize("activation", ACTIVATIONS)
-@pytest.mark.parametrize("shape", [(3,), (5, 3)], ids=["vector", "batch"])
+@pytest.mark.parametrize("shape", [(1, 3), (5, 3)], ids=["vector", "batch"])  # a row vector is a batch of one
 def test_dense_gradients_match_central_differences(activation, shape):
     rng = np.random.default_rng(11)
     x = Tensor(rng.normal(size=shape))
@@ -401,7 +407,7 @@ def test_dense_gradients_match_central_differences(activation, shape):
 
 def test_dense_rejects_unknown_activation():
     with pytest.raises(GraphError, match="tanh"):
-        dense(Tensor(np.ones(2)), *_unit_layer(2), "tanh")
+        dense(Tensor(np.ones((1, 2))), *_unit_layer(2), "tanh")
 
 
 @pytest.mark.parametrize("label", ["array", "tensor"])
@@ -430,6 +436,69 @@ def test_masked_mean_gradients_match_central_differences(weights):
     assert np.all(x.grad[mask == 0.0] == 0.0)
     if weights == "tensor":
         assert np.all(w.grad[mask == 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("complement", [False, True], ids=["click", "unclick"])
+def test_inverse_propensity_gradients_match_central_differences(complement):
+    rng = np.random.default_rng(21)
+    p = Tensor(np.concatenate([rng.uniform(0.05, 0.95, 6), [0.001, 0.999]]))  # one q below the floor
+    projection = rng.normal(size=8)
+    _check_central_differences(lambda: (inverse_propensity(p, 0.01, complement) * projection).mean(), [p])
+
+
+def _node_chain_inverse_propensity(p: Tensor, floor: float, complement: bool) -> Tensor:
+    """The chain of nodes :func:`inverse_propensity` replaces: ``1 - p`` as
+    a negation then an add when ``complement`` is set, then a clamp from
+    below, then a reciprocal."""
+    q = p
+    if complement:
+        neg = Tensor(-p.value, parents=(p,), op="neg")._attach(lambda g: _accumulate(p, -g))
+        q = Tensor(neg.value + 1.0, parents=(neg,), op="add")._attach(lambda g: _accumulate(neg, g))
+    clamped = Tensor(np.maximum(q.value, floor), parents=(q,), op="clamp_min")
+    clamped._attach(lambda g: _accumulate(q, g * (q.value > floor)))
+    value = 1.0 / clamped.value
+    out = Tensor(value, parents=(clamped,), op="reciprocal")
+    return out._attach(lambda g: _accumulate(clamped, -g * value * value))
+
+
+@pytest.mark.parametrize("complement", [False, True], ids=["click", "unclick"])
+def test_inverse_propensity_keeps_the_bits_of_the_node_chain(complement):
+    rng = np.random.default_rng(22)
+    values = np.concatenate([rng.uniform(0.0, 1.0, 256), [0.0, 0.005, 0.01, 0.99, 0.995, 1.0]])
+    x = rng.normal(size=values.size)
+    mask = (rng.random(values.size) < 0.6).astype(np.float64)
+    mask[-6:] = 1.0  # the values at and around the floor
+    results = []
+    for weigh in (inverse_propensity, _node_chain_inverse_propensity):
+        p, per_sample = Tensor(values), Tensor(x)
+        weights = weigh(p, 0.01, complement)
+        out = masked_mean(per_sample, mask, weights)
+        backward(out)
+        results.append([a.tobytes() for a in (weights.value, out.value, p.grad, per_sample.grad)])
+    assert results[0] == results[1]
+    detached = 1.0 / np.maximum(1.0 - values if complement else values, 0.01)
+    assert results[0][0] == detached.tobytes()
+
+
+def test_node_operands_of_another_shape_raise_shape_error():
+    row, grid = Tensor(np.full(3, 0.5)), Tensor(np.full((2, 3), 0.5))
+    with pytest.raises(ShapeError, match="mul"):
+        row * grid
+    with pytest.raises(ShapeError, match="mul"):
+        Tensor(2.0) * np.ones(3)
+    with pytest.raises(ShapeError, match="bce"):
+        bce(row, grid)
+    with pytest.raises(ShapeError, match="bce"):
+        bce(Tensor(0.5), np.ones(3))
+
+
+def test_dense_and_tower_heads_take_batches_only():
+    # a vector of the layer's width would give dense a scalar weight
+    # gradient, and tower_heads a hidden layer of the wrong shape
+    with pytest.raises(ShapeError, match="dense"):
+        dense(Tensor(np.ones(2)), *_unit_layer(2), "identity")
+    with pytest.raises(ShapeError, match="tower_heads"):
+        tower_heads(Tensor(np.ones(2)), [[_unit_layer(2), (Tensor(np.ones((2, 1))), Tensor(np.zeros(1)))]], 1e-7)
 
 
 def test_gather_concat_gradients_match_central_differences():
@@ -529,10 +598,7 @@ def test_adam_converges_on_quadratic():
     state = OptimizerState.for_params([w])
     config = OptimizerConfig(learning_rate=0.1)
     for _ in range(1000):
-        gap = w + -3.0
-        loss = gap * gap
-        grads = backward(loss)
-        optimizer_step([w], [grads[w]], state, config)
+        optimizer_step([w], [2.0 * (w.value - 3.0)], state, config)
     assert abs(w.item() - 3.0) < 1e-3
 
 
@@ -625,7 +691,8 @@ def test_dropped_graph_is_freed_without_the_cycle_collector():
     try:
         (p,) = tower_heads(_gather([(table, np.array([0, 0]))]), [[(w, b)]], 1e-7)
         per_sample = bce(p, stop_gradient(p, 1.0 - p.value))
-        terms = [masked_mean(per_sample, np.array([1.0, 0.0]), p.reciprocal()), (-p + 1.0).clamp_min(0.1).mean()]
+        weights = inverse_propensity(p, 0.01, False)
+        terms = [masked_mean(per_sample, np.array([1.0, 0.0]), weights), inverse_propensity(p, 0.1, True).mean()]
         backward(weighted_sum(terms, [1.0, 0.5]))
         assert gc.collect() == 0
     finally:

@@ -512,6 +512,30 @@ def test_compare_screens_a_simulated_log_as_reading_it_would(tmp_path, monkeypat
     )
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["screened", "read"])
+def test_compare_load_time_covers_generating_and_writing_the_seed_log(tmp_path, monkeypatch, reverse):
+    # The seed's log comes from generate, write_log, then a screen, or a
+    # read when the features list its id columns in another order.
+    header, *entries = _features(4).splitlines(keepends=True)
+    features = header + "".join(reversed(entries)) if reverse else ""
+    real_generate = cli.generate
+
+    def slow_generate(config):
+        time.sleep(0.05)
+        return real_generate(config)
+
+    monkeypatch.setattr(cli, "generate", slow_generate)
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(CONFIG + features, encoding="utf-8")
+    out = tmp_path / "cmp"
+    assert main(_compare_args(cfg, out, methods="esmm,nise")) == 0
+    for method in ("esmm", "nise"):
+        for seed in (0, 1):
+            lines = (out / "runs" / f"{method}_seed{seed}" / "timing.csv").read_text(encoding="utf-8").splitlines()
+            load = [float(seconds) for phase, _, seconds in (line.split(",") for line in lines) if phase == "load"]
+            assert load[0] >= 0.05
+
+
 def test_compare_reads_a_simulated_log_its_features_do_not_name(tmp_path, capsys):
     cfg = tmp_path / "config.yaml"
     cfg.write_text(CONFIG + _features(3), encoding="utf-8")

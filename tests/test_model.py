@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from choruscvr import model
-from choruscvr.autodiff import ShapeError, Tensor, backward, no_grad
+from choruscvr.autodiff import ShapeError, backward, no_grad
 from choruscvr.features import build_matrix, build_schema
 from choruscvr.model import (
     Architecture,
     CheckpointError,
     init_model,
     load_checkpoint,
-    predict,
     predict_batch,
     save_checkpoint,
 )
@@ -92,7 +91,8 @@ def test_tiny_net_matches_hand_evaluation():
     for tower, (w, b) in hand.items():
         params.towers[tower][0][0].value[...] = w
         params.towers[tower][0][1].value[...] = b
-    out = predict(params, Tensor(np.array([[0.3]])))
+    out = predict_batch(params, _matrix([{"x": 0.3}], schema))
+    assert out.ctr.shape == (1,)
     assert out.ctr.value[0] == pytest.approx(0.7502601055951177, abs=1e-12)
     assert out.cvr.value[0] == pytest.approx(0.4875026035157896, abs=1e-12)
     assert out.uncvr.value[0] == pytest.approx(0.20587037180094733, abs=1e-12)
@@ -216,10 +216,3 @@ def test_checkpoint_rejects_numeric_standardization(tmp_path):
     p.write_bytes(raw.replace(b'"numeric_stats":{}', b'"numeric_stats":{"z":[1.0,2.0]}'))
     with pytest.raises(CheckpointError, match="numeric standardization"):
         load_checkpoint(p)
-
-
-def test_predict_single_vector_input():
-    schema = build_schema([{"name": "x", "kind": "numeric"}])
-    params = init_model(schema, Architecture(encoder_widths=(), tower_widths=()), seed=1)
-    out = predict(params, Tensor(np.array([0.5])))
-    assert out.ctr.shape == (1,)
