@@ -4,9 +4,10 @@ Define-by-run: every operation returns a new :class:`Tensor` holding the
 forward value, the parent nodes and a closure that maps the output
 gradient onto the parents. ``backward`` walks the graph once in reverse
 topological order. Inside :func:`no_grad` no graph is built, so the same
-forward code serves scoring. The operation set is intentionally small
-(what the training objectives need): the training path runs through a
-few fused nodes with analytic backward passes, and everything is 64-bit.
+forward code serves scoring. The operation set is the model's chain:
+the input gather, dense layers and the three towers, each one fused node
+with an analytic backward; the training objective is one node of its
+own (``objectives.compose_method_loss``). Everything is 64-bit.
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ __all__ = [
     "backward",
     "no_grad",
     "stable_sigmoid",
-    "stop_gradient",
     "dense",
-    "bce",
-    "inverse_propensity",
-    "masked_mean",
-    "weighted_sum",
     "gather_concat",
     "tower_heads",
     "mlp_forward",
@@ -113,27 +109,15 @@ def _accumulate(node: "Tensor", g: np.ndarray) -> None:
     node._grad = g if node._grad is None else node._grad + g
 
 
-def _same_shape(value: np.ndarray, operands: Sequence["Tensor"], op: str) -> np.ndarray:
-    """``value``, once each node operand is found to have its shape: no
-    backward sums a broadcast gradient back into a smaller operand."""
-    for t in operands:
-        if t.value.shape != value.shape:
-            raise ShapeError(f"{op}: operand shape {t.value.shape} differs from result shape {value.shape}")
-    return value
-
-
 class Tensor:
     """One node of the computation graph.
 
     ``value`` and ``grad`` always share a shape. ``grad`` reads zero until
     a :func:`backward` reaches the node; each backward starts every node
-    it reaches from zero. A node with ``grad_blocked`` set
-    contributes exactly zero gradient to all of its parents: the engine
-    never invokes its backward closure, so parent accumulators are left
-    untouched (bitwise zero, not merely small).
+    it reaches from zero.
     """
 
-    __slots__ = ("value", "_grad", "op", "parents", "grad_blocked", "name", "_backward")
+    __slots__ = ("value", "_grad", "op", "parents", "name", "_backward")
 
     def __init__(
         self,
@@ -141,14 +125,12 @@ class Tensor:
         *,
         parents: tuple["Tensor", ...] = (),
         op: str = "leaf",
-        grad_blocked: bool = False,
         name: str = "",
     ):
         self.value = np.asarray(value, dtype=np.float64)
         self._grad: np.ndarray | None = None
         self.op = op
         self.parents = parents if _grad_enabled else ()
-        self.grad_blocked = grad_blocked
         self.name = name
         self._backward: Callable[[np.ndarray], None] = _noop
 
@@ -177,51 +159,12 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    @property
-    def size(self) -> int:
-        return self.value.size
-
     def item(self) -> float:
         return float(self.value)
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(op={self.op!r}, shape={self.shape}{tag})"
-
-    # -- arithmetic ------------------------------------------------------
-
-    def __mul__(self, other) -> "Tensor":
-        b_val = other.value if isinstance(other, Tensor) else np.asarray(other, dtype=np.float64)
-        parents = (self, other) if isinstance(other, Tensor) else (self,)
-        out = Tensor(_same_shape(self.value * b_val, parents, "mul"), parents=parents, op="mul")
-
-        def bw(g: np.ndarray) -> None:
-            _accumulate(self, g * b_val)
-            if isinstance(other, Tensor):
-                _accumulate(other, g * self.value)
-
-        return out._attach(bw)
-
-    # -- reductions ----------------------------------------------------------
-
-    def mean(self) -> "Tensor":
-        n = self.value.size
-        out = Tensor(self.value.mean(), parents=(self,), op="mean")
-
-        def bw(g: np.ndarray) -> None:
-            _accumulate(self, np.full(self.value.shape, g / n))
-
-        return out._attach(bw)
-
-
-def stop_gradient(t: Tensor, value: np.ndarray | None = None) -> Tensor:
-    """Zero on gradients; the value is ``t``'s, or ``value`` when given
-    (a constant the caller derived from ``t``'s value).
-
-    The result keeps its parent for graph bookkeeping but is flagged so
-    that backward never propagates anything through it.
-    """
-    return Tensor(t.value if value is None else value, parents=(t,), op="stop_gradient", grad_blocked=True)
 
 
 # -- fused nodes ---------------------------------------------------------------
@@ -253,73 +196,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
         _accumulate(x, g @ w.value.T)
         _accumulate(w, x.value.T @ g)
         _accumulate(b, g.sum(axis=0))
-
-    return out._attach(bw)
-
-
-def bce(p: Tensor, y) -> Tensor:
-    """Elementwise ``-[y ln p + (1-y) ln(1-p)]``; ``p`` must sit inside
-    (0, 1). The label ``y`` may be soft and may be a graph node."""
-    y_val, parents = (y.value, (p, y)) if isinstance(y, Tensor) else (np.asarray(y, dtype=np.float64), (p,))
-    log_p, log_q = np.log(p.value), np.log(1.0 - p.value)
-    out = Tensor(_same_shape(-(y_val * log_p + (1.0 - y_val) * log_q), parents, "bce"), parents=parents, op="bce")
-
-    def bw(g: np.ndarray) -> None:
-        dp = (1.0 - y_val) / (1.0 - p.value) - y_val / p.value
-        _accumulate(p, g * dp)
-        if len(parents) == 2:
-            _accumulate(y, g * (log_q - log_p))
-
-    return out._attach(bw)
-
-
-def inverse_propensity(p: Tensor, floor: float, complement: bool) -> Tensor:
-    """``1 / max(q, floor)`` with ``q`` = ``p``, or ``1 - p`` when
-    ``complement`` is set: one node in place of the chain ``q``,
-    ``clamp_min(floor)``, ``reciprocal``, whose value and gradient bits
-    it keeps. The gradient passes where ``q > floor``."""
-    q = 1.0 - p.value if complement else p.value
-    value = 1.0 / np.maximum(q, floor)
-    out = Tensor(value, parents=(p,), op="inverse_propensity")
-
-    def bw(g: np.ndarray) -> None:
-        gq = -g * value * value * (q > floor)
-        _accumulate(p, -gq if complement else gq)
-
-    return out._attach(bw)
-
-
-def masked_mean(x: Tensor, mask: np.ndarray, weights=None) -> Tensor:
-    """``sum(x * weights * mask) / sum(mask)`` over a non-empty 0/1 mask.
-
-    ``weights`` is an array, a graph node (an attached
-    :func:`inverse_propensity`) or ``None`` (all ones). Samples
-    outside the mask pass exactly zero gradient to ``x`` and ``weights``.
-    """
-    scale = mask / float(mask.sum())
-    w_val = 1.0 if weights is None else weights.value if isinstance(weights, Tensor) else weights
-    coef = w_val * scale
-    parents = (x, weights) if isinstance(weights, Tensor) else (x,)
-    out = Tensor((x.value * coef).sum(), parents=parents, op="masked_mean")
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(x, g * coef)
-        if isinstance(weights, Tensor):
-            _accumulate(weights, g * x.value * scale)
-
-    return out._attach(bw)
-
-
-def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
-    """``sum(w * t)`` over scalar terms, added left to right."""
-    value = terms[0].value * weights[0]
-    for t, w in zip(terms[1:], weights[1:]):
-        value = value + t.value * w
-    out = Tensor(value, parents=tuple(terms), op="weighted_sum")
-
-    def bw(g: np.ndarray) -> None:
-        for t, w in zip(terms, weights):
-            _accumulate(t, g * w)
 
     return out._attach(bw)
 
@@ -458,7 +334,7 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
     root._grad = np.ones_like(root.value)
     for node in reversed(order):
         # A node no gradient reached would only pass zeros on.
-        if node._grad is not None and not node.grad_blocked:
+        if node._grad is not None:
             node._backward(node._grad)
     return {node: node.grad for node in order if node.op == "leaf"}
 

@@ -10,7 +10,7 @@ stay strictly positive.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -110,17 +110,17 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class TowerOutputs:
-    """Per-sample probabilities; shape (n,) each."""
+    """Per-sample head probabilities; shape (n,) each."""
 
     ctr: Tensor
     cvr: Tensor
     uncvr: Tensor
-    ctcvr: Tensor
-    ctuncvr: Tensor
 
     def values(self) -> dict[str, np.ndarray]:
-        """Score name -> probability array."""
-        return {f.name: getattr(self, f.name).value for f in fields(self)}
+        """Score name -> probability array: the heads, then the funnel
+        products ``ctcvr`` (ctr * cvr) and ``ctuncvr`` (ctr * uncvr)."""
+        ctr, cvr, uncvr = self.ctr.value, self.cvr.value, self.uncvr.value
+        return {"ctr": ctr, "cvr": cvr, "uncvr": uncvr, "ctcvr": ctr * cvr, "ctuncvr": ctr * uncvr}
 
 
 def _init_layer(fan_in: int, fan_out: int, rng: np.random.Generator, name: str) -> tuple[Tensor, Tensor]:
@@ -169,8 +169,7 @@ def predict_batch(params: ModelParams, fm: FeatureMatrix) -> TowerOutputs:
     :func:`~choruscvr.autodiff.no_grad`."""
     x = encode_matrix(fm, params.schema, params.tables)
     h = mlp_forward(params.encoder, x, ["relu"] * len(params.encoder))
-    ctr, cvr, uncvr = tower_heads(h, [params.towers[t] for t in TOWER_NAMES], PROB_CLAMP)
-    return TowerOutputs(ctr=ctr, cvr=cvr, uncvr=uncvr, ctcvr=ctr * cvr, ctuncvr=ctr * uncvr)
+    return TowerOutputs(*tower_heads(h, [params.towers[t] for t in TOWER_NAMES], PROB_CLAMP))
 
 
 # -- checkpointing ------------------------------------------------------------

@@ -1,34 +1,44 @@
 """Training objectives: funnel losses, IPW debiasing, soft alignment.
 
-All losses are negated mean log-likelihoods over a space within the
-mini-batch. Conversion-side terms weight each clicked sample by
-1/p_click and divide by the number of clicks in the batch, so they
-estimate the exposure-space mean divided by the click rate, not the
-exposure-space mean itself (that would divide by the batch size); the
-un-click analog weights by one minus the propensity and divides by the
-un-click count. The un-conversion (unCVR) head discriminates
-clicked-but-unconverted samples, and the mutual alignment terms tie the
-two conversion heads together through stop-gradient soft labels.
+Every term is a sum of parts of one form, ``sum(m * w * bce(p, y)) / D``:
+the binary cross-entropy of a prediction ``p`` against a label ``y``,
+weighted by ``w`` and averaged over one space ``m`` of the mini-batch.
 
-Each method is one row of :data:`METHOD_TERMS`: the terms its total
-adds, in order.
+- ``p`` is a head (ctr, cvr or uncvr) or the funnel product of ctr with
+  a conversion head.
+- ``y`` is a batch label, or a soft label: a head, or one minus a head,
+  clipped off {0, 1} and held constant (a stop-gradient).
+- The space is the whole batch (``D`` is its size), the click space
+  (o = 1) or the un-click space (o = 0), where ``D`` is the space's
+  count. A space absent from the batch contributes zero.
+- ``w`` is 1 or the inverse propensity of the space: 1/p_click on
+  clicks, 1/(1 - p_click) on un-clicks, floored. Dividing by the click
+  count, the click-space terms estimate the exposure-space mean divided
+  by the click rate, not the exposure-space mean itself (that would
+  divide by the batch size).
 
-Space conventions within a batch: exposure = every sample, click =
-samples with o = 1, un-click = o = 0. A space absent from the batch
-contributes zero for its terms.
+The un-conversion (unCVR) head discriminates clicked-but-unconverted
+samples, and the mutual alignment terms tie the two conversion heads
+together through soft labels. Each method is one row of
+:data:`METHOD_TERMS`: the terms its total adds, in order.
+
+There is no loss graph: :func:`compose_method_loss` computes each
+term's value, the total and every head's gradient in numpy, and
+returns the total as one ``objective`` node whose backward hands each
+head its gradient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, fields
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, backward, bce, inverse_propensity, masked_mean, stop_gradient, weighted_sum
+from .autodiff import ShapeError, Tensor, _accumulate, backward
 from .features import FeatureMatrix
-from .model import ModelParams, TowerOutputs, predict_batch
+from .model import TOWER_NAMES, ModelParams, TowerOutputs, predict_batch
 
 __all__ = [
     "ObjectiveError",
@@ -38,15 +48,7 @@ __all__ = [
     "TERMS",
     "METHOD_TERMS",
     "METHODS",
-    "bce",
-    "loss_ctr",
-    "loss_ctcvr",
-    "loss_cvr_ipw",
     "ctuncvr_label",
-    "loss_ctuncvr",
-    "loss_uncvr_ipw",
-    "align_terms",
-    "loss_align_ipw",
     "compose_method_loss",
     "training_step",
 ]
@@ -67,6 +69,36 @@ METHOD_TERMS: dict[str, tuple[str, ...]] = {
     "dcmt_lite": ("ctr", "ctcvr", "cvr_ipw", "cf_tower", "cf_constraint"),
 }
 METHODS = tuple(METHOD_TERMS)
+
+# Every term as its parts, added in order: (prediction, label, space,
+# IPW-weighted). A prediction is a head, or "ctcvr" / "ctuncvr", the
+# product of ctr with cvr / uncvr. A label is a batch label ("o", "r",
+# "o*r", "o*(1-r)", "1-r") or a soft label ("cvr", "1-cvr", "1-uncvr").
+# The base terms come first, then the ablation's and the baselines' own.
+_PARTS: dict[str, tuple[tuple[str, str, str, bool], ...]] = {
+    "ctr": (("ctr", "o", "batch", False),),
+    "ctcvr": (("ctcvr", "o*r", "batch", False),),
+    "cvr_ipw": (("cvr", "r", "click", True),),
+    "ctuncvr": (("ctuncvr", "o*(1-r)", "batch", False),),
+    "uncvr_ipw": (("uncvr", "1-r", "click", True),),
+    # mutual soft alignment: cvr <- uncvr and uncvr <- cvr, on clicks then un-clicks
+    "align_ipw": (
+        ("cvr", "1-uncvr", "click", True),
+        ("uncvr", "1-cvr", "click", True),
+        ("cvr", "1-uncvr", "unclick", True),
+        ("uncvr", "1-cvr", "unclick", True),
+    ),
+    # chorus_wo_ndm: the un-conversion head on the soft label 1 - cvr, click space
+    "uncvr_soft": (("uncvr", "1-cvr", "click", False),),
+    # nise: self-distillation of the conversion head on un-clicked samples
+    "cvr_self_distill": (("cvr", "cvr", "unclick", False),),
+    # dcmt_lite: counterfactual tower (label 1 - r) on clicks, soft constraint on exposures
+    "cf_tower": (("uncvr", "1-r", "click", False),),
+    "cf_constraint": (("cvr", "1-uncvr", "batch", False),),
+}
+
+# The funnel products: ctr times a conversion head.
+_PRODUCTS = {"ctcvr": "cvr", "ctuncvr": "uncvr"}
 
 # The methods whose base terms LossWeights scales; every other term has weight 1.
 _WEIGHTED_METHODS = frozenset({"chorus", "chorus_wo_ndm", "chorus_wo_sam"})
@@ -118,68 +150,20 @@ class LossWeights:
 
 @dataclass
 class LossBundle:
-    """The terms that enter one batch's total, by name in the order the
-    total adds them, and the total itself."""
+    """The values of the terms that enter one batch's total, by name in
+    the order the total adds them, and the total as the ``objective``
+    graph node."""
 
-    terms: dict[str, Tensor]
+    terms: dict[str, float]
     total: Tensor
 
     def term_values(self) -> dict[str, float]:
         """Every base term (0.0 when left out), the method's own terms,
         then ``total``: one ``history.csv`` column each."""
         vals = dict.fromkeys(TERMS, 0.0)
-        vals.update((name, t.item()) for name, t in self.terms.items())
+        vals.update(self.terms)
         vals["total"] = self.total.item()
         return vals
-
-
-def _require_batch(o: np.ndarray) -> None:
-    if o.size == 0:
-        raise ObjectiveError("loss over an empty batch is undefined")
-
-
-def _space_mean(per_sample: Tensor, mask: np.ndarray, weights=None) -> Tensor:
-    """Mean of weighted per-sample values over a masked space.
-
-    Returns a graph zero when the space is absent from the batch.
-    Excluded samples pass exactly zero gradient.
-    """
-    if not mask.any():
-        return Tensor(0.0)
-    return masked_mean(per_sample, mask, weights)
-
-
-def _propensity_weights(outputs: TowerOutputs, ipw: IpwConfig, complement: bool = False):
-    """1 / max(q, floor) with q = p_click, or 1 - p_click when
-    ``complement`` is set: the :func:`inverse_propensity` node, or its
-    value when detached."""
-    w = inverse_propensity(outputs.ctr, ipw.floor, complement)
-    return w.value if ipw.detach else w
-
-
-def _soft_label(source: Tensor, complement: bool) -> Tensor:
-    """Detached soft label, optionally 1 - source, clamped off {0,1}: one
-    stop-gradient node whose parent is the source."""
-    value = 1.0 - source.value if complement else source.value
-    return stop_gradient(source, np.clip(value, SOFT_LABEL_CLAMP, 1.0 - SOFT_LABEL_CLAMP))
-
-
-def loss_ctr(outputs: TowerOutputs, o: np.ndarray) -> Tensor:
-    """Mean click loss over the batch."""
-    _require_batch(o)
-    return bce(outputs.ctr, o).mean()
-
-
-def loss_ctcvr(outputs: TowerOutputs, o: np.ndarray, r: np.ndarray) -> Tensor:
-    """Mean click-and-convert loss over the batch; label o * r."""
-    _require_batch(o)
-    return bce(outputs.ctcvr, o * r).mean()
-
-
-def loss_cvr_ipw(outputs: TowerOutputs, o: np.ndarray, r: np.ndarray, ipw: IpwConfig) -> Tensor:
-    """Click-space conversion loss, inversely weighted by click
-    propensity; zero when the batch has no clicks."""
-    return _space_mean(bce(outputs.cvr, r), o, _propensity_weights(outputs, ipw))
 
 
 def ctuncvr_label(o: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -191,65 +175,25 @@ def ctuncvr_label(o: np.ndarray, r: np.ndarray) -> np.ndarray:
     return o * (1.0 - r)
 
 
-def loss_ctuncvr(outputs: TowerOutputs, o: np.ndarray, r: np.ndarray) -> Tensor:
-    """Mean click-and-not-convert loss over the batch."""
-    _require_batch(o)
-    return bce(outputs.ctuncvr, ctuncvr_label(o, r)).mean()
+def _add(sums: dict, key, g: np.ndarray) -> None:
+    """Add ``g`` into ``sums[key]``: the first addend as it is, later
+    ones by ``+`` in arrival order, as the graph's accumulation did."""
+    sums[key] = sums[key] + g if key in sums else g
 
 
-def loss_uncvr_ipw(outputs: TowerOutputs, o: np.ndarray, r: np.ndarray, ipw: IpwConfig) -> Tensor:
-    """Click-space un-conversion loss (label 1 - r), inversely weighted
-    by click propensity."""
-    return _space_mean(bce(outputs.uncvr, 1.0 - r), o, _propensity_weights(outputs, ipw))
+def _soft_source(label: str) -> str | None:
+    """The head a soft label is taken from; None for a batch label."""
+    head = label.removeprefix("1-")
+    return head if head in TOWER_NAMES else None
 
 
-def align_terms(outputs: TowerOutputs, o: np.ndarray, ipw: IpwConfig) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """The four mutual-alignment addends, separately.
-
-    Order: (cvr←uncvr on click, uncvr←cvr on click, cvr←uncvr on
-    un-click, uncvr←cvr on un-click). Each is a per-space mean within
-    the batch; click terms weight by 1/p_click, un-click terms by
-    1/(1 - p_click). The arrow's source is stop-gradient wrapped.
-    """
-    o = np.asarray(o, dtype=np.float64)
-    n_mask = 1.0 - o
-    w_click = _propensity_weights(outputs, ipw)
-    w_unclick = _propensity_weights(outputs, ipw, complement=True)
-    cvr_to_uncvr = bce(outputs.cvr, _soft_label(outputs.uncvr, complement=True))
-    uncvr_to_cvr = bce(outputs.uncvr, _soft_label(outputs.cvr, complement=True))
-    return (
-        _space_mean(cvr_to_uncvr, o, w_click),
-        _space_mean(uncvr_to_cvr, o, w_click),
-        _space_mean(cvr_to_uncvr, n_mask, w_unclick),
-        _space_mean(uncvr_to_cvr, n_mask, w_unclick),
-    )
-
-
-def loss_align_ipw(outputs: TowerOutputs, o: np.ndarray, ipw: IpwConfig) -> Tensor:
-    """Mutual soft alignment of the two conversion heads: the sum of
-    the four :func:`align_terms`."""
-    return weighted_sum(align_terms(outputs, o, ipw), (1.0,) * 4)
-
-
-# Every term as a function of (outputs, o, r, ipw): the base terms, then
-# the ablation's and the baselines' own terms.
-_TERM_FNS: dict[str, Callable[[TowerOutputs, np.ndarray, np.ndarray, IpwConfig], Tensor]] = {
-    "ctr": lambda out, o, r, ipw: loss_ctr(out, o),
-    "ctcvr": lambda out, o, r, ipw: loss_ctcvr(out, o, r),
-    "cvr_ipw": loss_cvr_ipw,
-    "ctuncvr": lambda out, o, r, ipw: loss_ctuncvr(out, o, r),
-    "uncvr_ipw": loss_uncvr_ipw,
-    "align_ipw": lambda out, o, r, ipw: loss_align_ipw(out, o, ipw),
-    # chorus_wo_ndm: the un-conversion head on the soft label 1 - sg(cvr), click space
-    "uncvr_soft": lambda out, o, r, ipw: _space_mean(bce(out.uncvr, _soft_label(out.cvr, complement=True)), o),
-    # nise: self-distillation of the conversion head on un-clicked samples
-    "cvr_self_distill": lambda out, o, r, ipw: _space_mean(
-        bce(out.cvr, _soft_label(out.cvr, complement=False)), 1.0 - o
-    ),
-    # dcmt_lite: counterfactual tower (label 1 - r) on clicks, soft constraint on exposures
-    "cf_tower": lambda out, o, r, ipw: _space_mean(bce(out.uncvr, 1.0 - r), o),
-    "cf_constraint": lambda out, o, r, ipw: bce(out.cvr, _soft_label(out.uncvr, complement=True)).mean(),
-}
+def _first_reached(pred: str, label: str, weighted: bool, ipw: IpwConfig) -> str:
+    """The head the loss graph's depth-first walk reached first from a
+    part: ctr through attached weights, else a soft label's source, else
+    a product's conversion head, else the part's own head."""
+    if weighted and not ipw.detach:
+        return "ctr"
+    return _soft_source(label) or _PRODUCTS.get(pred, pred)
 
 
 def compose_method_loss(
@@ -265,22 +209,112 @@ def compose_method_loss(
 
     ``weights`` scales the base terms of ``chorus``, ``chorus_wo_ndm``
     and ``chorus_wo_sam``; baseline terms and method-specific terms have
-    weight 1. A zero-weight term is never built, so it contributes no
+    weight 1. A zero-weight term is left out, so it contributes no
     gradient at all.
+
+    The total is one node whose parents are the heads that get a
+    gradient. Its bits are those of the loss graph it replaces, whose
+    nodes were ``bce``, ``mean``, ``masked_mean`` (a space mean),
+    ``inverse_propensity``, ``stop_gradient``, ``*`` and
+    ``weighted_sum``:
+
+    - Each head adds its addends term by term, in row order. Within a
+      term, each addend runs that graph's elementwise backward
+      operations in order; a per-sample loss that two spaces share sums
+      both spaces' gradients before it multiplies by its derivative, and
+      attached weights send ctr one click addend, then one un-click
+      addend, each summed over the term's parts.
+    - ``tower_heads`` adds the towers' input gradients in the order the
+      heads' gradients arrive, which is the order of the node's parents.
+      Of three, only the last changes bits, so the last parent is the
+      head the graph's depth-first walk reached first from the last term
+      that reaches any head (see :func:`_first_reached`).
     """
     if method not in METHOD_TERMS:
         raise ObjectiveError(f"unknown method {method!r}; expected one of {METHODS}")
     o = np.asarray(o, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
-    _require_batch(o)
-    ctuncvr_label(o, r)  # reject funnel violations up front
+    if o.size == 0:
+        raise ObjectiveError("loss over an empty batch is undefined")
+    heads = {name: getattr(outputs, name) for name in TOWER_NAMES}
+    v = {name: h.value for name, h in heads.items()}
+    if o.ndim != 1 or any(x.shape != o.shape for x in (r, *v.values())):
+        raise ShapeError(f"labels {o.shape} and {r.shape} and heads must all be one (n,) batch")
+    n = len(o)
+    labels = {"o": o, "r": r, "o*r": o * r, "o*(1-r)": ctuncvr_label(o, r), "1-r": 1.0 - r}
+    # space -> mask / count, None when the batch has none of it
+    scales = {space: m / float(m.sum()) if m.any() else None for space, m in (("click", o), ("unclick", 1.0 - o))}
+    ipws: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # space -> (q, 1 / max(q, floor))
+    losses: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}  # -> (bce, d bce / dp)
+
+    def loss(pred: str, label: str) -> tuple[np.ndarray, np.ndarray]:
+        if (pred, label) not in losses:
+            p = v["ctr"] * v[_PRODUCTS[pred]] if pred in _PRODUCTS else v[pred]
+            source = _soft_source(label)
+            if source is None:
+                y = labels[label]
+            else:
+                y = 1.0 - v[source] if label != source else v[source]
+                y = np.clip(y, SOFT_LABEL_CLAMP, 1.0 - SOFT_LABEL_CLAMP)
+            log_p, log_q = np.log(p), np.log(1.0 - p)
+            losses[pred, label] = -(y * log_p + (1.0 - y) * log_q), (1.0 - y) / (1.0 - p) - y / p
+        return losses[pred, label]
+
+    def propensity(space: str) -> tuple[np.ndarray, np.ndarray]:
+        if space not in ipws:
+            q = 1.0 - v["ctr"] if space == "unclick" else v["ctr"]
+            ipws[space] = q, 1.0 / np.maximum(q, ipw.floor)
+        return ipws[space]
 
     scale = dict(zip(TERMS, astuple(weights))) if method in _WEIGHTED_METHODS else {}
     row = [(name, scale.get(name, 1.0)) for name in METHOD_TERMS[method]]
     row = [(name, w) for name, w in row if w > 0]
-    terms = {name: _TERM_FNS[name](outputs, o, r, ipw) for name, _ in row}
-    total = weighted_sum(list(terms.values()), [w for _, w in row]) if row else Tensor(0.0)
-    return LossBundle(terms, total)
+    terms: dict[str, float] = {}
+    grads: dict[str, np.ndarray] = {}  # head -> its gradient, summed term by term
+    lead = None
+    for name, w in row:
+        parts = []  # each part's value; an empty space adds 0.0
+        g_loss: dict[tuple[str, str], np.ndarray] = {}  # gradient on each per-sample loss
+        g_ipw: dict[str, np.ndarray] = {}  # gradient on each space's attached weights
+        for pred, label, space, weighted in _PARTS[name]:
+            per_sample = loss(pred, label)[0]
+            if space == "batch":
+                parts.append(per_sample.mean())
+                _add(g_loss, (pred, label), np.full(n, w / n))
+            elif scales[space] is None:
+                parts.append(0.0)
+                continue
+            else:
+                s = scales[space]
+                coef = (propensity(space)[1] if weighted else 1.0) * s
+                parts.append((per_sample * coef).sum())
+                _add(g_loss, (pred, label), w * coef)
+                if weighted and not ipw.detach:
+                    _add(g_ipw, space, w * per_sample * s)
+            lead = _first_reached(pred, label, weighted, ipw)
+        for (pred, label), g in g_loss.items():
+            gp = g * loss(pred, label)[1]
+            if pred in _PRODUCTS:  # the product rule, ctr first
+                _add(grads, "ctr", gp * v[_PRODUCTS[pred]])
+                _add(grads, _PRODUCTS[pred], gp * v["ctr"])
+            else:
+                _add(grads, pred, gp)
+        for space, g in g_ipw.items():
+            q, weight = propensity(space)
+            gq = -g * weight * weight * (q > ipw.floor)
+            _add(grads, "ctr", -gq if space == "unclick" else gq)
+        # No loss value is -0.0, so sum's start at 0 keeps the bits of
+        # adding left to right from the first.
+        terms[name] = float(sum(parts))
+    total = sum(value * w for value, (_, w) in zip(terms.values(), row))
+    order = [h for h in TOWER_NAMES if h in grads and h != lead] + [h for h in (lead,) if h in grads]
+    node = Tensor(total, parents=tuple(heads[h] for h in order), op="objective")
+
+    def bw(g: np.ndarray) -> None:
+        for h in order:
+            _accumulate(heads[h], g * grads[h])
+
+    return LossBundle(terms, node._attach(bw))
 
 
 def training_step(

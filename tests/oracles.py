@@ -1,17 +1,20 @@
 """Reference estimators the acceptance and objective tests check against,
 a log built from feature dicts for tests that write rows by hand, a
-per-value CSV writer that ``write_log``'s bytes are checked against, and
-the plain bisection that the simulator's intercept calibration must
-reproduce bit for bit."""
+per-value CSV writer that ``write_log``'s bytes are checked against, the
+plain bisection that the simulator's intercept calibration must
+reproduce bit for bit, and the loss graph whose bits the training
+objective must keep."""
 
 import csv
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from choruscvr import simulator
-from choruscvr.autodiff import stable_sigmoid
+from choruscvr.autodiff import Tensor, _accumulate, stable_sigmoid
 from choruscvr.data import TRUTH_COLUMNS, ExposureLog
+from choruscvr.objectives import METHOD_TERMS, SOFT_LABEL_CLAMP, TERMS, ctuncvr_label
 
 
 def ipw_mean(values: np.ndarray, mask: np.ndarray, propensity: np.ndarray, floor: float = 0.01) -> float:
@@ -127,3 +130,154 @@ def bisected_intercepts(config: simulator.SimConfig) -> tuple[float, float]:
 
     c0 = bisect_intercept(conv_given_click, config.target_conv_rate_given_click, "conversion rate")
     return b0, c0
+
+
+# -- the loss graph ---------------------------------------------------------------
+#
+# One graph node per operation, each with its own backward, as the
+# training objective was built before it became one analytic node.
+# ``objectives.compose_method_loss`` must give the same values and, on
+# every parameter, the same gradient bits.
+
+
+def mul(a: Tensor, b) -> Tensor:
+    """``a * b`` for a node ``a`` and a node or array ``b``."""
+    b_val = b.value if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
+    out = Tensor(a.value * b_val, parents=(a, b) if isinstance(b, Tensor) else (a,), op="mul")
+
+    def bw(g):
+        _accumulate(a, g * b_val)
+        if isinstance(b, Tensor):
+            _accumulate(b, g * a.value)
+
+    return out._attach(bw)
+
+
+def mean(x: Tensor) -> Tensor:
+    n = x.value.size
+    out = Tensor(x.value.mean(), parents=(x,), op="mean")
+    return out._attach(lambda g: _accumulate(x, np.full(x.value.shape, g / n)))
+
+
+def stop_gradient(t: Tensor, value: np.ndarray) -> Tensor:
+    """A constant ``value`` derived from ``t``: the node keeps ``t`` as its
+    parent and has no backward, so no gradient reaches ``t`` through it."""
+    return Tensor(value, parents=(t,), op="stop_gradient")
+
+
+def bce(p: Tensor, y) -> Tensor:
+    """Elementwise ``-[y ln p + (1-y) ln(1-p)]``; the label ``y`` is an
+    array or a node."""
+    y_val, parents = (y.value, (p, y)) if isinstance(y, Tensor) else (np.asarray(y, dtype=np.float64), (p,))
+    log_p, log_q = np.log(p.value), np.log(1.0 - p.value)
+    out = Tensor(-(y_val * log_p + (1.0 - y_val) * log_q), parents=parents, op="bce")
+
+    def bw(g):
+        dp = (1.0 - y_val) / (1.0 - p.value) - y_val / p.value
+        _accumulate(p, g * dp)
+        if len(parents) == 2:
+            _accumulate(y, g * (log_q - log_p))
+
+    return out._attach(bw)
+
+
+def inverse_propensity(p: Tensor, floor: float, complement: bool) -> Tensor:
+    """``1 / max(q, floor)`` with ``q`` = ``p``, or ``1 - p``."""
+    q = 1.0 - p.value if complement else p.value
+    value = 1.0 / np.maximum(q, floor)
+    out = Tensor(value, parents=(p,), op="inverse_propensity")
+
+    def bw(g):
+        gq = -g * value * value * (q > floor)
+        _accumulate(p, -gq if complement else gq)
+
+    return out._attach(bw)
+
+
+def masked_mean(x: Tensor, mask: np.ndarray, weights=None) -> Tensor:
+    """``sum(x * weights * mask) / sum(mask)``; ``weights`` is ``None``,
+    an array or a node."""
+    scale = mask / float(mask.sum())
+    w_val = 1.0 if weights is None else weights.value if isinstance(weights, Tensor) else weights
+    coef = w_val * scale
+    parents = (x, weights) if isinstance(weights, Tensor) else (x,)
+    out = Tensor((x.value * coef).sum(), parents=parents, op="masked_mean")
+
+    def bw(g):
+        _accumulate(x, g * coef)
+        if isinstance(weights, Tensor):
+            _accumulate(weights, g * x.value * scale)
+
+    return out._attach(bw)
+
+
+def weighted_sum(terms, weights) -> Tensor:
+    """``sum(w * t)`` over scalar nodes, added left to right."""
+    value = terms[0].value * weights[0]
+    for t, w in zip(terms[1:], weights[1:]):
+        value = value + t.value * w
+    out = Tensor(value, parents=tuple(terms), op="weighted_sum")
+
+    def bw(g):
+        for t, w in zip(terms, weights):
+            _accumulate(t, g * w)
+
+    return out._attach(bw)
+
+
+def _space_mean(per_sample: Tensor, mask: np.ndarray, weights=None) -> Tensor:
+    return masked_mean(per_sample, mask, weights) if mask.any() else Tensor(0.0)
+
+
+def _propensity_weights(out, ipw, complement: bool = False):
+    w = inverse_propensity(out.ctr, ipw.floor, complement)
+    return w.value if ipw.detach else w
+
+
+def _soft_label(source: Tensor, complement: bool) -> Tensor:
+    value = 1.0 - source.value if complement else source.value
+    return stop_gradient(source, np.clip(value, SOFT_LABEL_CLAMP, 1.0 - SOFT_LABEL_CLAMP))
+
+
+def _align(out, o, ipw) -> Tensor:
+    w_click = _propensity_weights(out, ipw)
+    w_unclick = _propensity_weights(out, ipw, complement=True)
+    cvr_to_uncvr = bce(out.cvr, _soft_label(out.uncvr, complement=True))
+    uncvr_to_cvr = bce(out.uncvr, _soft_label(out.cvr, complement=True))
+    parts = [
+        _space_mean(cvr_to_uncvr, o, w_click),
+        _space_mean(uncvr_to_cvr, o, w_click),
+        _space_mean(cvr_to_uncvr, 1.0 - o, w_unclick),
+        _space_mean(uncvr_to_cvr, 1.0 - o, w_unclick),
+    ]
+    return weighted_sum(parts, (1.0,) * 4)
+
+
+# Every term as a graph on (outputs, o, r, ipw).
+REFERENCE_TERMS = {
+    "ctr": lambda out, o, r, ipw: mean(bce(out.ctr, o)),
+    "ctcvr": lambda out, o, r, ipw: mean(bce(mul(out.ctr, out.cvr), o * r)),
+    "cvr_ipw": lambda out, o, r, ipw: _space_mean(bce(out.cvr, r), o, _propensity_weights(out, ipw)),
+    "ctuncvr": lambda out, o, r, ipw: mean(bce(mul(out.ctr, out.uncvr), ctuncvr_label(o, r))),
+    "uncvr_ipw": lambda out, o, r, ipw: _space_mean(bce(out.uncvr, 1.0 - r), o, _propensity_weights(out, ipw)),
+    "align_ipw": lambda out, o, r, ipw: _align(out, o, ipw),
+    "uncvr_soft": lambda out, o, r, ipw: _space_mean(bce(out.uncvr, _soft_label(out.cvr, complement=True)), o),
+    "cvr_self_distill": lambda out, o, r, ipw: _space_mean(
+        bce(out.cvr, _soft_label(out.cvr, complement=False)), 1.0 - o
+    ),
+    "cf_tower": lambda out, o, r, ipw: _space_mean(bce(out.uncvr, 1.0 - r), o),
+    "cf_constraint": lambda out, o, r, ipw: mean(bce(out.cvr, _soft_label(out.uncvr, complement=True))),
+}
+
+
+def reference_method_loss(method, outputs, o, r, weights, ipw) -> tuple[dict[str, Tensor], Tensor]:
+    """The method's terms as graphs, by name in row order, and their
+    weighted sum, with the weight rule of ``compose_method_loss``."""
+    o = np.asarray(o, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
+    scale = dict(zip(TERMS, astuple(weights))) if method.startswith("chorus") else {}
+    row = [(name, scale.get(name, 1.0)) for name in METHOD_TERMS[method]]
+    row = [(name, w) for name, w in row if w > 0]
+    terms = {name: REFERENCE_TERMS[name](outputs, o, r, ipw) for name, _ in row}
+    total = weighted_sum(list(terms.values()), [w for _, w in row]) if row else Tensor(0.0)
+    return terms, total

@@ -13,6 +13,7 @@ labels) are frozen at the unperturbed point before stepping.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -30,19 +31,7 @@ from choruscvr.model import (
     init_model,
     predict_batch,
 )
-from choruscvr.objectives import (
-    IpwConfig,
-    LossWeights,
-    align_terms,
-    bce,
-    compose_method_loss,
-    loss_align_ipw,
-    loss_ctcvr,
-    loss_ctr,
-    loss_ctuncvr,
-    loss_cvr_ipw,
-    loss_uncvr_ipw,
-)
+from choruscvr.objectives import TERMS, IpwConfig, LossWeights, compose_method_loss
 from choruscvr.simulator import SimConfig, generate, sim_schema
 
 from oracles import ipw_mean, log_of
@@ -58,61 +47,55 @@ def _verdict(tag: str, ok: bool, detail: str) -> bool:
 ORACLE_TOL = 1e-9
 
 
-def _heads(ctr, cvr=None, uncvr=None) -> TowerOutputs:
-    """Tower outputs with pinned head values; products are derived."""
-    ctr_t = Tensor(np.asarray(ctr, dtype=np.float64))
-    n = ctr_t.value.shape[0]
-    half = np.full(n, 0.5)
-    cvr_t = Tensor(np.asarray(half if cvr is None else cvr, dtype=np.float64))
-    uncvr_t = Tensor(np.asarray(half if uncvr is None else uncvr, dtype=np.float64))
-    return TowerOutputs(
-        ctr=ctr_t,
-        cvr=cvr_t,
-        uncvr=uncvr_t,
-        ctcvr=ctr_t * cvr_t,
-        ctuncvr=ctr_t * uncvr_t,
-    )
+def _terms(ctr, o, r, cvr=None, uncvr=None) -> dict[str, float]:
+    """chorus's term values on pinned heads; cvr and uncvr default to 0.5."""
+    half = np.full(len(ctr), 0.5)
+    heads = [Tensor(np.asarray(v, dtype=np.float64)) for v in (ctr, half if cvr is None else cvr, half if uncvr is None else uncvr)]
+    o, r = np.asarray(o, dtype=np.float64), np.asarray(r, dtype=np.float64)
+    return compose_method_loss("chorus", TowerOutputs(*heads), o, r, LossWeights(), IpwConfig()).terms
 
 
 def test_criterion_1_loss_and_metric_oracles():
-    ipw = IpwConfig()
     four = np.array([0.2, 0.7, 0.5, 0.9])
     labels4 = np.array([0.0, 1.0, 0.0, 1.0])
+    # one click at p_click 0.5 (weight 2), cvr 0.7 and uncvr 0.4: cvr
+    # against the soft label 0.6, plus uncvr against 0.3
+    align = -2.0 * (0.6 * math.log(0.7) + 0.4 * math.log(0.3) + 0.3 * math.log(0.4) + 0.7 * math.log(0.6))
     checks = [
         (
             "bce(0.9, 1)",
-            float(bce(Tensor(np.array([0.9])), np.array([1.0])).value[0]),
+            _terms([0.9], [1.0], [0.0])["ctr"],
             0.10536051565782628,
         ),
         (
             "click loss, 4 samples",
-            loss_ctr(_heads(four), labels4).item(),
+            _terms(four, labels4, np.zeros(4))["ctr"],
             0.3445815478676785,
         ),
         (
             "click-and-convert loss, product 0.25 vs label 1",
-            loss_ctcvr(_heads([0.5], cvr=[0.5]), np.array([1.0]), np.array([1.0])).item(),
+            _terms([0.5], [1.0], [1.0])["ctcvr"],
             1.3862943611198906,
         ),
         (
             "propensity-weighted conversion loss, weight 4",
-            loss_cvr_ipw(_heads([0.25], cvr=[0.5]), np.array([1.0]), np.array([1.0]), ipw).item(),
+            _terms([0.25], [1.0], [1.0])["cvr_ipw"],
             2.772588722239781,
         ),
         (
             "click-and-not-convert loss, product 0.25 vs label 1",
-            loss_ctuncvr(_heads([0.5], uncvr=[0.5]), np.array([1.0]), np.array([0.0])).item(),
+            _terms([0.5], [1.0], [0.0])["ctuncvr"],
             1.3862943611198906,
         ),
         (
             "propensity-weighted un-conversion loss, weight 2",
-            loss_uncvr_ipw(_heads([0.5], uncvr=[0.5]), np.array([1.0]), np.array([0.0]), ipw).item(),
+            _terms([0.5], [1.0], [0.0])["uncvr_ipw"],
             1.3862943611198906,
         ),
         (
-            "first alignment addend, soft label 0.6, weight 2",
-            align_terms(_heads([0.5], cvr=[0.7], uncvr=[0.4]), np.array([1.0]), ipw)[0].item(),
-            1.391188176187228,
+            "alignment term, soft labels 0.6 and 0.3, weight 2",
+            _terms([0.5], [1.0], [1.0], cvr=[0.7], uncvr=[0.4])["align_ipw"],
+            align,
         ),
         (
             "auc with a mid-rank positive",
@@ -263,16 +246,11 @@ def _np_terms(vals, o, r, frozen) -> dict[str, float]:
 
 
 def _graph_terms(outputs, o, r) -> dict[str, Tensor]:
+    """Each base term alone (weight 1, the others 0), then chorus's total."""
     ipw = IpwConfig()
-    return {
-        "ctr": loss_ctr(outputs, o),
-        "ctcvr": loss_ctcvr(outputs, o, r),
-        "cvr_ipw": loss_cvr_ipw(outputs, o, r, ipw),
-        "ctuncvr": loss_ctuncvr(outputs, o, r),
-        "uncvr_ipw": loss_uncvr_ipw(outputs, o, r, ipw),
-        "align_ipw": loss_align_ipw(outputs, o, ipw),
-        "combined": compose_method_loss("chorus", outputs, o, r, LossWeights(), ipw).total,
-    }
+    alone = {name: LossWeights(*(float(t == name) for t in TERMS)) for name in TERM_NAMES[:-1]}
+    alone["combined"] = LossWeights()
+    return {name: compose_method_loss("chorus", outputs, o, r, w, ipw).total for name, w in alone.items()}
 
 
 def _analytic_vector(root: Tensor, params) -> np.ndarray:
@@ -352,28 +330,43 @@ def test_criterion_3_stop_gradient_and_detached_propensity_exactness():
     outputs = predict_batch(params, fm)
     problems = []
 
-    sg_sources = ("uncvr", "cvr", "uncvr", "cvr")
-    for k, (term, source) in enumerate(zip(align_terms(outputs, o, IpwConfig()), sg_sources)):
-        leaf = backward(term)
-        target = "cvr" if source == "uncvr" else "uncvr"
-        if not all_exactly_zero(leaf, source):
-            problems.append(f"alignment addend {k} leaks gradient into its soft-label source ({source})")
-        if not all_exactly_zero(leaf, "ctr"):
-            problems.append(f"alignment addend {k} leaks gradient into the click tower via detached weights")
-        if not any_nonzero(leaf, target):
-            problems.append(f"alignment addend {k} passes no gradient to its target tower ({target})")
+    def alone(name, ipw=IpwConfig()):
+        weights = LossWeights(*(float(t == name) for t in TERMS))
+        return backward(compose_method_loss("chorus", outputs, o, r, weights, ipw).total)
 
-    for tag, loss_fn in (("conversion", loss_cvr_ipw), ("un-conversion", loss_uncvr_ipw)):
-        leaf = backward(loss_fn(outputs, o, r, IpwConfig(detach=True)))
-        if not all_exactly_zero(leaf, "ctr"):
+    # Where cvr + uncvr = 1 exactly, each alignment addend sits at the
+    # minimum of its own head, so any gradient left would have come
+    # through a soft label.
+    pinned = TowerOutputs(*(Tensor(np.array(v)) for v in ([0.5, 0.5], [0.75, 0.375], [0.25, 0.625])))
+    labels = np.array([1.0, 0.0]), np.zeros(2)
+    backward(compose_method_loss("chorus", pinned, *labels, LossWeights(0, 0, 0, 0, 0, 1), IpwConfig()).total)
+    for source in ("cvr", "uncvr"):
+        if getattr(pinned, source).grad.tobytes() != np.zeros(2).tobytes():
+            problems.append(f"the alignment term leaks gradient through the soft labels into {source}")
+    leaf = alone("align_ipw")
+    if not all_exactly_zero(leaf, "ctr"):
+        problems.append("the alignment term leaks gradient into the click tower via detached weights")
+    for target in ("cvr", "uncvr"):
+        if not any_nonzero(leaf, target):
+            problems.append(f"the alignment term passes no gradient to the {target} tower")
+
+    # chorus_wo_ndm's own term alone: uncvr against the soft label 1 - cvr
+    leaf = backward(compose_method_loss("chorus_wo_ndm", outputs, o, r, LossWeights(*[0.0] * 6), IpwConfig()).total)
+    if not (all_exactly_zero(leaf, "cvr") and all_exactly_zero(leaf, "ctr")):
+        problems.append("the soft un-conversion term leaks gradient into its soft-label source (cvr) or ctr")
+    if not any_nonzero(leaf, "uncvr"):
+        problems.append("the soft un-conversion term passes no gradient to the uncvr tower")
+
+    for tag, name in (("conversion", "cvr_ipw"), ("un-conversion", "uncvr_ipw")):
+        if not all_exactly_zero(alone(name), "ctr"):
             problems.append(f"detached {tag} weights leak gradient into the click tower")
-    leaf = backward(loss_cvr_ipw(outputs, o, r, IpwConfig(detach=False)))
-    if not any_nonzero(leaf, "ctr"):
+    if not any_nonzero(alone("cvr_ipw", ipw=IpwConfig(detach=False)), "ctr"):
         problems.append("non-detached weights fail to reach the click tower (check is vacuous)")
 
     ok = not problems
     detail = (
-        "4 alignment addends pass exact zeros to their soft-label source and to the click tower; "
+        "soft labels pass exact zeros to their sources (alignment at complementary heads, soft un-conversion "
+        "term on the model) and detached alignment weights to the click tower; "
         "detached propensity weights pass exact zeros (non-detached variant passes nonzero)"
         if ok
         else "; ".join(problems)

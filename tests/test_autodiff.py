@@ -1,6 +1,11 @@
-"""Autodiff engine: forward values, gradients, stop-gradient, optimizer."""
+"""Autodiff engine: forward values, gradients, the objective node's
+gradients against central differences, optimizer.
+
+The engine's own tests read a scalar root through the reference graph's
+``mean`` and ``mul`` nodes (``tests/oracles.py``)."""
 
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -18,19 +23,33 @@ from choruscvr.autodiff import (
     Tensor,
     _accumulate,
     backward,
-    bce,
     dense,
     gather_concat,
-    inverse_propensity,
-    masked_mean,
     mlp_forward,
     no_grad,
     optimizer_step,
     stable_sigmoid,
-    stop_gradient,
     tower_heads,
-    weighted_sum,
 )
+from choruscvr.model import TowerOutputs
+from choruscvr.objectives import TERMS, IpwConfig, LossWeights, compose_method_loss
+
+import oracles
+from oracles import mean, mul, weighted_sum
+
+ATTACHED = IpwConfig(detach=False)
+
+
+def _heads(ctr, cvr, uncvr) -> TowerOutputs:
+    return TowerOutputs(*(Tensor(np.asarray(v, dtype=np.float64)) for v in (ctr, cvr, uncvr)))
+
+
+def _objective(out, o, r, *terms, method="chorus", ipw=IpwConfig(), weights=None) -> Tensor:
+    """The objective node of ``method``; for the chorus family, weight 1
+    on the named base terms and 0 on the others unless ``weights`` is
+    given."""
+    weights = weights or LossWeights(*(float(t in terms) for t in TERMS))
+    return compose_method_loss(method, out, np.asarray(o, float), np.asarray(r, float), weights, ipw).total
 
 
 def _gather(blocks) -> Tensor:
@@ -53,13 +72,15 @@ def _gather(blocks) -> Tensor:
 
 
 def test_mul_and_weighted_sum_chain():
-    a = Tensor(2.0)
-    b = Tensor(3.0)
-    out = weighted_sum([a * b, a], [2.0, 2.0])
-    backward(out)
-    assert out.item() == 16.0
-    assert a.grad == pytest.approx(8.0)  # d/da 2(ab + a) = 2(b + 1)
-    assert b.grad == pytest.approx(4.0)
+    # 2 bce(ctr, 1) + 2 bce(ctr * cvr, 1) at ctr = cvr = 0.5: the product
+    # passes ctr the gradient times cvr, and cvr the gradient times ctr
+    out = _heads([0.5], [0.5], [0.5])
+    total = _objective(out, [1.0], [1.0], weights=LossWeights(2.0, 2.0, 0.0, 0.0, 0.0, 0.0))
+    backward(total)
+    assert total.item() == pytest.approx(6.0 * math.log(2.0), abs=1e-12)
+    assert out.ctr.grad.tolist() == [-8.0]  # 2 * -2, then 2 * -4 * 0.5
+    assert out.cvr.grad.tolist() == [-4.0]
+    assert out.uncvr.grad.tolist() == [0.0]
 
 
 def _unit_layer(width: int = 1) -> tuple[Tensor, Tensor]:
@@ -68,7 +89,7 @@ def _unit_layer(width: int = 1) -> tuple[Tensor, Tensor]:
 
 def test_dense_bias_gradient_sums_over_batch():
     w, b = _unit_layer(2)
-    out = dense(Tensor(np.ones((4, 2))), w, b, "identity").mean()
+    out = mean(dense(Tensor(np.ones((4, 2))), w, b, "identity"))
     backward(out)
     assert np.array_equal(b.grad, np.full(2, 0.5))  # four rows of 1/8
 
@@ -79,11 +100,11 @@ def test_matmul_vector_and_batch():
     w = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
     b = Tensor(np.zeros(2))
     x = Tensor(np.array([[1.0, 1.0, 1.0]]))
-    backward(dense(x, w, b, "identity").mean())
+    backward(mean(dense(x, w, b, "identity")))
     assert np.array_equal(x.grad, np.array([[1.5, 3.5, 5.5]]))
     assert np.array_equal(w.grad, np.full((3, 2), 0.5))
     xs = Tensor(np.ones((2, 3)))
-    backward(dense(xs, w, b, "identity").mean())
+    backward(mean(dense(xs, w, b, "identity")))
     assert np.array_equal(xs.grad, np.tile([0.75, 1.75, 2.75], (2, 1)))
     assert np.array_equal(w.grad, np.full((3, 2), 0.5))
     assert np.array_equal(b.grad, np.full(2, 0.5))
@@ -98,7 +119,7 @@ def test_linear_gradient_is_input():
     # y = mean(w * x), dy/dw = x / 2
     w = Tensor(np.array([0.5, -0.25]))
     x = np.array([3.0, 7.0])
-    out = (w * x).mean()
+    out = mean(mul(w, x))
     backward(out)
     assert np.array_equal(w.grad, x / 2)
 
@@ -106,7 +127,7 @@ def test_linear_gradient_is_input():
 def test_sigmoid_derivative_at_zero():
     z = Tensor(np.array([[0.0]]))
     s = dense(z, *_unit_layer(), "sigmoid")
-    backward(s.mean())
+    backward(mean(s))
     assert s.value[0, 0] == 0.5
     assert z.grad[0, 0] == pytest.approx(0.25)
 
@@ -118,45 +139,52 @@ def test_sigmoid_stable_in_tails():
 
 
 def test_log_and_inverse_propensity():
-    # -bce(x, 1) = ln x
-    x = Tensor(0.5)
-    out = weighted_sum([bce(x, 1.0), inverse_propensity(x, 0.01, False)], [-1.0, 1.0])
-    backward(out)
-    assert out.item() == pytest.approx(np.log(0.5) + 2.0)
-    assert x.grad == pytest.approx(2.0 - 4.0)
+    # one click, r = 1: bce(cvr, 1) = -ln cvr, weighted by 1 / ctr
+    out = _heads([0.5], [0.5], [0.5])
+    total = _objective(out, [1.0], [1.0], "cvr_ipw", ipw=ATTACHED)
+    backward(total)
+    assert total.item() == pytest.approx(2.0 * math.log(2.0))
+    assert out.cvr.grad.tolist() == [-4.0]  # -(1 / cvr) / ctr
+    assert out.ctr.grad[0] == pytest.approx(-4.0 * math.log(2.0))  # -bce / ctr^2
 
 
 def test_tower_heads_clip_blocks_gradient_outside_band():
     # sigmoid(+-40) lies beyond the clamp, sigmoid(0) = 0.5 inside it
     x = Tensor(np.array([[40.0], [0.0], [-40.0]]))
     (head,) = tower_heads(x, [[(Tensor(np.ones((1, 1))), Tensor(np.zeros(1)))]], 1e-7)
-    backward(head.mean())
+    backward(mean(head))
     assert np.array_equal(head.value, [1.0 - 1e-7, 0.5, 1e-7])
     assert np.array_equal(x.grad, [[0.0], [0.25 / 3.0], [0.0]])
 
 
 @pytest.mark.parametrize("complement", [False, True], ids=["click", "unclick"])
 def test_inverse_propensity_floor_blocks_gradient(complement):
-    # q = 0.005 sits below the floor, q = 0.5 above it: d/dq mean(1/q) = -2
-    x = Tensor(np.array([0.995, 0.5]) if complement else np.array([0.005, 0.5]))
-    out = inverse_propensity(x, 0.01, complement)
-    backward(out.mean())
-    assert np.array_equal(out.value, [100.0, 2.0])
-    assert np.array_equal(x.grad, [0.0, 2.0] if complement else [0.0, -2.0])
+    # q = 0.005 sits below the floor (weight 100), q = 0.5 above it (weight
+    # 2): clicks weigh cvr_ipw by 1/p, un-clicks the alignment by 1/(1 - p)
+    out = _heads([0.995, 0.5] if complement else [0.005, 0.5], [0.5, 0.5], [0.5, 0.5])
+    o = [0.0, 0.0] if complement else [1.0, 1.0]
+    total = _objective(out, o, [0.0, 0.0], "align_ipw" if complement else "cvr_ipw", ipw=ATTACHED)
+    backward(total)
+    parts = 2 if complement else 1  # both alignment addends read 1/(1 - p)
+    assert total.item() == pytest.approx(parts * math.log(2.0) * (100.0 + 2.0) / 2.0)
+    assert out.ctr.grad[0] == 0.0
+    assert out.ctr.grad[1] == pytest.approx(parts * math.log(2.0) * (2.0 if complement else -2.0))
 
 
 def test_mean_and_sum():
-    x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]))
-    m = x.mean()
-    backward(m)
-    assert m.item() == 2.5
-    assert np.array_equal(x.grad, np.full(4, 0.25))
+    # the click term is a mean over the batch: each sample gets 1/n of its
+    # bce derivative, -1/p on a click and 1/(1 - p) otherwise
+    out = _heads([0.5] * 4, [0.5] * 4, [0.5] * 4)
+    total = _objective(out, [1.0, 0.0, 1.0, 0.0], [0.0] * 4, "ctr")
+    backward(total)
+    assert total.item() == math.log(2.0)
+    assert np.array_equal(out.ctr.grad, [-0.5, 0.5, -0.5, 0.5])
 
 
 def test_take_rows_scatter_adds_repeated_indices():
     # the embedding lookup of gather_concat
     table = Tensor(np.zeros((3, 2)))
-    out = _gather([(table, np.array([1, 1, 2, 1]))]).mean()
+    out = mean(_gather([(table, np.array([1, 1, 2, 1]))]))
     backward(out)
     expected = np.array([[0.0, 0.0], [0.375, 0.375], [0.125, 0.125]])
     assert np.array_equal(table.grad, expected)
@@ -170,7 +198,7 @@ def test_bincount_scatter_equals_add_at_bitwise():
     g = rng.normal(size=(1024, 8))
     out = gather_concat(tables, idx + [0, 16], 4, np.zeros((1024, 0)), np.zeros(0, dtype=np.int64))
     assert np.array_equal(out.value, np.concatenate([tables[0].value[idx[:, 0]], tables[1].value[idx[:, 1]]], axis=1))
-    backward((out * g).mean())
+    backward(mean(mul(out, g)))
     upstream = np.full((1024, 8), 1.0 / 8192) * g
     for k, table in enumerate(tables):
         expected = np.zeros_like(table.value)
@@ -186,18 +214,20 @@ def test_concat_splits_gradient():
     out = _gather([(a, rows), np.full((2, 1), 7.0), (b, rows)])
     assert out.shape == (2, 6)
     assert np.array_equal(out.value[:, 2], [7.0, 7.0])
-    backward((out * np.arange(6.0)).mean())
+    backward(mean(mul(out, np.arange(6.0))))
     assert np.array_equal(a.grad, np.tile(np.array([0.0, 1.0]) * (1.0 / 12), (2, 1)))
     assert np.array_equal(b.grad, np.tile(np.array([3.0, 4.0, 5.0]) * (1.0 / 12), (2, 1)))
 
 
 def test_stop_gradient_is_identity_forward_zero_backward():
-    x = Tensor(2.0)
-    sg = stop_gradient(x)
-    out = sg * x  # only the direct factor contributes
-    backward(out)
-    assert out.item() == 4.0
-    assert x.grad == pytest.approx(2.0)  # d/dx (c * x) with c = 2 frozen
+    # chorus_wo_ndm's own term alone: uncvr against the soft label 1 - cvr
+    # on the click; the label's value is 1 - cvr, and cvr gets no gradient
+    out = _heads([0.5, 0.5], [0.75, 0.9], [0.4, 0.4])
+    total = _objective(out, [1.0, 0.0], [0.0, 0.0], method="chorus_wo_ndm", weights=LossWeights(*[0.0] * 6))
+    backward(total)
+    assert total.item() == pytest.approx(-(0.25 * math.log(0.4) + 0.75 * math.log(0.6)), abs=1e-12)
+    assert out.cvr.grad.tobytes() == np.zeros(2).tobytes()
+    assert out.uncvr.grad[0] != 0.0 and out.uncvr.grad[1] == 0.0
 
 
 def test_backward_requires_scalar_root():
@@ -207,7 +237,7 @@ def test_backward_requires_scalar_root():
 
 def test_backward_zeroes_previous_gradients():
     x = Tensor(1.0)
-    out = x * 3.0
+    out = mul(x, 3.0)
     backward(out)
     backward(out)
     assert x.grad == pytest.approx(3.0)  # not 6: no accumulation across calls
@@ -216,7 +246,7 @@ def test_backward_zeroes_previous_gradients():
 def test_backward_returns_leaf_map():
     x = Tensor(1.0)
     y = Tensor(2.0)
-    leaves = backward(x * y)
+    leaves = backward(mul(x, y))
     assert leaves[x] == pytest.approx(2.0)
     assert leaves[y] == pytest.approx(1.0)
 
@@ -224,15 +254,15 @@ def test_backward_returns_leaf_map():
 def test_node_backward_never_reached_reads_zero_grad():
     x = Tensor(np.ones(4))
     y = Tensor(2.0)
-    backward((x * 3.0).mean())
+    backward(mean(mul(x, 3.0)))
     assert np.array_equal(y.grad, 0.0)
     assert np.array_equal(x.grad, np.full(4, 0.75))
 
 
 def test_backward_leaves_earlier_gradients_intact():
     x = Tensor(1.0)
-    first = backward(x * 3.0)[x]
-    second = backward(x * 5.0)[x]
+    first = backward(mul(x, 3.0))[x]
+    second = backward(mul(x, 5.0))[x]
     assert first == 3.0 and second == 5.0
 
 
@@ -241,15 +271,12 @@ def test_backward_leaves_earlier_gradients_intact():
 
 def test_no_grad_same_values_no_parents():
     table = Tensor(np.array([[-1.0, 2.0]]))
-    w = Tensor(np.array([[0.5], [0.25], [-0.5]]))
-    b = Tensor(np.array([0.1]))
+    towers = [[(Tensor(np.array([[0.5], [0.25], [-0.5]]) * k), Tensor(np.array([0.1])))] for k in (1.0, -0.5, 2.0)]
 
     def forward():
         x = _gather([(table, np.array([0, 0])), np.ones((2, 1))])
-        (p,) = tower_heads(x, [[(w, b)]], 1e-7)
-        weights = inverse_propensity(p, 0.01, False)
-        kept = masked_mean(bce(p, stop_gradient(p, 1.0 - p.value)), np.array([1.0, 0.0]), weights)
-        return weighted_sum([kept, dense(x, w, b, "relu").mean()], [1.0, 2.0])
+        out = TowerOutputs(*tower_heads(x, towers, 1e-7))
+        return compose_method_loss("chorus", out, np.array([1.0, 0.0]), np.zeros(2), LossWeights(), ATTACHED).total
 
     graph = forward()
     with no_grad():
@@ -264,7 +291,7 @@ def test_no_grad_restores_graph_building_after_an_exception():
         with no_grad():
             raise RuntimeError("boom")
     x = Tensor(1.0)
-    out = x * 2.0
+    out = mul(x, 2.0)
     assert out.parents == (x,)
     backward(out)
     assert x.grad == 2.0
@@ -274,8 +301,8 @@ def test_no_grad_nests():
     with no_grad():
         with no_grad():
             pass
-        assert (Tensor(1.0) * 2.0).parents == ()
-    assert (Tensor(1.0) * 2.0).parents != ()
+        assert mul(Tensor(1.0), 2.0).parents == ()
+    assert mul(Tensor(1.0), 2.0).parents != ()
 
 
 # -- mlp_forward ---------------------------------------------------------------
@@ -307,7 +334,7 @@ def test_mlp_two_layer_hand_evaluation():
     layers = _two_layer()
     out = mlp_forward(layers, np.array([[1.0, 2.0]]), ["relu", "sigmoid"])
     assert out.value[0, 0] == pytest.approx(0.6399160967377341, abs=1e-12)
-    backward(out.mean())
+    backward(mean(out))
     w2, _ = layers[1]
     w1, _ = layers[0]
     assert w2.grad[0, 0] == pytest.approx(0.17281761440525778, abs=1e-12)
@@ -350,9 +377,9 @@ def test_mlp_finite_difference_three_layers():
     x = rng.normal(0, 1, (6, 5))
 
     def forward() -> float:
-        return mlp_forward(layers, x, ["relu", "relu", "sigmoid"]).mean().item()
+        return mean(mlp_forward(layers, x, ["relu", "relu", "sigmoid"])).item()
 
-    out = mlp_forward(layers, x, ["relu", "relu", "sigmoid"]).mean()
+    out = mean(mlp_forward(layers, x, ["relu", "relu", "sigmoid"]))
     backward(out)
     h = 1e-5
     worst = 0.0
@@ -402,7 +429,7 @@ def test_dense_gradients_match_central_differences(activation, shape):
     w = Tensor(rng.normal(size=(3, 4)))
     b = Tensor(rng.normal(size=4))
     projection = rng.normal(size=shape[:-1] + (4,))
-    _check_central_differences(lambda: (dense(x, w, b, activation) * projection).mean(), [x, w, b])
+    _check_central_differences(lambda: mean(mul(dense(x, w, b, activation), projection)), [x, w, b])
 
 
 def test_dense_rejects_unknown_activation():
@@ -410,40 +437,61 @@ def test_dense_rejects_unknown_activation():
         dense(Tensor(np.ones((1, 2))), *_unit_layer(2), "tanh")
 
 
+def _funnel_batch(seed: int, n: int = 8):
+    """Heads inside (0.05, 0.95) and labels with both spaces and both
+    conversion outcomes."""
+    rng = np.random.default_rng(seed)
+    out = _heads(*rng.uniform(0.05, 0.95, (3, n)))
+    o = np.tile([1.0, 1.0, 0.0, 0.0], n // 4)
+    r = o * np.tile([1.0, 0.0], n // 2)
+    return out, o, r
+
+
 @pytest.mark.parametrize("label", ["array", "tensor"])
 def test_bce_gradients_match_central_differences(label):
-    rng = np.random.default_rng(12)
-    p = Tensor(rng.uniform(0.05, 0.95, 6))
-    y_value = rng.uniform(0.0, 1.0, 6)
-    y = Tensor(y_value) if label == "tensor" else y_value
-    projection = rng.normal(size=6)
-    expected = -(y_value * np.log(p.value) + (1.0 - y_value) * np.log(1.0 - p.value))
-    assert np.array_equal(bce(p, y).value, expected)
-    _check_central_differences(lambda: (bce(p, y) * projection).mean(), [p, y] if label == "tensor" else [p])
+    # array: the batch-mean terms on hard labels (ctr, both funnel
+    # products); tensor: uncvr on the soft label 1 - cvr, whose source
+    # is held constant, so only the trained head is differentiated
+    out, o, r = _funnel_batch(12)
+    if label == "array":
+        vals = {k: v.value for k, v in vars(out).items()}
+        expected = sum(
+            float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+            for p, y in ((vals["ctr"], o), (vals["ctr"] * vals["cvr"], o * r), (vals["ctr"] * vals["uncvr"], o * (1.0 - r)))
+        )
+        assert _objective(out, o, r, "ctr", "ctcvr", "ctuncvr").item() == pytest.approx(expected, abs=1e-12)
+        _check_central_differences(lambda: _objective(out, o, r, "ctr", "ctcvr", "ctuncvr"), [out.ctr, out.cvr, out.uncvr])
+    else:
+        zero = LossWeights(*[0.0] * 6)
+        _check_central_differences(lambda: _objective(out, o, r, method="chorus_wo_ndm", weights=zero), [out.uncvr])
 
 
 @pytest.mark.parametrize("weights", ["none", "array", "tensor"])
 def test_masked_mean_gradients_match_central_differences(weights):
-    rng = np.random.default_rng(13)
-    x = Tensor(rng.normal(size=7))
-    mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
-    w_value = rng.uniform(1.0, 5.0, 7)
-    w = {"none": None, "array": w_value, "tensor": Tensor(w_value)}[weights]
-    expected = (x.value * (1.0 if w is None else w_value) * mask).sum() / 4.0
-    assert masked_mean(x, mask, w).item() == pytest.approx(expected, abs=1e-15)
-    _check_central_differences(lambda: masked_mean(x, mask, w), [x, w] if weights == "tensor" else [x])
-    backward(masked_mean(x, mask, w))
-    assert np.all(x.grad[mask == 0.0] == 0.0)
-    if weights == "tensor":
-        assert np.all(w.grad[mask == 0.0] == 0.0)
+    # Click-space means: unweighted (chorus_wo_ndm's own term), with
+    # detached IPW weights, and with attached ones, which also train ctr.
+    out, o, r = _funnel_batch(13)
+    if weights == "none":
+        loss, leaves = lambda: _objective(out, o, r, method="chorus_wo_ndm", weights=LossWeights(*[0.0] * 6)), [out.uncvr]
+    else:
+        ipw = ATTACHED if weights == "tensor" else IpwConfig()
+        leaves = [out.ctr, out.cvr, out.uncvr] if weights == "tensor" else [out.cvr, out.uncvr]
+        loss = lambda: _objective(out, o, r, "cvr_ipw", "uncvr_ipw", ipw=ipw)  # noqa: E731
+    _check_central_differences(loss, leaves)
+    for leaf in leaves:
+        assert np.all(leaf.grad[o == 0.0] == 0.0)  # un-clicked samples pass exactly zero
 
 
 @pytest.mark.parametrize("complement", [False, True], ids=["click", "unclick"])
 def test_inverse_propensity_gradients_match_central_differences(complement):
+    # The alignment term through attached weights, on one space: only the
+    # weights read ctr. One q sits below the floor.
     rng = np.random.default_rng(21)
-    p = Tensor(np.concatenate([rng.uniform(0.05, 0.95, 6), [0.001, 0.999]]))  # one q below the floor
-    projection = rng.normal(size=8)
-    _check_central_differences(lambda: (inverse_propensity(p, 0.01, complement) * projection).mean(), [p])
+    ctr = np.concatenate([rng.uniform(0.05, 0.95, 6), [0.999 if complement else 0.001]])
+    out = _heads(ctr, *rng.uniform(0.05, 0.95, (2, 7)))
+    o = np.zeros(7) if complement else np.ones(7)
+    _check_central_differences(lambda: _objective(out, o, np.zeros(7), "align_ipw", ipw=ATTACHED), [out.ctr])
+    assert out.ctr.grad[-1] == 0.0
 
 
 def _node_chain_inverse_propensity(p: Tensor, floor: float, complement: bool) -> Tensor:
@@ -462,34 +510,37 @@ def _node_chain_inverse_propensity(p: Tensor, floor: float, complement: bool) ->
 
 
 @pytest.mark.parametrize("complement", [False, True], ids=["click", "unclick"])
-def test_inverse_propensity_keeps_the_bits_of_the_node_chain(complement):
+def test_inverse_propensity_keeps_the_bits_of_the_node_chain(complement, monkeypatch):
+    # Attached weights on one space, at and around the floor: the objective
+    # gives every head the bits of the reference graph with its weights
+    # built as the node chain.
     rng = np.random.default_rng(22)
-    values = np.concatenate([rng.uniform(0.0, 1.0, 256), [0.0, 0.005, 0.01, 0.99, 0.995, 1.0]])
-    x = rng.normal(size=values.size)
-    mask = (rng.random(values.size) < 0.6).astype(np.float64)
-    mask[-6:] = 1.0  # the values at and around the floor
-    results = []
-    for weigh in (inverse_propensity, _node_chain_inverse_propensity):
-        p, per_sample = Tensor(values), Tensor(x)
-        weights = weigh(p, 0.01, complement)
-        out = masked_mean(per_sample, mask, weights)
-        backward(out)
-        results.append([a.tobytes() for a in (weights.value, out.value, p.grad, per_sample.grad)])
-    assert results[0] == results[1]
-    detached = 1.0 / np.maximum(1.0 - values if complement else values, 0.01)
-    assert results[0][0] == detached.tobytes()
+    ctr = np.concatenate([rng.uniform(0.0, 1.0, 256), [0.0, 0.005, 0.01, 0.99, 0.995, 1.0]])
+    values = [ctr, *rng.uniform(0.05, 0.95, (2, ctr.size))]
+    o = np.zeros(ctr.size) if complement else np.ones(ctr.size)
+    r = (rng.random(ctr.size) < 0.5) * o
+    term = "align_ipw" if complement else "cvr_ipw"
+    out = _heads(*values)
+    backward(_objective(out, o, r, term, ipw=ATTACHED))
+    monkeypatch.setattr(oracles, "inverse_propensity", _node_chain_inverse_propensity)
+    ref = _heads(*values)
+    weights = LossWeights(*(float(t == term) for t in TERMS))
+    _, total = oracles.reference_method_loss("chorus", ref, o, r, weights, ATTACHED)
+    backward(total)
+    assert ref.ctr.grad.any()
+    for got, want in zip((out.ctr, out.cvr, out.uncvr), (ref.ctr, ref.cvr, ref.uncvr)):
+        assert got.grad.tobytes() == want.grad.tobytes()
 
 
 def test_node_operands_of_another_shape_raise_shape_error():
-    row, grid = Tensor(np.full(3, 0.5)), Tensor(np.full((2, 3), 0.5))
-    with pytest.raises(ShapeError, match="mul"):
-        row * grid
-    with pytest.raises(ShapeError, match="mul"):
-        Tensor(2.0) * np.ones(3)
-    with pytest.raises(ShapeError, match="bce"):
-        bce(row, grid)
-    with pytest.raises(ShapeError, match="bce"):
-        bce(Tensor(0.5), np.ones(3))
+    # labels and heads must be one (n,) batch: nothing is broadcast
+    out = _heads([0.5] * 3, [0.5] * 3, [0.5] * 3)
+    with pytest.raises(ShapeError, match="labels"):
+        _objective(out, [1.0], [0.0], "ctr")
+    with pytest.raises(ShapeError, match="labels"):
+        _objective(out, np.ones((2, 3)), np.zeros((2, 3)), "ctr")
+    with pytest.raises(ShapeError, match="labels"):
+        _objective(_heads([0.5] * 3, [0.5] * 2, [0.5] * 3), np.ones(3), np.zeros(3), "ctr")
 
 
 def test_dense_and_tower_heads_take_batches_only():
@@ -507,7 +558,7 @@ def test_gather_concat_gradients_match_central_differences():
     b = Tensor(rng.normal(size=(3, 3)))
     blocks = [(a, np.array([1, 3, 1, 1, 0])), rng.normal(size=(5, 1)), (b, np.array([2, 2, 0, 1, 2]))]
     projection = rng.normal(size=(5, 6))
-    _check_central_differences(lambda: (_gather(blocks) * projection).mean(), [a, b])
+    _check_central_differences(lambda: mean(mul(_gather(blocks), projection)), [a, b])
     assert np.all(a.grad[2] == 0.0)  # row 2 was never read
 
 
@@ -535,7 +586,7 @@ def test_tower_heads_gradients_match_central_differences(hidden, encoder):
     def loss():
         h = dense(x, enc_w, enc_b, "relu") if encoder else x
         heads = tower_heads(h, towers, 1e-7)
-        return weighted_sum([(head * proj).mean() for head, proj in zip(heads, projections)], [1.0, 0.5, 2.0])
+        return weighted_sum([mean(mul(head, proj)) for head, proj in zip(heads, projections)], [1.0, 0.5, 2.0])
 
     _check_central_differences(loss, [x, *((enc_w, enc_b) if encoder else ()), *_tower_leaves(towers)])
 
@@ -543,8 +594,8 @@ def test_tower_heads_gradients_match_central_differences(hidden, encoder):
 def test_tower_head_no_gradient_reaches_leaves_its_tower_untouched():
     rng = np.random.default_rng(16)
     towers = _towers(rng, 3, (4,))
-    ctr, cvr, uncvr = tower_heads(Tensor(rng.normal(size=(6, 3))), towers, 1e-7)
-    leaves = backward(weighted_sum([ctr.mean(), (ctr * cvr).mean(), stop_gradient(uncvr).mean()], [1.0] * 3))
+    out = TowerOutputs(*tower_heads(Tensor(rng.normal(size=(6, 3))), towers, 1e-7))
+    leaves = backward(_objective(out, [1.0, 0.0] * 3, [1.0] + [0.0] * 5, method="esmm"))  # uncvr unread
     for v in _tower_leaves(towers[2:]):
         assert leaves[v].tobytes() == np.zeros_like(v.value).tobytes()  # +0 everywhere
     assert all(np.abs(leaves[v]).sum() > 0.0 for v in _tower_leaves(towers[:2]))
@@ -554,8 +605,8 @@ def test_tower_heads_backward_twice_gives_the_same_gradients():
     rng = np.random.default_rng(17)
     x = Tensor(rng.normal(size=(6, 3)))
     towers = _towers(rng, 3, (4,))
-    ctr, cvr, uncvr = tower_heads(x, towers, 1e-7)
-    root = weighted_sum([(uncvr * ctr).mean(), cvr.mean()], [1.0, 1.0])
+    out = TowerOutputs(*tower_heads(x, towers, 1e-7))
+    root = _objective(out, [1.0, 0.0] * 3, [1.0] + [0.0] * 5, *TERMS)
     first = {k: v.copy() for k, v in backward(root).items()}
     second = backward(root)
     assert all(first[k].tobytes() == second[k].tobytes() for k in first)
@@ -568,9 +619,19 @@ def test_tower_heads_reject_towers_of_unequal_depth():
 
 
 def test_weighted_sum_gradients_match_central_differences():
-    terms = [Tensor(v) for v in (0.3, -1.2, 2.5)]
-    assert weighted_sum(terms, [0.5, 2.0, 1.0]).item() == 0.3 * 0.5 + -1.2 * 2.0 + 2.5
-    _check_central_differences(lambda: weighted_sum(terms, [0.5, 2.0, 1.0]), terms)
+    # uneven weights on the five terms without a soft label, with attached
+    # IPW weights; the total adds each weighted term left to right
+    out, o, r = _funnel_batch(23)
+    weights = LossWeights(0.5, 2.0, 1.0, 0.3, 0.7, 0.0)
+    alone = [_objective(out, o, r, t, ipw=ATTACHED).item() for t in TERMS[:5]]
+    total = _objective(out, o, r, ipw=ATTACHED, weights=weights)
+    expected = alone[0] * 0.5
+    for value, w in zip(alone[1:], (2.0, 1.0, 0.3, 0.7)):
+        expected = expected + value * w
+    assert total.item() == expected
+    _check_central_differences(
+        lambda: _objective(out, o, r, ipw=ATTACHED, weights=weights), [out.ctr, out.cvr, out.uncvr]
+    )
 
 
 # -- optimizer -----------------------------------------------------------------
@@ -689,11 +750,8 @@ def test_dropped_graph_is_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
-        (p,) = tower_heads(_gather([(table, np.array([0, 0]))]), [[(w, b)]], 1e-7)
-        per_sample = bce(p, stop_gradient(p, 1.0 - p.value))
-        weights = inverse_propensity(p, 0.01, False)
-        terms = [masked_mean(per_sample, np.array([1.0, 0.0]), weights), inverse_propensity(p, 0.1, True).mean()]
-        backward(weighted_sum(terms, [1.0, 0.5]))
+        out = TowerOutputs(*tower_heads(_gather([(table, np.array([0, 0]))]), [[(w, b)]] * 3, 1e-7))
+        backward(_objective(out, [1.0, 0.0], [0.0, 0.0], *TERMS, ipw=ATTACHED))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -708,7 +766,7 @@ def test_tower_heads_graph_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         heads = tower_heads(x, towers, 1e-7)
-        backward(weighted_sum([h.mean() for h in heads], [1.0, 1.0, 1.0]))
+        backward(_objective(TowerOutputs(*heads), [1.0, 0.0] * 2, [0.0] * 4, *TERMS))
         del heads
         assert gc.collect() == 0
     finally:

@@ -14,7 +14,7 @@ from choruscvr.features import (
     init_tables,
 )
 
-from oracles import log_of
+from oracles import log_of, mean, mul
 
 
 def _matrix(rows, schema):
@@ -200,7 +200,7 @@ def test_embedding_gradients_flow_through_encoding():
     schema = build_schema(_mixed_config())
     tables = init_tables(schema, np.random.default_rng(2))
     fm = _matrix([{"item_cat": 1, "user_cat": 2, "price": 0.3}], schema)
-    out = encode_matrix(fm, schema, tables).mean()
+    out = mean(encode_matrix(fm, schema, tables))
     backward(out)
     share = np.full(2, 1.0 / schema.input_width)
     assert np.array_equal(tables["item_cat"].grad[1], share)
@@ -240,7 +240,7 @@ def test_one_bincount_gather_equals_per_table_scatter_bitwise(config):
     tables = init_tables(schema, rng)
     out = encode_matrix(_matrix(rows, schema), schema, tables)
     upstream = rng.normal(size=out.shape)
-    backward((out * upstream).mean())
+    backward(mean(mul(out, upstream)))
     start = 0
     for f in schema.ordered:
         cols = slice(start, start + (f.embed_width if f.kind == "categorical" else 1))
@@ -252,6 +252,6 @@ def test_one_bincount_gather_equals_per_table_scatter_bitwise(config):
         ids = values % f.vocab_size
         assert np.array_equal(out.value[:, cols], tables[f.name].value[ids])
         expected = np.zeros_like(tables[f.name].value)
-        np.add.at(expected, ids, (np.full(out.shape, 1.0 / out.size) * upstream)[:, cols])
+        np.add.at(expected, ids, (np.full(out.shape, 1.0 / out.value.size) * upstream)[:, cols])
         assert tables[f.name].grad.tobytes() == expected.tobytes(), f.name
     assert start == out.shape[1]

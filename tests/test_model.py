@@ -75,12 +75,12 @@ def test_zero_parameters_give_half_probabilities():
     for _, t in params.named_parameters():
         t.value[...] = 0.0
     fm = _matrix(_rows(4, np.random.default_rng(0)), SCHEMA)
-    out = predict_batch(params, fm)
-    assert np.allclose(out.ctr.value, 0.5)
-    assert np.allclose(out.cvr.value, 0.5)
-    assert np.allclose(out.uncvr.value, 0.5)
-    assert np.allclose(out.ctcvr.value, 0.25)
-    assert np.allclose(out.ctuncvr.value, 0.25)
+    out = predict_batch(params, fm).values()
+    assert np.allclose(out["ctr"], 0.5)
+    assert np.allclose(out["cvr"], 0.5)
+    assert np.allclose(out["uncvr"], 0.5)
+    assert np.allclose(out["ctcvr"], 0.25)
+    assert np.allclose(out["ctuncvr"], 0.25)
 
 
 def test_tiny_net_matches_hand_evaluation():
@@ -91,23 +91,24 @@ def test_tiny_net_matches_hand_evaluation():
     for tower, (w, b) in hand.items():
         params.towers[tower][0][0].value[...] = w
         params.towers[tower][0][1].value[...] = b
-    out = predict_batch(params, _matrix([{"x": 0.3}], schema))
-    assert out.ctr.shape == (1,)
-    assert out.ctr.value[0] == pytest.approx(0.7502601055951177, abs=1e-12)
-    assert out.cvr.value[0] == pytest.approx(0.4875026035157896, abs=1e-12)
-    assert out.uncvr.value[0] == pytest.approx(0.20587037180094733, abs=1e-12)
-    assert out.ctcvr.value[0] == pytest.approx(0.3657537547916511, abs=1e-12)
-    assert out.ctuncvr.value[0] == pytest.approx(0.15445632688628488, abs=1e-12)
+    heads = predict_batch(params, _matrix([{"x": 0.3}], schema))
+    assert heads.ctr.shape == (1,)
+    out = heads.values()
+    assert out["ctr"][0] == pytest.approx(0.7502601055951177, abs=1e-12)
+    assert out["cvr"][0] == pytest.approx(0.4875026035157896, abs=1e-12)
+    assert out["uncvr"][0] == pytest.approx(0.20587037180094733, abs=1e-12)
+    assert out["ctcvr"][0] == pytest.approx(0.3657537547916511, abs=1e-12)
+    assert out["ctuncvr"][0] == pytest.approx(0.15445632688628488, abs=1e-12)
 
 
 def test_product_invariant_over_random_inputs():
     rng = np.random.default_rng(17)
     params = init_model(SCHEMA, ARCH, seed=23)
     fm = _matrix(_rows(1000, rng), SCHEMA)
-    out = predict_batch(params, fm)
-    assert np.all(out.ctcvr.value <= np.minimum(out.ctr.value, out.cvr.value))
-    assert np.all(out.ctuncvr.value <= np.minimum(out.ctr.value, out.uncvr.value))
-    assert np.all(out.ctcvr.value > 0.0)
+    out = predict_batch(params, fm).values()
+    assert np.all(out["ctcvr"] <= np.minimum(out["ctr"], out["cvr"]))
+    assert np.all(out["ctuncvr"] <= np.minimum(out["ctr"], out["uncvr"]))
+    assert np.all(out["ctcvr"] > 0.0)
 
 
 def test_outputs_within_clamp_band():
@@ -145,7 +146,8 @@ def test_no_grad_predict_bitwise_matches_graph(arch):
     assert graph.ctr.parents  # the training path keeps its graph
     for name, value in scored.values().items():
         assert np.array_equal(value, graph.values()[name]), name
-        assert getattr(scored, name).parents == (), name
+    for head in (scored.ctr, scored.cvr, scored.uncvr):
+        assert head.parents == ()
 
 
 def test_copy_is_independent():

@@ -4,6 +4,7 @@ Frozen constants below were hand-computed with math.log outside the
 package and pasted in; the library must reproduce them to 1e-9.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -22,62 +23,78 @@ from choruscvr.data import label_arrays
 from choruscvr.features import build_matrix, build_schema, encode_matrix
 from choruscvr.model import PROB_CLAMP, TOWER_NAMES, Architecture, TowerOutputs, init_model, predict_batch
 from choruscvr.objectives import (
+    METHOD_TERMS,
     METHODS,
     TERMS,
     IpwConfig,
     LossWeights,
     ObjectiveError,
-    align_terms,
-    bce,
     compose_method_loss,
     ctuncvr_label,
-    loss_align_ipw,
-    loss_ctcvr,
-    loss_ctr,
-    loss_ctuncvr,
-    loss_cvr_ipw,
-    loss_uncvr_ipw,
     training_step,
 )
 from choruscvr.simulator import SimConfig, generate, sim_schema
 
-from oracles import ipw_mean, log_of
+from oracles import ipw_mean, log_of, reference_method_loss
 
 TOL = 1e-9
 IPW = IpwConfig()
+ATTACHED = IpwConfig(detach=False)
 
 
 def _outputs(ctr, cvr, uncvr) -> TowerOutputs:
-    ctr_t = Tensor(np.asarray(ctr, dtype=np.float64))
-    cvr_t = Tensor(np.asarray(cvr, dtype=np.float64))
-    uncvr_t = Tensor(np.asarray(uncvr, dtype=np.float64))
-    return TowerOutputs(ctr=ctr_t, cvr=cvr_t, uncvr=uncvr_t, ctcvr=ctr_t * cvr_t, ctuncvr=ctr_t * uncvr_t)
+    """Heads pinned to the given values, each a leaf node."""
+    return TowerOutputs(*(Tensor(np.asarray(v, dtype=np.float64)) for v in (ctr, cvr, uncvr)))
 
 
-# -- bce -----------------------------------------------------------------------
+def _term(name, out, o, r, ipw=IPW) -> float:
+    """One term's value, from the first method whose row holds it."""
+    method = next(m for m, row in METHOD_TERMS.items() if name in row)
+    return compose_method_loss(method, out, np.asarray(o, float), np.asarray(r, float), LossWeights(), ipw).terms[name]
+
+
+def _only(*names: str) -> LossWeights:
+    """Weight 1 on the named base terms of the chorus family, 0 elsewhere."""
+    return LossWeights(*(float(t in names) for t in TERMS))
+
+
+def _head_grads(name, out, o, r, ipw=IPW) -> list[np.ndarray]:
+    """The gradient of one base term on the ctr, cvr and uncvr heads."""
+    backward(compose_method_loss("chorus", out, np.asarray(o, float), np.asarray(r, float), _only(name), ipw).total)
+    return [out.ctr.grad, out.cvr.grad, out.uncvr.grad]
+
+
+def _bce(p: float, y: float) -> float:
+    return -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
+
+
+# -- binary cross-entropy, through the click term ---------------------------------
 
 
 def test_bce_half_on_positive():
-    assert bce(Tensor(0.5), 1.0).item() == pytest.approx(0.6931471805599453, abs=TOL)
+    assert _term("ctr", _outputs([0.5], [0.5], [0.5]), [1.0], [0.0]) == pytest.approx(0.6931471805599453, abs=TOL)
 
 
 def test_bce_point_nine_oracle():
-    assert bce(Tensor(0.9), 1.0).item() == pytest.approx(0.10536051565782628, abs=TOL)
+    assert _term("ctr", _outputs([0.9], [0.5], [0.5]), [1.0], [0.0]) == pytest.approx(0.10536051565782628, abs=TOL)
 
 
 def test_bce_minimized_at_soft_label():
-    at = bce(Tensor(0.3), 0.3).item()
-    assert bce(Tensor(0.31), 0.3).item() > at
-    assert bce(Tensor(0.29), 0.3).item() > at
+    # dcmt_lite's constraint: cvr against the soft label 1 - uncvr = 0.3
+    def at(cvr):
+        return _term("cf_constraint", _outputs([0.5], [cvr], [0.7]), [1.0], [1.0])
+
+    assert at(0.31) > at(0.3) and at(0.29) > at(0.3)
 
 
 def test_bce_mirror_identity():
     rng = np.random.default_rng(0)
     q = rng.uniform(0.01, 0.99, 50)
     r = rng.integers(0, 2, 50).astype(np.float64)
-    lhs = bce(Tensor(q), 1.0 - r).value
-    rhs = bce(Tensor(1.0 - q), r).value
-    assert np.allclose(lhs, rhs, atol=1e-12)
+    for qi, ri in zip(q, r):
+        lhs = _term("ctr", _outputs([qi], [0.5], [0.5]), [1.0 - ri], [0.0])
+        rhs = _term("ctr", _outputs([1.0 - qi], [0.5], [0.5]), [ri], [0.0])
+        assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 # -- per-term losses -----------------------------------------------------------
@@ -85,71 +102,57 @@ def test_bce_mirror_identity():
 
 def test_loss_ctr_perfect_predictions_near_zero():
     out = _outputs([1.0 - 1e-7, 1e-7], [0.5, 0.5], [0.5, 0.5])
-    assert loss_ctr(out, np.array([1.0, 0.0])).item() < 1e-6
+    assert _term("ctr", out, [1.0, 0.0], [0.0, 0.0]) < 1e-6
 
 
 def test_loss_ctr_uninformative_half():
     out = _outputs([0.5] * 4, [0.5] * 4, [0.5] * 4)
-    assert loss_ctr(out, np.array([1.0, 0.0, 1.0, 0.0])).item() == pytest.approx(
-        0.6931471805599453, abs=TOL
-    )
+    assert _term("ctr", out, [1.0, 0.0, 1.0, 0.0], [0.0] * 4) == pytest.approx(0.6931471805599453, abs=TOL)
 
 
 def test_loss_ctr_four_sample_oracle():
     # hand mean of -ln(0.8), -ln(0.7), -ln(0.5), -ln(0.9)
     out = _outputs([0.2, 0.7, 0.5, 0.9], [0.5] * 4, [0.5] * 4)
-    o = np.array([0.0, 1.0, 0.0, 1.0])
-    assert loss_ctr(out, o).item() == pytest.approx(0.3445815478676785, abs=TOL)
+    assert _term("ctr", out, [0.0, 1.0, 0.0, 1.0], [0.0] * 4) == pytest.approx(0.3445815478676785, abs=TOL)
 
 
 def test_loss_ctr_empty_batch():
-    out = _outputs([], [], [])
-    with pytest.raises(ObjectiveError):
-        loss_ctr(out, np.array([]))
+    with pytest.raises(ObjectiveError, match="empty"):
+        _term("ctr", _outputs([], [], []), [], [])
 
 
 def test_loss_ctcvr_quarter_product_oracle():
     out = _outputs([0.5], [0.5], [0.5])
-    assert loss_ctcvr(out, np.array([1.0]), np.array([1.0])).item() == pytest.approx(
-        1.3862943611198906, abs=TOL
-    )
+    assert _term("ctcvr", out, [1.0], [1.0]) == pytest.approx(1.3862943611198906, abs=TOL)
 
 
 def test_loss_ctcvr_true_negative_near_zero():
-    out = _outputs([1e-3], [1e-3], [0.5])
-    assert loss_ctcvr(out, np.array([0.0]), np.array([0.0])).item() < 1e-5
+    assert _term("ctcvr", _outputs([1e-3], [1e-3], [0.5]), [0.0], [0.0]) < 1e-5
 
 
 def test_loss_ctcvr_clicked_unconverted_is_negative():
-    out = _outputs([0.6], [0.4], [0.5])
-    val = loss_ctcvr(out, np.array([1.0]), np.array([0.0])).item()
+    val = _term("ctcvr", _outputs([0.6], [0.4], [0.5]), [1.0], [0.0])
     assert val == pytest.approx(-math.log(1.0 - 0.24), abs=TOL)
 
 
 def test_loss_cvr_ipw_single_sample_oracle():
-    out = _outputs([0.25], [0.5], [0.5])
-    val = loss_cvr_ipw(out, np.array([1.0]), np.array([1.0]), IPW)
-    assert val.item() == pytest.approx(2.772588722239781, abs=TOL)
+    assert _term("cvr_ipw", _outputs([0.25], [0.5], [0.5]), [1.0], [1.0]) == pytest.approx(2.772588722239781, abs=TOL)
 
 
 def test_loss_cvr_ipw_unit_propensity_is_plain_mean():
     out = _outputs([1.0 - 1e-7] * 3, [0.3, 0.6, 0.8], [0.5] * 3)
-    o = np.ones(3)
-    r = np.array([0.0, 1.0, 1.0])
-    val = loss_cvr_ipw(out, o, r, IPW).item()
+    val = _term("cvr_ipw", out, np.ones(3), [0.0, 1.0, 1.0])
     plain = np.mean([-math.log(0.7), -math.log(0.6), -math.log(0.8)])
     assert val == pytest.approx(plain, abs=1e-6)  # propensity 1-1e-7, not exactly 1
 
 
 def test_loss_cvr_ipw_weight_capped_at_floor():
-    out = _outputs([0.001], [0.5], [0.5])
-    val = loss_cvr_ipw(out, np.array([1.0]), np.array([1.0]), IPW).item()
+    val = _term("cvr_ipw", _outputs([0.001], [0.5], [0.5]), [1.0], [1.0])
     assert val == pytest.approx(-math.log(0.5) / 0.01, abs=TOL)
 
 
 def test_loss_cvr_ipw_no_clicks_is_zero():
-    out = _outputs([0.5, 0.5], [0.5, 0.5], [0.5, 0.5])
-    assert loss_cvr_ipw(out, np.zeros(2), np.zeros(2), IPW).item() == 0.0
+    assert _term("cvr_ipw", _outputs([0.5, 0.5], [0.5, 0.5], [0.5, 0.5]), np.zeros(2), np.zeros(2)) == 0.0
 
 
 def test_ctuncvr_label_truth_table():
@@ -164,22 +167,17 @@ def test_ctuncvr_label_rejects_funnel_violation():
 
 
 def test_loss_ctuncvr_oracle():
-    out = _outputs([0.5], [0.5], [0.5])
-    val = loss_ctuncvr(out, np.array([1.0]), np.array([0.0])).item()
-    assert val == pytest.approx(1.3862943611198906, abs=TOL)
+    assert _term("ctuncvr", _outputs([0.5], [0.5], [0.5]), [1.0], [0.0]) == pytest.approx(1.3862943611198906, abs=TOL)
 
 
 def test_loss_ctuncvr_label_zero_cases():
     out = _outputs([0.3, 0.3], [0.5, 0.5], [0.2, 0.2])
     # (1,1) and (0,0) both give label 0: loss = -ln(1 - 0.06)
-    val = loss_ctuncvr(out, np.array([1.0, 0.0]), np.array([1.0, 0.0])).item()
-    assert val == pytest.approx(-math.log(1.0 - 0.06), abs=TOL)
+    assert _term("ctuncvr", out, [1.0, 0.0], [1.0, 0.0]) == pytest.approx(-math.log(1.0 - 0.06), abs=TOL)
 
 
 def test_loss_uncvr_ipw_oracle():
-    out = _outputs([0.5], [0.5], [0.5])
-    val = loss_uncvr_ipw(out, np.array([1.0]), np.array([0.0]), IPW).item()
-    assert val == pytest.approx(1.3862943611198906, abs=TOL)
+    assert _term("uncvr_ipw", _outputs([0.5], [0.5], [0.5]), [1.0], [0.0]) == pytest.approx(1.3862943611198906, abs=TOL)
 
 
 def test_loss_uncvr_ipw_mirrors_cvr_ipw():
@@ -192,77 +190,65 @@ def test_loss_uncvr_ipw_mirrors_cvr_ipw():
     r = (rng.integers(0, 2, n) * o).astype(np.float64)
     mirrored = _outputs(ctr, 1.0 - q, q)  # cvr := 1 - uncvr
     direct = _outputs(ctr, 0.5 * np.ones(n), q)
-    lhs = loss_uncvr_ipw(direct, o, r, IPW).item()
-    rhs = loss_cvr_ipw(mirrored, o, r, IPW).item()
-    assert lhs == pytest.approx(rhs, abs=1e-12)
+    assert _term("uncvr_ipw", direct, o, r) == pytest.approx(_term("cvr_ipw", mirrored, o, r), abs=1e-12)
 
 
 # -- alignment ------------------------------------------------------------------
 
 
 def test_align_first_term_oracle():
-    out = _outputs([0.5], [0.7], [0.4])
-    t1, t2, t3, t4 = align_terms(out, np.array([1.0]), IPW)
-    assert t1.item() == pytest.approx(1.391188176187228, abs=TOL)
-    assert t2.item() == pytest.approx(1.26493031239688, abs=TOL)
-    assert t3.item() == 0.0  # no un-clicked samples
-    assert t4.item() == 0.0
-    total = loss_align_ipw(out, np.array([1.0]), IPW)
-    assert total.item() == pytest.approx(2.656118488584108, abs=TOL)
+    # One clicked sample, weight 1/0.5: the first addend (cvr against the
+    # soft label 1 - uncvr = 0.6) plus the second (uncvr against 0.3).
+    value = _term("align_ipw", _outputs([0.5], [0.7], [0.4]), [1.0], [1.0])
+    assert value == pytest.approx((_bce(0.7, 0.6) + _bce(0.4, 0.3)) / 0.5, abs=TOL)
+    assert value == pytest.approx(1.391188176187228 + 1.26493031239688, abs=TOL)
 
 
 def test_align_label_symmetry_when_heads_sum_to_one():
+    # cvr + uncvr = 1: each addend is the entropy of its head, so the
+    # click and un-click spaces each add two equal entropies.
     out = _outputs([0.4, 0.6], [0.3, 0.8], [0.7, 0.2])
-    t1, t2, t3, t4 = align_terms(out, np.array([1.0, 0.0]), IPW)
-    assert t1.item() == pytest.approx(t2.item(), abs=1e-12)
-    assert t3.item() == pytest.approx(t4.item(), abs=1e-12)
+    expected = 2.0 * _bce(0.3, 0.3) / 0.4 + 2.0 * _bce(0.8, 0.8) / 0.4
+    assert _term("align_ipw", out, [1.0, 0.0], [0.0, 0.0]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_align_unclick_weights_use_complement_propensity():
     # one un-clicked sample with p_click = 0.8: weight = 1/0.2
     out = _outputs([0.8], [0.7], [0.4])
-    t1, t2, t3, t4 = align_terms(out, np.array([0.0]), IPW)
-    assert t1.item() == 0.0 and t2.item() == 0.0
-    expected = -(0.6 * math.log(0.7) + 0.4 * math.log(0.3)) / 0.2
-    assert t3.item() == pytest.approx(expected, abs=TOL)
+    expected = (_bce(0.7, 0.6) + _bce(0.4, 0.3)) / 0.2
+    assert _term("align_ipw", out, [0.0], [0.0]) == pytest.approx(expected, abs=TOL)
 
 
 def test_align_soft_labels_clamped():
     # uncvr so high the raw soft label 1-uncvr falls below 1e-6
     hi = 1.0 - 1e-7
     out = _outputs([0.5], [0.5], [hi])
-    t1, _, _, _ = align_terms(out, np.array([1.0]), IPW)
     lbl = 1e-6  # clamped
-    expected = -(lbl * math.log(0.5) + (1 - lbl) * math.log(0.5)) / 0.5
-    assert t1.item() == pytest.approx(expected, abs=TOL)
+    expected = (_bce(0.5, lbl) + _bce(hi, 0.5)) / 0.5
+    assert _term("align_ipw", out, [1.0], [1.0]) == pytest.approx(expected, abs=TOL)
 
 
 def test_align_stop_gradient_per_term():
-    out = _outputs([0.5, 0.5], [0.7, 0.6], [0.4, 0.3])
+    # Where cvr + uncvr = 1 exactly, every addend sits at its own minimum,
+    # so the only gradient left would leak through a soft label: there
+    # is none. Off that point both conversion heads train, and detached
+    # weights keep the click head out.
     o = np.array([1.0, 0.0])
-    for i, blocked in enumerate(["uncvr", "cvr", "uncvr", "cvr"]):
-        terms = align_terms(out, o, IPW)
-        backward(terms[i])
-        blocked_leaf = {"uncvr": out.uncvr, "cvr": out.cvr}[blocked]
-        trained_leaf = {"uncvr": out.cvr, "cvr": out.uncvr}[blocked]
-        assert np.all(blocked_leaf.grad == 0.0), f"term {i} leaks into sg({blocked})"
-        assert np.any(trained_leaf.grad != 0.0), f"term {i} trains nothing"
+    at_minimum = _head_grads("align_ipw", _outputs([0.5, 0.5], [0.75, 0.375], [0.25, 0.625]), o, [0.0, 0.0])
+    assert all(g.tobytes() == np.zeros(2).tobytes() for g in at_minimum)
+    ctr, cvr, uncvr = _head_grads("align_ipw", _outputs([0.5, 0.5], [0.7, 0.6], [0.4, 0.3]), o, [0.0, 0.0])
+    assert np.all(ctr == 0.0) and np.all(cvr != 0.0) and np.all(uncvr != 0.0)
 
 
 def test_detached_propensity_blocks_ctr_gradient():
     out = _outputs([0.25, 0.7], [0.5, 0.5], [0.5, 0.5])
-    o = np.array([1.0, 1.0])
-    r = np.array([1.0, 0.0])
-    backward(loss_cvr_ipw(out, o, r, IpwConfig(detach=True)))
-    assert np.all(out.ctr.grad == 0.0)
-    backward(loss_cvr_ipw(out, o, r, IpwConfig(detach=False)))
-    assert np.any(out.ctr.grad != 0.0)
+    assert np.all(_head_grads("cvr_ipw", out, [1.0, 1.0], [1.0, 0.0], IPW)[0] == 0.0)
+    assert np.all(_head_grads("cvr_ipw", out, [1.0, 1.0], [1.0, 0.0], ATTACHED)[0] != 0.0)
 
 
 def test_attached_propensity_respects_clamp():
     out = _outputs([0.005], [0.5], [0.5])  # below the 0.01 floor
-    backward(loss_cvr_ipw(out, np.array([1.0]), np.array([1.0]), IpwConfig(detach=False)))
-    assert np.all(out.ctr.grad == 0.0)  # clamped branch has zero slope
+    assert np.all(_head_grads("cvr_ipw", out, [1.0], [1.0], ATTACHED)[0] == 0.0)  # clamped branch has zero slope
 
 
 # -- composition ----------------------------------------------------------------
@@ -271,15 +257,10 @@ def test_attached_propensity_respects_clamp():
 def test_total_loss_additivity():
     out, o, r = _mixed_batch()
     bundle = compose_method_loss("chorus", out, o, r, LossWeights(ctr=0.0), IPW)
-    parts = [
-        loss_ctcvr(out, o, r),
-        loss_cvr_ipw(out, o, r, IPW),
-        loss_ctuncvr(out, o, r),
-        loss_uncvr_ipw(out, o, r, IPW),
-        loss_align_ipw(out, o, IPW),
-    ]
+    alone = [compose_method_loss("chorus", out, o, r, _only(name), IPW).total.item() for name in TERMS[1:]]
     assert list(bundle.terms) == ["ctcvr", "cvr_ipw", "ctuncvr", "uncvr_ipw", "align_ipw"]
-    assert bundle.total.item() == pytest.approx(sum(t.item() for t in parts), abs=1e-12)
+    assert list(bundle.terms.values()) == alone
+    assert bundle.total.item() == pytest.approx(sum(alone), abs=1e-12)
 
 
 def test_total_loss_zero_weight_excludes_gradient():
@@ -330,7 +311,7 @@ def _total(method, out, o, r) -> float:
 def test_esmm_total_is_sum_of_parts():
     out, o, r = _mixed_batch()
     total = _total("esmm", out, o, r)
-    parts = loss_ctr(out, o).item() + loss_ctcvr(out, o, r).item()
+    parts = _term("ctr", out, o, r) + _term("ctcvr", out, o, r)
     assert total == pytest.approx(parts, abs=1e-12)
 
 
@@ -338,24 +319,24 @@ def test_escm2_adds_ipw_term():
     out, o, r = _mixed_batch()
     esmm = _total("esmm", out, o, r)
     escm2 = _total("escm2_ipw", out, o, r)
-    assert escm2 == pytest.approx(esmm + loss_cvr_ipw(out, o, r, IPW).item(), abs=1e-12)
+    assert escm2 == pytest.approx(esmm + _term("cvr_ipw", out, o, r), abs=1e-12)
 
 
 def test_nise_self_distillation_is_entropy_at_fixed_point():
     # un-clicked sample with y_cvr = 0.3: bce(p, sg(p)) = H(p)
     out = _outputs([0.5], [0.3], [0.5])
     bundle = compose_method_loss("nise", out, np.array([0.0]), np.array([0.0]), LossWeights(), IPW)
-    assert bundle.terms["cvr_self_distill"].item() == pytest.approx(0.6108643020548935, abs=TOL)
+    assert bundle.terms["cvr_self_distill"] == pytest.approx(0.6108643020548935, abs=TOL)
 
 
 def test_dcmt_constraint_minimized_at_complementary_heads():
     # y_cvr + y_cf = 1 -> soft-label bce hits its minimum for that target
     at = compose_method_loss(
         "dcmt_lite", _outputs([0.5], [0.7], [0.3]), np.array([1.0]), np.array([1.0]), LossWeights(), IPW
-    ).terms["cf_constraint"].item()
+    ).terms["cf_constraint"]
     off = compose_method_loss(
         "dcmt_lite", _outputs([0.5], [0.6], [0.3]), np.array([1.0]), np.array([1.0]), LossWeights(), IPW
-    ).terms["cf_constraint"].item()
+    ).terms["cf_constraint"]
     assert at < off
 
 
@@ -421,7 +402,7 @@ def test_wo_ndm_soft_uncvr_is_click_space_mean():
     o = np.array([1.0, 0.0])  # only the first sample is clicked
     bundle = compose_method_loss("chorus_wo_ndm", out, o, np.array([1.0, 0.0]), LossWeights(), IPW)
     expected = -(0.3 * math.log(0.4) + 0.7 * math.log(0.6))  # bce(0.4, 1-0.7), no IPW
-    assert bundle.terms["uncvr_soft"].item() == pytest.approx(expected, abs=TOL)
+    assert bundle.terms["uncvr_soft"] == pytest.approx(expected, abs=TOL)
 
 
 def test_mask_completeness():
@@ -462,17 +443,23 @@ def _fm(n, seed):
     return _matrix(rows, SCHEMA)
 
 
+def _align_by_hand(params, fm, clicked: bool) -> float:
+    """The alignment term of one sample, by ``math.log`` from its heads:
+    both addends of its space, weighted by 1/p_click on a click and by
+    1/(1 - p_click) otherwise."""
+    v = {k: float(x[0]) for k, x in predict_batch(params, fm).values().items()}
+    weight = v["ctr"] if clicked else 1.0 - v["ctr"]
+    return (_bce(v["cvr"], 1.0 - v["uncvr"]) + _bce(v["uncvr"], 1.0 - v["cvr"])) / weight
+
+
 def test_single_unclicked_sample_step():
     params = init_model(SCHEMA, ARCH, seed=0)
     bundle, grads = training_step(
         params, _fm(1, 1), np.array([0.0]), np.array([0.0]), "chorus", LossWeights(), IPW, params.parameters()
     )
-    assert bundle.terms["cvr_ipw"].item() == 0.0
-    assert bundle.terms["uncvr_ipw"].item() == 0.0
-    out = predict_batch(params, _fm(1, 1))
-    t1, t2, t3, t4 = align_terms(out, np.array([0.0]), IPW)
-    assert bundle.terms["align_ipw"].item() == pytest.approx(t3.item() + t4.item(), abs=1e-12)
-    assert t1.item() == 0.0 and t2.item() == 0.0
+    assert bundle.terms["cvr_ipw"] == 0.0
+    assert bundle.terms["uncvr_ipw"] == 0.0
+    assert bundle.terms["align_ipw"] == pytest.approx(_align_by_hand(params, _fm(1, 1), clicked=False), abs=1e-12)
 
 
 def test_single_converted_sample_step():
@@ -480,11 +467,9 @@ def test_single_converted_sample_step():
     bundle, _ = training_step(
         params, _fm(1, 2), np.array([1.0]), np.array([1.0]), "chorus", LossWeights(), IPW, params.parameters()
     )
-    assert bundle.terms["cvr_ipw"].item() > 0.0
-    assert bundle.terms["uncvr_ipw"].item() > 0.0
-    out = predict_batch(params, _fm(1, 2))
-    _, _, t3, t4 = align_terms(out, np.array([1.0]), IPW)
-    assert t3.item() == 0.0 and t4.item() == 0.0
+    assert bundle.terms["cvr_ipw"] > 0.0
+    assert bundle.terms["uncvr_ipw"] > 0.0
+    assert bundle.terms["align_ipw"] == pytest.approx(_align_by_hand(params, _fm(1, 2), clicked=True), abs=1e-12)
 
 
 def test_step_gradients_aligned_and_zero_for_unused_towers():
@@ -525,21 +510,22 @@ def _graph_nodes(root: Tensor) -> int:
     return len(seen)
 
 
-def test_chorus_step_graph_has_at_most_48_nodes():
+@pytest.mark.parametrize("ipw", [IPW, ATTACHED], ids=["detached", "attached"])
+def test_chorus_step_graph_has_at_most_26_nodes(ipw):
     # The acceptance protocol's model on one 1024-exposure batch: eight
     # simulated features, no shared encoder, [16] towers. Per-node Python
-    # overhead is most of a step's cost, so the fused graph must not regrow.
+    # overhead is most of a step's cost, so the graph must not regrow: the
+    # tables, the gather, the twelve tower parameters, the tower node,
+    # three heads and the objective.
     sim = SimConfig(n_exposures=1024, seed=0)
     log, _ = generate(sim)
     schema = sim_schema(sim, embed_width=4)
     params = init_model(schema, Architecture(encoder_widths=(), tower_widths=(16,)), seed=0)
     o, r = label_arrays(log)
     assert 0 < r.sum() < o.sum() < len(o)  # every term of the objective is live
-    bundle, _ = training_step(
-        params, build_matrix(log, schema), o, r, "chorus", LossWeights(), IPW, params.parameters()
-    )
+    bundle, _ = training_step(params, build_matrix(log, schema), o, r, "chorus", LossWeights(), ipw, params.parameters())
     assert tuple(bundle.terms) == TERMS
-    assert _graph_nodes(bundle.total) <= 48
+    assert _graph_nodes(bundle.total) <= 26
 
 
 def _clip_column(x: Tensor, lo: float, hi: float) -> Tensor:
@@ -558,8 +544,7 @@ def _reference_outputs(params, fm) -> TowerOutputs:
         layers = params.towers[tower]
         out = mlp_forward(layers, h, ["relu"] * (len(layers) - 1) + ["sigmoid"])
         heads.append(_clip_column(out, PROB_CLAMP, 1.0 - PROB_CLAMP))
-    ctr, cvr, uncvr = heads
-    return TowerOutputs(ctr=ctr, cvr=cvr, uncvr=uncvr, ctcvr=ctr * cvr, ctuncvr=ctr * uncvr)
+    return TowerOutputs(*heads)
 
 
 @pytest.mark.parametrize(
@@ -593,6 +578,66 @@ def test_training_steps_are_bitwise_equal_to_per_tower_reference_graph(method, a
             assert g.tobytes() == e.tobytes(), f"step {step}: {name}"
         optimizer_step(params.parameters(), grads, states[0], config)
         optimizer_step(reference.parameters(), expected, states[1], config)
+
+
+SIM = SimConfig(n_exposures=1024, seed=0)
+# Loss weights of the bitwise grid: the defaults, the digest's weighted
+# config, every term reading uncvr dropped, uneven weights, and none.
+GRID_WEIGHTS = [
+    LossWeights(),
+    LossWeights(align=0.5, ctcvr=0.0),
+    LossWeights(ctuncvr=0.0, uncvr_ipw=0.0, align=0.0),
+    LossWeights(0.3, 1.7, 0.25, 2.0, 0.6, 1.3),
+    LossWeights(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+]
+
+
+def _grid_batches(o: np.ndarray) -> dict[str, list[np.ndarray]]:
+    """Three batches of each kind: mixed, no click, all clicks, and three
+    rows (one click, two un-clicks)."""
+    clicked, unclicked = np.flatnonzero(o == 1), np.flatnonzero(o == 0)
+    return {
+        "mixed": [np.arange(k * 128, (k + 1) * 128) for k in range(3)],
+        "no-click": [unclicked[k * 64 : (k + 1) * 64] for k in range(3)],
+        "all-click": [clicked[k * 24 : (k + 1) * 24] for k in range(3)],
+        "3-row": [np.array([clicked[k], unclicked[k], unclicked[k + 3]]) for k in range(3)],
+    }
+
+
+@pytest.mark.parametrize(
+    "arch",
+    [Architecture(encoder_widths=(), tower_widths=(16,)), Architecture(encoder_widths=(8,), tower_widths=(16, 8))],
+    ids=["protocol", "deep"],
+)
+@pytest.mark.parametrize("method", METHODS)
+def test_training_steps_are_bitwise_equal_to_the_loss_graph(method, arch):
+    # The objective node against the graph of bce, mean, masked-mean,
+    # inverse-propensity, stop-gradient, product and weighted-sum nodes it
+    # replaced: equal term values, equal gradient bits on every parameter
+    # and three equal Adam steps, for detached and attached weights, each
+    # weight set and each kind of batch.
+    log, _ = generate(SIM)
+    schema = sim_schema(SIM, embed_width=4)
+    fm = build_matrix(log, schema)
+    o, r = label_arrays(log)
+    batches = _grid_batches(o)
+    for ipw, weights, kind in itertools.product((IPW, ATTACHED), GRID_WEIGHTS, batches):
+        case = f"detach={ipw.detach} {weights} {kind}"
+        params = init_model(schema, arch, seed=0)
+        reference = params.copy()
+        states = [OptimizerState.for_params(p.parameters()) for p in (params, reference)]
+        for step, idx in enumerate(batches[kind]):
+            batch = fm.rows(idx)
+            bundle, grads = training_step(params, batch, o[idx], r[idx], method, weights, ipw, params.parameters())
+            terms, total = reference_method_loss(method, predict_batch(reference, batch), o[idx], r[idx], weights, ipw)
+            leaves = backward(total)
+            expected = [leaves[p] if p in leaves else np.zeros_like(p.value) for p in reference.parameters()]
+            assert bundle.terms == {name: t.item() for name, t in terms.items()}, case
+            assert bundle.total.item() == total.item(), case
+            for (name, _), g, e in zip(params.named_parameters(), grads, expected):
+                assert g.tobytes() == e.tobytes(), f"{case} step {step}: {name}"
+            optimizer_step(params.parameters(), grads, states[0], OptimizerConfig())
+            optimizer_step(reference.parameters(), expected, states[1], OptimizerConfig())
 
 
 # -- IPW estimator property -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Print the sha256 of every deterministic artifact of two small ``compare``
+"""Print the sha256 of every deterministic artifact of three small ``compare``
 runs and four ``simulate`` runs.
 
 Runs ``choruscvr compare`` for all seven methods on two seeds (20k
@@ -10,8 +10,13 @@ weights; ``weighted`` adds an encoder, a second tower layer, non-default
 weights (``ipw.detach: false``). Then it runs ``choruscvr simulate`` at
 2,000 exposures once per config in ``SIM_CONFIGS`` (the default and one
 changed field each), whose ``true_p_*`` columns move with any bit of the
-calibrated intercepts. It prints one ``<sha256>  <config>/<relative
-path>`` line per artifact, sorted by path within each run. Manifests
+calibrated intercepts. Last, it runs ``compare`` once more on the
+``sparse`` config (``SPARSE``): the default model at a 2 % click rate,
+in batches of 32 with attached IPW weights, so about half of its
+batches hold no click and the objective's empty-space paths run end to
+end; its lines follow the simulate lines, so the lines before them keep
+their place. It prints one ``<sha256>  <config>/<relative path>`` line
+per artifact, sorted by path within each run. Manifests
 are hashed without ``dataset_path`` (it names the temporary directory),
 and files a manifest lists under ``nondeterministic`` (wall-clock
 timing) are left out. Two checkouts wrote the same bytes exactly when
@@ -86,6 +91,27 @@ SIM_CONFIGS = {
 }
 
 
+SPARSE = """\
+sim:
+  n_exposures: 20000
+  seed: 0
+  target_click_rate: 0.02
+model:
+  embed_width: 4
+  encoder_widths: []
+  tower_widths: [16]
+objective:
+  ipw:
+    detach: false
+trainer:
+  epochs: 2
+  batch_size: 32
+  learning_rate: 0.001
+  patience: 2
+  seed: 0
+"""
+
+
 def digests(out: Path) -> dict[str, str]:
     """Relative path -> sha256 of every deterministic file under ``out``."""
     skipped: set[Path] = set()
@@ -107,6 +133,7 @@ def main() -> int:
     compare = ["compare", "--methods", ",".join(METHODS), "--seeds", "0,1"]
     runs = [(label, text, compare) for label, text in CONFIGS.items()]
     runs += [(label, text, ["simulate"]) for label, text in SIM_CONFIGS.items()]
+    runs.append(("sparse", SPARSE, compare))
     with tempfile.TemporaryDirectory() as tmp:
         for label, text, command in runs:
             root = Path(tmp) / label
