@@ -1,9 +1,10 @@
 """Entire-space debiased conversion-rate modeling toolkit.
 
 Negative-sample discrimination plus mutual soft alignment on top of a
-click/conversion funnel, with a small autodiff engine, a synthetic
-funnel simulator with counterfactual ground truth, and an evaluation
-harness for bias-aware offline metrics.
+click/conversion funnel, with a numpy model whose forward and backward
+passes are written out layer by layer, a synthetic funnel simulator
+with counterfactual ground truth, and an evaluation harness for
+bias-aware offline metrics.
 
 Importing the package pins BLAS to one thread (unless the environment
 already sets the thread variables): the model's matrices are small, so

@@ -1,6 +1,6 @@
 """Feature schema and encoding into the model's dense input vector.
 
-An exposure's categorical features are looked up in gradient-tracked
+An exposure's categorical features are looked up in trained
 embedding tables and its numeric features enter as read; blocks
 concatenate user, then item, then cross features, each block in schema
 order.
@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, gather_concat
+from .autodiff import Tensor, gather_concat, gather_concat_backward
 
 __all__ = [
     "FeatureSpec",
@@ -25,6 +25,7 @@ __all__ = [
     "init_tables",
     "FeatureMatrix",
     "encode_matrix",
+    "encode_matrix_backward",
 ]
 
 KINDS = ("categorical", "numeric")
@@ -154,9 +155,21 @@ def build_matrix(log, schema: FeatureSchema) -> FeatureMatrix:
     return FeatureMatrix(n, chunk, index, np.array(num_cols, dtype=np.int64), numerics)
 
 
-def encode_matrix(fm: FeatureMatrix, schema: FeatureSchema, tables: Mapping[str, Tensor]) -> Tensor:
+def _embedding_tables(schema: FeatureSchema, tables: Mapping[str, Tensor]) -> list[Tensor]:
+    return [tables[f.name] for f in schema.ordered if f.kind == "categorical"]
+
+
+def encode_matrix(fm: FeatureMatrix, schema: FeatureSchema, tables: Mapping[str, Tensor]) -> np.ndarray:
     """Encode a pre-extracted batch into the (n, input_width) input: one
-    node that gathers every table's rows and places the numerics beside
-    them."""
-    cats = [tables[f.name] for f in schema.ordered if f.kind == "categorical"]
+    gather of every table's rows, with the numerics beside them."""
+    cats = [t.value for t in _embedding_tables(schema, tables)]
     return gather_concat(cats, fm.index, fm.chunk, fm.num_values, fm.num_cols)
+
+
+def encode_matrix_backward(
+    g: np.ndarray, fm: FeatureMatrix, schema: FeatureSchema, tables: Mapping[str, Tensor]
+) -> list[tuple[Tensor, np.ndarray]]:
+    """Each table :func:`encode_matrix` read, with its gradient, from the
+    gradient ``g`` on the input."""
+    cats = _embedding_tables(schema, tables)
+    return list(zip(cats, gather_concat_backward(g, [t.value for t in cats], fm.index, fm.chunk, fm.num_cols)))

@@ -4,7 +4,8 @@ One encoder consumes the dense feature vector; three sigmoid towers
 read its output. Head probabilities are clamped to [1e-7, 1 - 1e-7]
 before any logarithm downstream; the two funnel products (click *
 conversion, click * un-conversion) may fall below the clamp floor but
-stay strictly positive.
+stay strictly positive. :func:`predict_batch` runs the forward pass and
+:func:`backward` the same chain in reverse.
 """
 
 from __future__ import annotations
@@ -12,15 +13,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, ShapeError, mlp_forward, tower_heads
+from .autodiff import Tensor, ShapeError, dense, dense_backward, tower_heads, tower_heads_backward
 from .features import (
     FeatureMatrix,
     FeatureSchema,
     build_schema,
     encode_matrix,
+    encode_matrix_backward,
     init_tables,
 )
 
@@ -31,6 +34,7 @@ __all__ = [
     "CheckpointError",
     "init_model",
     "predict_batch",
+    "backward",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -97,7 +101,7 @@ class ModelParams:
         return [t for _, t in self.named_parameters()]
 
     def copy(self) -> "ModelParams":
-        """Deep copy of all parameter values (graph-free snapshot)."""
+        """Deep copy of all parameter values."""
 
         def clone(t: Tensor) -> Tensor:
             return Tensor(t.value.copy(), name=t.name)
@@ -110,16 +114,21 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class TowerOutputs:
-    """Per-sample head probabilities; shape (n,) each."""
+    """Per-sample head probabilities, shape (n,) each, and what
+    :func:`backward` reads of the forward pass that gave them."""
 
-    ctr: Tensor
-    cvr: Tensor
-    uncvr: Tensor
+    ctr: np.ndarray
+    cvr: np.ndarray
+    uncvr: np.ndarray
+    batch: FeatureMatrix | None = None
+    layers: tuple[np.ndarray, ...] = ()  # the encoder's input, then each of its layers' outputs
+    unclipped: np.ndarray | None = None  # the heads before the clip, one row per tower
+    hidden: tuple[tuple[np.ndarray, list[slice]], ...] = ()  # per tower hidden layer: relu output, tower columns
 
     def values(self) -> dict[str, np.ndarray]:
         """Score name -> probability array: the heads, then the funnel
         products ``ctcvr`` (ctr * cvr) and ``ctuncvr`` (ctr * uncvr)."""
-        ctr, cvr, uncvr = self.ctr.value, self.cvr.value, self.uncvr.value
+        ctr, cvr, uncvr = self.ctr, self.cvr, self.uncvr
         return {"ctr": ctr, "cvr": cvr, "uncvr": uncvr, "ctcvr": ctr * cvr, "ctuncvr": ctr * uncvr}
 
 
@@ -164,12 +173,45 @@ def init_model(schema: FeatureSchema, arch: Architecture, seed: int) -> ModelPar
     return ModelParams(schema, arch, seed, tables, encoder, towers)
 
 
+def _tower_values(params: ModelParams) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    return [[(w.value, b.value) for w, b in params.towers[t]] for t in TOWER_NAMES]
+
+
 def predict_batch(params: ModelParams, fm: FeatureMatrix) -> TowerOutputs:
-    """Score a feature matrix; keeps the graph unless called under
-    :func:`~choruscvr.autodiff.no_grad`."""
-    x = encode_matrix(fm, params.schema, params.tables)
-    h = mlp_forward(params.encoder, x, ["relu"] * len(params.encoder))
-    return TowerOutputs(*tower_heads(h, [params.towers[t] for t in TOWER_NAMES], PROB_CLAMP))
+    """Score a feature matrix: the input gather, the encoder's relu
+    layers, then the three towers. Scoring reads the heads and drops the
+    rest, which only :func:`backward` needs."""
+    layers = [encode_matrix(fm, params.schema, params.tables)]
+    for w, b in params.encoder:
+        layers.append(dense(layers[-1], w.value, b.value))
+    heads, unclipped, hidden = tower_heads(layers[-1], _tower_values(params), PROB_CLAMP)
+    return TowerOutputs(*heads, fm, tuple(layers), unclipped, tuple(hidden))
+
+
+def backward(
+    params: ModelParams, outputs: TowerOutputs, head_grads: Mapping[str, np.ndarray], parameters: Sequence[Tensor]
+) -> list[np.ndarray]:
+    """The gradients on ``parameters``, in their order, of an objective
+    whose gradients on the heads of ``outputs`` are ``head_grads``.
+
+    Runs :func:`predict_batch`'s chain in reverse. The towers add their
+    input gradients in the order of ``head_grads``. A tower whose head
+    is not in ``head_grads`` gets exact zeros, as does any parameter the
+    chain does not read.
+    """
+    grads: dict[Tensor, np.ndarray] = {}
+    if head_grads:
+        heads = {TOWER_NAMES.index(h): g for h, g in head_grads.items()}
+        g, towers = tower_heads_backward(
+            heads, outputs.layers[-1], _tower_values(params), PROB_CLAMP, outputs.unclipped, outputs.hidden
+        )
+        for t, layer_grads in towers.items():
+            for (w, b), (gw, gb) in zip(params.towers[TOWER_NAMES[t]], layer_grads):
+                grads[w], grads[b] = gw, gb
+        for (w, b), x, out in reversed(list(zip(params.encoder, outputs.layers, outputs.layers[1:]))):
+            g, grads[w], grads[b] = dense_backward(g, x, w.value, out)
+        grads.update(encode_matrix_backward(g, outputs.batch, params.schema, params.tables))
+    return [grads[p] if p in grads else np.zeros_like(p.value) for p in parameters]
 
 
 # -- checkpointing ------------------------------------------------------------

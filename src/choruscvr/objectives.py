@@ -22,10 +22,9 @@ samples, and the mutual alignment terms tie the two conversion heads
 together through soft labels. Each method is one row of
 :data:`METHOD_TERMS`: the terms its total adds, in order.
 
-There is no loss graph: :func:`compose_method_loss` computes each
-term's value, the total and every head's gradient in numpy, and
-returns the total as one ``objective`` node whose backward hands each
-head its gradient.
+:func:`compose_method_loss` computes each term's value, the total and
+every head's gradient in numpy; :func:`training_step` hands the head
+gradients to ``model.backward``.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, _accumulate, backward
+from .autodiff import ShapeError, Tensor
 from .features import FeatureMatrix
-from .model import TOWER_NAMES, ModelParams, TowerOutputs, predict_batch
+from .model import TOWER_NAMES, ModelParams, TowerOutputs, backward, predict_batch
 
 __all__ = [
     "ObjectiveError",
@@ -151,11 +150,13 @@ class LossWeights:
 @dataclass
 class LossBundle:
     """The values of the terms that enter one batch's total, by name in
-    the order the total adds them, and the total as the ``objective``
-    graph node."""
+    the order the total adds them; the total; and the total's gradient
+    on each head it reads, by head name in the order the towers add
+    their input gradients (see :func:`compose_method_loss`)."""
 
     terms: dict[str, float]
-    total: Tensor
+    total: Tensor  # a leaf; the benchmark's traced run counts nodes through ``parents``
+    head_grads: dict[str, np.ndarray]
 
     def term_values(self) -> dict[str, float]:
         """Every base term (0.0 when left out), the method's own terms,
@@ -212,9 +213,9 @@ def compose_method_loss(
     weight 1. A zero-weight term is left out, so it contributes no
     gradient at all.
 
-    The total is one node whose parents are the heads that get a
-    gradient. Its bits are those of the loss graph it replaces, whose
-    nodes were ``bce``, ``mean``, ``masked_mean`` (a space mean),
+    The bundle's head gradients hold every head that gets one. Their
+    bits are those of the loss graph they replace, whose nodes were
+    ``bce``, ``mean``, ``masked_mean`` (a space mean),
     ``inverse_propensity``, ``stop_gradient``, ``*`` and
     ``weighted_sum``:
 
@@ -224,11 +225,11 @@ def compose_method_loss(
       both spaces' gradients before it multiplies by its derivative, and
       attached weights send ctr one click addend, then one un-click
       addend, each summed over the term's parts.
-    - ``tower_heads`` adds the towers' input gradients in the order the
-      heads' gradients arrive, which is the order of the node's parents.
-      Of three, only the last changes bits, so the last parent is the
-      head the graph's depth-first walk reached first from the last term
-      that reaches any head (see :func:`_first_reached`).
+    - ``model.backward`` adds the towers' input gradients in the order
+      of the head gradients. Of three, only the last changes bits, so
+      the last is the head the graph's depth-first walk reached first
+      from the last term that reaches any head (see
+      :func:`_first_reached`).
     """
     if method not in METHOD_TERMS:
         raise ObjectiveError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -236,8 +237,7 @@ def compose_method_loss(
     r = np.asarray(r, dtype=np.float64)
     if o.size == 0:
         raise ObjectiveError("loss over an empty batch is undefined")
-    heads = {name: getattr(outputs, name) for name in TOWER_NAMES}
-    v = {name: h.value for name, h in heads.items()}
+    v = {name: getattr(outputs, name) for name in TOWER_NAMES}
     if o.ndim != 1 or any(x.shape != o.shape for x in (r, *v.values())):
         raise ShapeError(f"labels {o.shape} and {r.shape} and heads must all be one (n,) batch")
     n = len(o)
@@ -308,13 +308,7 @@ def compose_method_loss(
         terms[name] = float(sum(parts))
     total = sum(value * w for value, (_, w) in zip(terms.values(), row))
     order = [h for h in TOWER_NAMES if h in grads and h != lead] + [h for h in (lead,) if h in grads]
-    node = Tensor(total, parents=tuple(heads[h] for h in order), op="objective")
-
-    def bw(g: np.ndarray) -> None:
-        for h in order:
-            _accumulate(heads[h], g * grads[h])
-
-    return LossBundle(terms, node._attach(bw))
+    return LossBundle(terms, Tensor(total), {h: grads[h] for h in order})
 
 
 def training_step(
@@ -330,11 +324,9 @@ def training_step(
     """Forward one batch, assemble the method objective, backward once.
 
     Returns the bundle and gradients aligned with ``parameters`` (as
-    ``params.parameters()`` lists them); parameters outside the graph (a
-    tower the method never touches) get zero gradients.
+    ``params.parameters()`` lists them); a tower the method never
+    touches gets zero gradients.
     """
     outputs = predict_batch(params, fm)
     bundle = compose_method_loss(method, outputs, o, r, weights, ipw)
-    leaf_grads = backward(bundle.total)
-    grads = [leaf_grads[p] if p in leaf_grads else np.zeros_like(p.value) for p in parameters]
-    return bundle, grads
+    return bundle, backward(params, outputs, bundle.head_grads, parameters)

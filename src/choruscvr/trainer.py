@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import OptimizerConfig, OptimizerState, no_grad, optimizer_step
+from .autodiff import OptimizerConfig, OptimizerState, optimizer_step
 from .data import ExposureLog, Row, as_log, batch_iter, label_arrays, truth_arrays
 from .features import FeatureMatrix, FeatureSchema, build_matrix
 from .metrics import MetricEntry, MetricsReport, UndefinedMetricError, auc, bias_curve, logloss, pcoc
@@ -101,9 +101,8 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 
 
 def _scores(params: ModelParams, fm: FeatureMatrix) -> dict[str, np.ndarray]:
-    """The training forward without a graph."""
-    with no_grad():
-        return predict_batch(params, fm).values()
+    """The training forward's scores; what only the backward reads is dropped."""
+    return predict_batch(params, fm).values()
 
 
 def _score_log(params: ModelParams, log: ExposureLog) -> dict[str, np.ndarray]:

@@ -2,18 +2,21 @@
 a log built from feature dicts for tests that write rows by hand, a
 per-value CSV writer that ``write_log``'s bytes are checked against, the
 plain bisection that the simulator's intercept calibration must
-reproduce bit for bit, and the loss graph whose bits the training
-objective must keep."""
+reproduce bit for bit, and the graph (forward and loss) whose bits the
+training step must keep."""
 
 import csv
+from collections import namedtuple
 from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from choruscvr import simulator
-from choruscvr.autodiff import Tensor, _accumulate, stable_sigmoid
+from choruscvr.autodiff import gather_concat_backward, stable_sigmoid
 from choruscvr.data import TRUTH_COLUMNS, ExposureLog
+from choruscvr.features import encode_matrix
+from choruscvr.model import PROB_CLAMP, TOWER_NAMES
 from choruscvr.objectives import METHOD_TERMS, SOFT_LABEL_CLAMP, TERMS, ctuncvr_label
 
 
@@ -132,45 +135,224 @@ def bisected_intercepts(config: simulator.SimConfig) -> tuple[float, float]:
     return b0, c0
 
 
+# -- the graph engine ---------------------------------------------------------------
+#
+# Define-by-run reverse mode, as the training step ran before it became a
+# straight line: every operation returns a node holding its value, its
+# parents and a closure that maps the node's gradient onto the parents,
+# and ``backward`` walks the graph once in reverse topological order.
+
+ACTIVATIONS = ("relu", "sigmoid", "identity")
+
+
+def _noop(g: np.ndarray) -> None:
+    return None
+
+
+def _accumulate(node: "Node", g: np.ndarray) -> None:
+    """Add ``g`` into ``node``'s gradient for the current backward pass.
+    The first write takes ``g`` as it is (keeping the sign of a zero that
+    ``0.0 + g`` would turn positive); later writes build a new array."""
+    node._grad = g if node._grad is None else node._grad + g
+
+
+class Node:
+    """One node of the graph. ``grad`` reads zero until a :func:`backward`
+    reaches the node; each backward starts every node it reaches from
+    zero. A backward closure refers to the parents only, never to its
+    node, so a graph holds no reference cycle."""
+
+    __slots__ = ("value", "_grad", "op", "parents", "_backward")
+
+    def __init__(self, value, *, parents: tuple["Node", ...] = (), op: str = "leaf"):
+        self.value = np.asarray(value, dtype=np.float64)
+        self._grad: np.ndarray | None = None
+        self.op = op
+        self.parents = parents
+        self._backward = _noop
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    def _attach(self, bw) -> "Node":
+        self._backward = bw
+        return self
+
+    def item(self) -> float:
+        return float(self.value)
+
+
+def _topo_order(root: Node) -> list[Node]:
+    """Parents before children: the post-order of a depth-first walk that
+    enters a node's parents last to first."""
+    order: list[Node] = []
+    seen = {root}  # nodes hash by identity
+    stack = [(root, reversed(root.parents))]
+    while stack:
+        node, parents = stack[-1]
+        for parent in parents:
+            if parent not in seen:
+                seen.add(parent)
+                stack.append((parent, reversed(parent.parents)))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
+
+
+def backward(root: Node) -> dict[Node, np.ndarray]:
+    """Accumulate d(root)/d(node) into every reachable node's ``grad``;
+    returns a map from every reachable leaf to its gradient. The root
+    must be scalar."""
+    if root.value.shape != ():
+        raise ValueError(f"backward root must be scalar, got shape {root.value.shape}")
+    order = _topo_order(root)
+    for node in order:
+        node._grad = None
+    root._grad = np.ones_like(root.value)
+    for node in reversed(order):
+        if node._grad is not None:  # a node no gradient reached would only pass zeros on
+            node._backward(node._grad)
+    return {node: node.grad for node in order if node.op == "leaf"}
+
+
+def leaf_grads(root: Node, leaves) -> list[np.ndarray]:
+    """:func:`backward` from ``root``, read as each of ``leaves``' gradient;
+    zeros for a leaf it never reached."""
+    reached = backward(root)
+    return [reached[n] if n in reached else np.zeros_like(n.value) for n in leaves]
+
+
+# -- the forward graph ----------------------------------------------------------------
+#
+# The model as one node per layer and per tower: ``model.predict_batch``
+# and ``model.backward`` must give the same heads and, on every
+# parameter, the same gradient bits.
+
+Heads = namedtuple("Heads", TOWER_NAMES)
+
+
+def dense(x: Node, w: Node, b: Node, activation: str) -> Node:
+    """``activation(x @ w + b)`` on a batch ``x`` of shape ``(n, d)``."""
+    z = x.value @ w.value + b.value
+    if activation == "relu":
+        value = np.maximum(z, 0.0)
+    elif activation == "sigmoid":
+        value = stable_sigmoid(z)
+    elif activation == "identity":
+        value = z
+    else:
+        raise ValueError(f"unknown activation {activation!r}")
+    out = Node(value, parents=(x, w, b), op="dense")
+
+    def bw(g: np.ndarray) -> None:
+        if activation == "relu":
+            g = g * (value > 0.0)
+        elif activation == "sigmoid":
+            g = g * value * (1.0 - value)
+        _accumulate(x, g @ w.value.T)
+        _accumulate(w, x.value.T @ g)
+        _accumulate(b, g.sum(axis=0))
+
+    return out._attach(bw)
+
+
+def gather(tables: list[Node], fm, schema, named) -> Node:
+    """The model input of the feature matrix ``fm`` as one node over the
+    table leaves (``named``: feature name -> the parameter each reads)."""
+    value = encode_matrix(fm, schema, named)
+    out = Node(value, parents=tuple(tables), op="gather_concat")
+
+    def bw(g: np.ndarray) -> None:
+        for t, gt in zip(tables, gather_concat_backward(g, [t.value for t in tables], fm.index, fm.chunk, fm.num_cols)):
+            _accumulate(t, gt)
+
+    return out._attach(bw)
+
+
+def clip_column(x: Node, lo: float, hi: float) -> Node:
+    """``clip(x, lo, hi)`` of an ``(n, 1)`` node as an ``(n,)`` node; the
+    gradient passes only strictly inside ``[lo, hi]``."""
+    out = Node(np.clip(x.value, lo, hi).reshape(-1), parents=(x,), op="clip")
+    return out._attach(lambda g: _accumulate(x, g.reshape(-1, 1) * ((x.value > lo) & (x.value < hi))))
+
+
+def reference_forward(params, fm) -> tuple[Heads, list[Node]]:
+    """The heads of ``params`` on ``fm``: the gather, the encoder's relu
+    ``dense`` nodes, then each tower's own chain (relu layers, a sigmoid
+    output unit) and a clip; with a leaf per parameter, sharing its
+    value, in ``params.parameters()`` order."""
+    leaf = {p: Node(p.value) for p in params.parameters()}
+    cats = [params.tables[f.name] for f in params.schema.ordered if f.kind == "categorical"]
+    h = gather([leaf[t] for t in cats], fm, params.schema, params.tables)
+    for w, b in params.encoder:
+        h = dense(h, leaf[w], leaf[b], "relu")
+    heads = []
+    for tower in TOWER_NAMES:
+        t, layers = h, params.towers[tower]
+        for i, (w, b) in enumerate(layers):
+            t = dense(t, leaf[w], leaf[b], "sigmoid" if i == len(layers) - 1 else "relu")
+        heads.append(clip_column(t, PROB_CLAMP, 1.0 - PROB_CLAMP))
+    return Heads(*heads), list(leaf.values())
+
+
+def objective(bundle, heads: Heads) -> Node:
+    """``bundle``'s total as one node whose parents are the heads it has
+    gradients for, in their order, and whose backward hands each head
+    its gradient."""
+    parents = tuple(getattr(heads, h) for h in bundle.head_grads)
+    out = Node(bundle.total.value, parents=parents, op="objective")
+
+    def bw(g: np.ndarray) -> None:
+        for head, gh in zip(parents, bundle.head_grads.values()):
+            _accumulate(head, g * gh)
+
+    return out._attach(bw)
+
+
 # -- the loss graph ---------------------------------------------------------------
 #
 # One graph node per operation, each with its own backward, as the
-# training objective was built before it became one analytic node.
-# ``objectives.compose_method_loss`` must give the same values and, on
-# every parameter, the same gradient bits.
+# training objective was built before it became one analytic function.
+# ``objectives.compose_method_loss`` must give the same values and the
+# same head gradient bits.
 
 
-def mul(a: Tensor, b) -> Tensor:
+def mul(a: Node, b) -> Node:
     """``a * b`` for a node ``a`` and a node or array ``b``."""
-    b_val = b.value if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
-    out = Tensor(a.value * b_val, parents=(a, b) if isinstance(b, Tensor) else (a,), op="mul")
+    b_val = b.value if isinstance(b, Node) else np.asarray(b, dtype=np.float64)
+    out = Node(a.value * b_val, parents=(a, b) if isinstance(b, Node) else (a,), op="mul")
 
     def bw(g):
         _accumulate(a, g * b_val)
-        if isinstance(b, Tensor):
+        if isinstance(b, Node):
             _accumulate(b, g * a.value)
 
     return out._attach(bw)
 
 
-def mean(x: Tensor) -> Tensor:
+def mean(x: Node) -> Node:
     n = x.value.size
-    out = Tensor(x.value.mean(), parents=(x,), op="mean")
+    out = Node(x.value.mean(), parents=(x,), op="mean")
     return out._attach(lambda g: _accumulate(x, np.full(x.value.shape, g / n)))
 
 
-def stop_gradient(t: Tensor, value: np.ndarray) -> Tensor:
+def stop_gradient(t: Node, value: np.ndarray) -> Node:
     """A constant ``value`` derived from ``t``: the node keeps ``t`` as its
     parent and has no backward, so no gradient reaches ``t`` through it."""
-    return Tensor(value, parents=(t,), op="stop_gradient")
+    return Node(value, parents=(t,), op="stop_gradient")
 
 
-def bce(p: Tensor, y) -> Tensor:
+def bce(p: Node, y) -> Node:
     """Elementwise ``-[y ln p + (1-y) ln(1-p)]``; the label ``y`` is an
     array or a node."""
-    y_val, parents = (y.value, (p, y)) if isinstance(y, Tensor) else (np.asarray(y, dtype=np.float64), (p,))
+    y_val, parents = (y.value, (p, y)) if isinstance(y, Node) else (np.asarray(y, dtype=np.float64), (p,))
     log_p, log_q = np.log(p.value), np.log(1.0 - p.value)
-    out = Tensor(-(y_val * log_p + (1.0 - y_val) * log_q), parents=parents, op="bce")
+    out = Node(-(y_val * log_p + (1.0 - y_val) * log_q), parents=parents, op="bce")
 
     def bw(g):
         dp = (1.0 - y_val) / (1.0 - p.value) - y_val / p.value
@@ -181,11 +363,11 @@ def bce(p: Tensor, y) -> Tensor:
     return out._attach(bw)
 
 
-def inverse_propensity(p: Tensor, floor: float, complement: bool) -> Tensor:
+def inverse_propensity(p: Node, floor: float, complement: bool) -> Node:
     """``1 / max(q, floor)`` with ``q`` = ``p``, or ``1 - p``."""
     q = 1.0 - p.value if complement else p.value
     value = 1.0 / np.maximum(q, floor)
-    out = Tensor(value, parents=(p,), op="inverse_propensity")
+    out = Node(value, parents=(p,), op="inverse_propensity")
 
     def bw(g):
         gq = -g * value * value * (q > floor)
@@ -194,29 +376,29 @@ def inverse_propensity(p: Tensor, floor: float, complement: bool) -> Tensor:
     return out._attach(bw)
 
 
-def masked_mean(x: Tensor, mask: np.ndarray, weights=None) -> Tensor:
+def masked_mean(x: Node, mask: np.ndarray, weights=None) -> Node:
     """``sum(x * weights * mask) / sum(mask)``; ``weights`` is ``None``,
     an array or a node."""
     scale = mask / float(mask.sum())
-    w_val = 1.0 if weights is None else weights.value if isinstance(weights, Tensor) else weights
+    w_val = 1.0 if weights is None else weights.value if isinstance(weights, Node) else weights
     coef = w_val * scale
-    parents = (x, weights) if isinstance(weights, Tensor) else (x,)
-    out = Tensor((x.value * coef).sum(), parents=parents, op="masked_mean")
+    parents = (x, weights) if isinstance(weights, Node) else (x,)
+    out = Node((x.value * coef).sum(), parents=parents, op="masked_mean")
 
     def bw(g):
         _accumulate(x, g * coef)
-        if isinstance(weights, Tensor):
+        if isinstance(weights, Node):
             _accumulate(weights, g * x.value * scale)
 
     return out._attach(bw)
 
 
-def weighted_sum(terms, weights) -> Tensor:
+def weighted_sum(terms, weights) -> Node:
     """``sum(w * t)`` over scalar nodes, added left to right."""
     value = terms[0].value * weights[0]
     for t, w in zip(terms[1:], weights[1:]):
         value = value + t.value * w
-    out = Tensor(value, parents=tuple(terms), op="weighted_sum")
+    out = Node(value, parents=tuple(terms), op="weighted_sum")
 
     def bw(g):
         for t, w in zip(terms, weights):
@@ -225,8 +407,8 @@ def weighted_sum(terms, weights) -> Tensor:
     return out._attach(bw)
 
 
-def _space_mean(per_sample: Tensor, mask: np.ndarray, weights=None) -> Tensor:
-    return masked_mean(per_sample, mask, weights) if mask.any() else Tensor(0.0)
+def _space_mean(per_sample: Node, mask: np.ndarray, weights=None) -> Node:
+    return masked_mean(per_sample, mask, weights) if mask.any() else Node(0.0)
 
 
 def _propensity_weights(out, ipw, complement: bool = False):
@@ -234,12 +416,12 @@ def _propensity_weights(out, ipw, complement: bool = False):
     return w.value if ipw.detach else w
 
 
-def _soft_label(source: Tensor, complement: bool) -> Tensor:
+def _soft_label(source: Node, complement: bool) -> Node:
     value = 1.0 - source.value if complement else source.value
     return stop_gradient(source, np.clip(value, SOFT_LABEL_CLAMP, 1.0 - SOFT_LABEL_CLAMP))
 
 
-def _align(out, o, ipw) -> Tensor:
+def _align(out, o, ipw) -> Node:
     w_click = _propensity_weights(out, ipw)
     w_unclick = _propensity_weights(out, ipw, complement=True)
     cvr_to_uncvr = bce(out.cvr, _soft_label(out.uncvr, complement=True))
@@ -270,7 +452,7 @@ REFERENCE_TERMS = {
 }
 
 
-def reference_method_loss(method, outputs, o, r, weights, ipw) -> tuple[dict[str, Tensor], Tensor]:
+def reference_method_loss(method, outputs, o, r, weights, ipw) -> tuple[dict[str, Node], Node]:
     """The method's terms as graphs, by name in row order, and their
     weighted sum, with the weight rule of ``compose_method_loss``."""
     o = np.asarray(o, dtype=np.float64)
@@ -279,5 +461,5 @@ def reference_method_loss(method, outputs, o, r, weights, ipw) -> tuple[dict[str
     row = [(name, scale.get(name, 1.0)) for name in METHOD_TERMS[method]]
     row = [(name, w) for name, w in row if w > 0]
     terms = {name: REFERENCE_TERMS[name](outputs, o, r, ipw) for name, _ in row}
-    total = weighted_sum(list(terms.values()), [w for _, w in row]) if row else Tensor(0.0)
+    total = weighted_sum(list(terms.values()), [w for _, w in row]) if row else Node(0.0)
     return terms, total

@@ -6,9 +6,9 @@ numerical and finish in seconds to a couple of minutes; criteria 6 and 7
 share one six-method, five-seed comparison on a 200k-exposure simulated
 log (the slow part, a few minutes).
 
-The finite-difference checks differentiate the same function the graph
-differentiates: quantities the graph detaches (propensity weights, soft
-labels) are frozen at the unperturbed point before stepping.
+The finite-difference checks differentiate the same function the
+backward differentiates: quantities it detaches (propensity weights,
+soft labels) are frozen at the unperturbed point before stepping.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ import pytest
 import yaml
 
 from choruscvr import cli
-from choruscvr.autodiff import Tensor, backward, no_grad
 from choruscvr.data import write_log
 from choruscvr.features import build_matrix, build_schema, encode_matrix
 from choruscvr.metrics import auc, logloss, pcoc
 from choruscvr.model import (
     Architecture,
     TowerOutputs,
+    backward,
     init_model,
     predict_batch,
 )
@@ -50,7 +50,7 @@ ORACLE_TOL = 1e-9
 def _terms(ctr, o, r, cvr=None, uncvr=None) -> dict[str, float]:
     """chorus's term values on pinned heads; cvr and uncvr default to 0.5."""
     half = np.full(len(ctr), 0.5)
-    heads = [Tensor(np.asarray(v, dtype=np.float64)) for v in (ctr, half if cvr is None else cvr, half if uncvr is None else uncvr)]
+    heads = [np.asarray(v, dtype=np.float64) for v in (ctr, half if cvr is None else cvr, half if uncvr is None else uncvr)]
     o, r = np.asarray(o, dtype=np.float64), np.asarray(r, dtype=np.float64)
     return compose_method_loss("chorus", TowerOutputs(*heads), o, r, LossWeights(), IpwConfig()).terms
 
@@ -165,16 +165,14 @@ def _draw_case(seed: int):
 
 
 def _scores(params, fm) -> dict[str, np.ndarray]:
-    with no_grad():
-        return predict_batch(params, fm).values()
+    return predict_batch(params, fm).values()
 
 
 def _activation_gap(params, fm) -> float:
     """Distance of the nearest pre-activation to a relu kink, and of the
     click head to the propensity floor. Central differences are only
     trustworthy when every such gap dwarfs the step."""
-    with no_grad():
-        h = encode_matrix(fm, params.schema, params.tables).value
+    h = encode_matrix(fm, params.schema, params.tables)
     gap = np.inf
     for w, b in params.encoder:
         z = h @ w.value + b.value
@@ -245,21 +243,18 @@ def _np_terms(vals, o, r, frozen) -> dict[str, float]:
     return terms
 
 
-def _graph_terms(outputs, o, r) -> dict[str, Tensor]:
-    """Each base term alone (weight 1, the others 0), then chorus's total."""
+def _graph_terms(outputs, o, r):
+    """Each base term alone (weight 1, the others 0), then chorus's total:
+    one bundle each."""
     ipw = IpwConfig()
     alone = {name: LossWeights(*(float(t == name) for t in TERMS)) for name in TERM_NAMES[:-1]}
     alone["combined"] = LossWeights()
-    return {name: compose_method_loss("chorus", outputs, o, r, w, ipw).total for name, w in alone.items()}
+    return {name: compose_method_loss("chorus", outputs, o, r, w, ipw) for name, w in alone.items()}
 
 
-def _analytic_vector(root: Tensor, params) -> np.ndarray:
-    leaf = backward(root)
-    pieces = []
-    for p in params.parameters():
-        g = leaf.get(p)
-        pieces.append(np.zeros(p.value.size) if g is None else np.asarray(g, dtype=np.float64).ravel())
-    return np.concatenate(pieces)
+def _analytic_vector(bundle, outputs, params) -> np.ndarray:
+    grads = backward(params, outputs, bundle.head_grads, params.parameters())
+    return np.concatenate([g.ravel() for g in grads])
 
 
 def _fd_vectors(params, fm, o, r, frozen) -> dict[str, np.ndarray]:
@@ -298,12 +293,12 @@ def test_criterion_2_gradients_match_central_differences():
         graph = _graph_terms(outputs, o, r)
         mirror = _np_terms(base_vals, o, r, frozen)
         for name in TERM_NAMES:
-            assert abs(graph[name].item() - mirror[name]) <= 1e-12, (
+            assert abs(graph[name].total.item() - mirror[name]) <= 1e-12, (
                 f"graph and mirror disagree at the base point for {name}"
             )
         fd = _fd_vectors(params, fm, o, r, frozen)
         for name in TERM_NAMES:
-            worst = max(worst, _max_rel_err(_analytic_vector(graph[name], params), fd[name]))
+            worst = max(worst, _max_rel_err(_analytic_vector(graph[name], outputs, params), fd[name]))
             n_configs += 1
     elapsed = time.perf_counter() - start
     ok = worst <= FD_REL_TOL and n_configs >= 100 and elapsed < 120.0
@@ -322,26 +317,30 @@ def test_criterion_3_stop_gradient_and_detached_propensity_exactness():
     }
 
     def all_exactly_zero(leaf, tower):
-        return all(g is None or not np.any(g != 0.0) for g in (leaf.get(p) for p in tower_params[tower]))
+        return all(not np.any(leaf[p] != 0.0) for p in tower_params[tower])
 
     def any_nonzero(leaf, tower):
-        return any(g is not None and np.any(g != 0.0) for g in (leaf.get(p) for p in tower_params[tower]))
+        return any(np.any(leaf[p] != 0.0) for p in tower_params[tower])
 
     outputs = predict_batch(params, fm)
     problems = []
 
+    def step(method, weights, ipw=IpwConfig()):
+        """Each parameter's gradient of ``method``'s objective."""
+        bundle = compose_method_loss(method, outputs, o, r, weights, ipw)
+        return dict(zip(params.parameters(), backward(params, outputs, bundle.head_grads, params.parameters())))
+
     def alone(name, ipw=IpwConfig()):
-        weights = LossWeights(*(float(t == name) for t in TERMS))
-        return backward(compose_method_loss("chorus", outputs, o, r, weights, ipw).total)
+        return step("chorus", LossWeights(*(float(t == name) for t in TERMS)), ipw)
 
     # Where cvr + uncvr = 1 exactly, each alignment addend sits at the
     # minimum of its own head, so any gradient left would have come
     # through a soft label.
-    pinned = TowerOutputs(*(Tensor(np.array(v)) for v in ([0.5, 0.5], [0.75, 0.375], [0.25, 0.625])))
+    pinned = TowerOutputs(*(np.array(v) for v in ([0.5, 0.5], [0.75, 0.375], [0.25, 0.625])))
     labels = np.array([1.0, 0.0]), np.zeros(2)
-    backward(compose_method_loss("chorus", pinned, *labels, LossWeights(0, 0, 0, 0, 0, 1), IpwConfig()).total)
+    bundle = compose_method_loss("chorus", pinned, *labels, LossWeights(0, 0, 0, 0, 0, 1), IpwConfig())
     for source in ("cvr", "uncvr"):
-        if getattr(pinned, source).grad.tobytes() != np.zeros(2).tobytes():
+        if bundle.head_grads[source].tobytes() != np.zeros(2).tobytes():
             problems.append(f"the alignment term leaks gradient through the soft labels into {source}")
     leaf = alone("align_ipw")
     if not all_exactly_zero(leaf, "ctr"):
@@ -351,7 +350,7 @@ def test_criterion_3_stop_gradient_and_detached_propensity_exactness():
             problems.append(f"the alignment term passes no gradient to the {target} tower")
 
     # chorus_wo_ndm's own term alone: uncvr against the soft label 1 - cvr
-    leaf = backward(compose_method_loss("chorus_wo_ndm", outputs, o, r, LossWeights(*[0.0] * 6), IpwConfig()).total)
+    leaf = step("chorus_wo_ndm", LossWeights(*[0.0] * 6))
     if not (all_exactly_zero(leaf, "cvr") and all_exactly_zero(leaf, "ctr")):
         problems.append("the soft un-conversion term leaks gradient into its soft-label source (cvr) or ctr")
     if not any_nonzero(leaf, "uncvr"):

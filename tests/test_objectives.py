@@ -10,18 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from choruscvr.autodiff import (
-    OptimizerConfig,
-    OptimizerState,
-    Tensor,
-    _accumulate,
-    backward,
-    mlp_forward,
-    optimizer_step,
-)
+from choruscvr.autodiff import OptimizerConfig, OptimizerState, optimizer_step
 from choruscvr.data import label_arrays
-from choruscvr.features import build_matrix, build_schema, encode_matrix
-from choruscvr.model import PROB_CLAMP, TOWER_NAMES, Architecture, TowerOutputs, init_model, predict_batch
+from choruscvr.features import build_matrix, build_schema
+from choruscvr.model import TOWER_NAMES, Architecture, TowerOutputs, init_model, predict_batch
 from choruscvr.objectives import (
     METHOD_TERMS,
     METHODS,
@@ -35,7 +27,7 @@ from choruscvr.objectives import (
 )
 from choruscvr.simulator import SimConfig, generate, sim_schema
 
-from oracles import ipw_mean, log_of, reference_method_loss
+from oracles import ipw_mean, leaf_grads, log_of, objective, reference_forward, reference_method_loss
 
 TOL = 1e-9
 IPW = IpwConfig()
@@ -43,8 +35,8 @@ ATTACHED = IpwConfig(detach=False)
 
 
 def _outputs(ctr, cvr, uncvr) -> TowerOutputs:
-    """Heads pinned to the given values, each a leaf node."""
-    return TowerOutputs(*(Tensor(np.asarray(v, dtype=np.float64)) for v in (ctr, cvr, uncvr)))
+    """Heads pinned to the given values."""
+    return TowerOutputs(*(np.asarray(v, dtype=np.float64) for v in (ctr, cvr, uncvr)))
 
 
 def _term(name, out, o, r, ipw=IPW) -> float:
@@ -59,9 +51,10 @@ def _only(*names: str) -> LossWeights:
 
 
 def _head_grads(name, out, o, r, ipw=IPW) -> list[np.ndarray]:
-    """The gradient of one base term on the ctr, cvr and uncvr heads."""
-    backward(compose_method_loss("chorus", out, np.asarray(o, float), np.asarray(r, float), _only(name), ipw).total)
-    return [out.ctr.grad, out.cvr.grad, out.uncvr.grad]
+    """The gradient of one base term on the ctr, cvr and uncvr heads;
+    zeros on a head it does not reach."""
+    bundle = compose_method_loss("chorus", out, np.asarray(o, float), np.asarray(r, float), _only(name), ipw)
+    return [bundle.head_grads.get(h, np.zeros_like(getattr(out, h))) for h in TOWER_NAMES]
 
 
 def _bce(p: float, y: float) -> float:
@@ -270,9 +263,8 @@ def test_total_loss_zero_weight_excludes_gradient():
     bundle = compose_method_loss("chorus", out, o, r, weights, IPW)
     assert list(bundle.terms) == ["ctr", "ctcvr", "cvr_ipw"]
     assert bundle.term_values()["align_ipw"] == 0.0
-    backward(bundle.total)
-    assert np.all(out.uncvr.grad == 0.0)
-    assert np.any(out.cvr.grad != 0.0)
+    assert list(bundle.head_grads) == ["ctr", "cvr"]  # no gradient at all on uncvr
+    assert np.any(bundle.head_grads["cvr"] != 0.0)
 
 
 def test_negative_weight_rejected():
@@ -498,55 +490,6 @@ def test_step_gradients_survive_the_next_step():
     assert not all(np.array_equal(g, k) for g, k in zip(second, kept))
 
 
-def _graph_nodes(root: Tensor) -> int:
-    """Nodes reachable from ``root`` through ``Tensor.parents``."""
-    seen: set[int] = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(node.parents)
-    return len(seen)
-
-
-@pytest.mark.parametrize("ipw", [IPW, ATTACHED], ids=["detached", "attached"])
-def test_chorus_step_graph_has_at_most_26_nodes(ipw):
-    # The acceptance protocol's model on one 1024-exposure batch: eight
-    # simulated features, no shared encoder, [16] towers. Per-node Python
-    # overhead is most of a step's cost, so the graph must not regrow: the
-    # tables, the gather, the twelve tower parameters, the tower node,
-    # three heads and the objective.
-    sim = SimConfig(n_exposures=1024, seed=0)
-    log, _ = generate(sim)
-    schema = sim_schema(sim, embed_width=4)
-    params = init_model(schema, Architecture(encoder_widths=(), tower_widths=(16,)), seed=0)
-    o, r = label_arrays(log)
-    assert 0 < r.sum() < o.sum() < len(o)  # every term of the objective is live
-    bundle, _ = training_step(params, build_matrix(log, schema), o, r, "chorus", LossWeights(), ipw, params.parameters())
-    assert tuple(bundle.terms) == TERMS
-    assert _graph_nodes(bundle.total) <= 26
-
-
-def _clip_column(x: Tensor, lo: float, hi: float) -> Tensor:
-    """``clip(x, lo, hi)`` of an ``(n, 1)`` node as an ``(n,)`` node; the
-    gradient passes only strictly inside ``[lo, hi]``."""
-    out = Tensor(np.clip(x.value, lo, hi).reshape(-1), parents=(x,), op="clip")
-    return out._attach(lambda g: _accumulate(x, g.reshape(-1, 1) * ((x.value > lo) & (x.value < hi))))
-
-
-def _reference_outputs(params, fm) -> TowerOutputs:
-    """The heads as each tower's own chain of dense nodes, then a clip."""
-    x = encode_matrix(fm, params.schema, params.tables)
-    h = mlp_forward(params.encoder, x, ["relu"] * len(params.encoder))
-    heads = []
-    for tower in TOWER_NAMES:
-        layers = params.towers[tower]
-        out = mlp_forward(layers, h, ["relu"] * (len(layers) - 1) + ["sigmoid"])
-        heads.append(_clip_column(out, PROB_CLAMP, 1.0 - PROB_CLAMP))
-    return TowerOutputs(*heads)
-
-
 @pytest.mark.parametrize(
     "arch",
     [Architecture(encoder_widths=(), tower_widths=(16,)), Architecture(encoder_widths=(8,), tower_widths=(16, 8))],
@@ -554,9 +497,11 @@ def _reference_outputs(params, fm) -> TowerOutputs:
 )
 @pytest.mark.parametrize("method", METHODS)
 def test_training_steps_are_bitwise_equal_to_per_tower_reference_graph(method, arch):
-    # The heads' gradients reach the tower node in a method-dependent order;
-    # its input gradient must add them in that order, as the per-tower
-    # chain does, and a head no loss reads must leave its tower at zero.
+    # The objective's head gradients come in a method-dependent order;
+    # the towers' input gradient must add them in that order, as the
+    # reference graph's per-tower chains under one objective node with
+    # those heads as parents do, and a head no loss reads must leave its
+    # tower at zero.
     sim = SimConfig(n_exposures=1024, seed=0)
     log, _ = generate(sim)
     schema = sim_schema(sim, embed_width=4)
@@ -570,9 +515,9 @@ def test_training_steps_are_bitwise_equal_to_per_tower_reference_graph(method, a
         idx = np.arange(step * 256, (step + 1) * 256)
         batch = fm.rows(idx)
         bundle, grads = training_step(params, batch, o[idx], r[idx], method, LossWeights(), IPW, params.parameters())
-        ref = compose_method_loss(method, _reference_outputs(reference, batch), o[idx], r[idx], LossWeights(), IPW)
-        leaves = backward(ref.total)
-        expected = [leaves[p] if p in leaves else np.zeros_like(p.value) for p in reference.parameters()]
+        heads, leaves = reference_forward(reference, batch)
+        ref = compose_method_loss(method, TowerOutputs(*(h.value for h in heads)), o[idx], r[idx], LossWeights(), IPW)
+        expected = leaf_grads(objective(ref, heads), leaves)
         assert bundle.term_values() == ref.term_values()
         for (name, _), g, e in zip(params.named_parameters(), grads, expected):
             assert g.tobytes() == e.tobytes(), f"step {step}: {name}"
@@ -611,11 +556,12 @@ def _grid_batches(o: np.ndarray) -> dict[str, list[np.ndarray]]:
 )
 @pytest.mark.parametrize("method", METHODS)
 def test_training_steps_are_bitwise_equal_to_the_loss_graph(method, arch):
-    # The objective node against the graph of bce, mean, masked-mean,
-    # inverse-propensity, stop-gradient, product and weighted-sum nodes it
-    # replaced: equal term values, equal gradient bits on every parameter
-    # and three equal Adam steps, for detached and attached weights, each
-    # weight set and each kind of batch.
+    # The step against the reference graph: the forward's per-tower dense
+    # chains and the loss graph of bce, mean, masked-mean,
+    # inverse-propensity, stop-gradient, product and weighted-sum nodes.
+    # Equal term values, equal gradient bits on every parameter and three
+    # equal Adam steps, for detached and attached weights, each weight set
+    # and each kind of batch.
     log, _ = generate(SIM)
     schema = sim_schema(SIM, embed_width=4)
     fm = build_matrix(log, schema)
@@ -629,9 +575,9 @@ def test_training_steps_are_bitwise_equal_to_the_loss_graph(method, arch):
         for step, idx in enumerate(batches[kind]):
             batch = fm.rows(idx)
             bundle, grads = training_step(params, batch, o[idx], r[idx], method, weights, ipw, params.parameters())
-            terms, total = reference_method_loss(method, predict_batch(reference, batch), o[idx], r[idx], weights, ipw)
-            leaves = backward(total)
-            expected = [leaves[p] if p in leaves else np.zeros_like(p.value) for p in reference.parameters()]
+            heads, leaves = reference_forward(reference, batch)
+            terms, total = reference_method_loss(method, heads, o[idx], r[idx], weights, ipw)
+            expected = leaf_grads(total, leaves)
             assert bundle.terms == {name: t.item() for name, t in terms.items()}, case
             assert bundle.total.item() == total.item(), case
             for (name, _), g, e in zip(params.named_parameters(), grads, expected):

@@ -1,6 +1,9 @@
 """Training loop, splits, evaluation pairs, and history output."""
 
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +142,35 @@ def test_train_builds_the_parameter_list_once(sim_data, monkeypatch):
     monkeypatch.setattr(ModelParams, "named_parameters", lambda self: calls.append(1) or named(self))
     train(_small_config(epochs=2), records[:2000], records[2000:2400], schema)
     assert len(calls) == 1
+
+
+def _perfbench_spans(monkeypatch):
+    """``perfbench/spans.py``, loaded as it is from the checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_training_steps_keep_the_benchmark_contract(sim_data, monkeypatch):
+    # The benchmark's traced runs wrap trainer.training_step, reading its
+    # ``method`` argument and counting the nodes it reaches from the
+    # bundle's total through ``parents``, and wrap the step's parts under
+    # the module names the step looks them up by. A step that breaks this
+    # fails or silently drops out of every traced run.
+    records, schema, _ = sim_data
+    spans = _perfbench_spans(monkeypatch)
+    recorder = spans.Recorder()
+    with spans.Tracing(recorder):
+        train(_small_config(epochs=1), records[:3000], records[3000:3400], schema)
+    steps = [s for s in recorder.spans if s.name == "objectives.training_step"]
+    assert len(steps) == 6  # 3000 training rows in batches of 512
+    assert all(s.attrs["method"] == "chorus" and s.attrs["graph_nodes"] >= 1 for s in steps)
+    parts = ("model.predict_batch", "objectives.compose_method_loss", "autodiff.backward", "autodiff.optimizer_step")
+    for name in parts:
+        assert sum(s.name == name for s in recorder.spans) == len(steps), name
 
 
 def test_train_loss_decreases(sim_data):
