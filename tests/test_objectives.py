@@ -490,6 +490,40 @@ def test_step_gradients_survive_the_next_step():
     assert not all(np.array_equal(g, k) for g, k in zip(second, kept))
 
 
+def _graph_nodes(root) -> int:
+    """Nodes reachable from ``root`` through ``Tensor.parents``."""
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    return len(seen)
+
+
+@pytest.mark.parametrize("ipw", [IPW, ATTACHED], ids=["detached", "attached"])
+def test_chorus_step_graph_has_at_most_26_nodes(ipw):
+    # The acceptance protocol's model on one 1024-exposure batch: eight
+    # simulated features, no shared encoder, [16] towers. The benchmark's
+    # traced runs count the nodes reachable from the bundle's total; the
+    # step builds no graph, so the total is a single leaf and the count
+    # must stay within the old graph's 26 nodes under either propensity.
+    sim = SimConfig(n_exposures=1024, seed=0)
+    log, _ = generate(sim)
+    schema = sim_schema(sim, embed_width=4)
+    params = init_model(schema, Architecture(encoder_widths=(), tower_widths=(16,)), seed=0)
+    o, r = label_arrays(log)
+    assert 0 < r.sum() < o.sum() < len(o)  # every term of the objective is live
+    bundle, grads = training_step(
+        params, build_matrix(log, schema), o, r, "chorus", LossWeights(), ipw, params.parameters()
+    )
+    assert tuple(bundle.terms) == TERMS
+    assert 1 <= _graph_nodes(bundle.total) <= 26
+    assert np.isfinite(bundle.total.item())
+    assert len(grads) == len(params.parameters())
+
+
 @pytest.mark.parametrize(
     "arch",
     [Architecture(encoder_widths=(), tower_widths=(16,)), Architecture(encoder_widths=(8,), tower_widths=(16, 8))],
