@@ -30,14 +30,13 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .autodiff import OptimizerConfig
 from .data import ExposureLog, IngestionReport, read_log, screen_log, write_log
 from .features import FeatureSchema, build_schema
 from .metrics import UndefinedMetricError, write_report
 from .model import Architecture, save_checkpoint, load_checkpoint
 from .objectives import METHODS, IpwConfig, LossWeights, ObjectiveError
 from .simulator import SimConfig, generate, sim_schema, space_stats
-from .trainer import ExperimentConfig, evaluate, split_indices, train, write_history, write_timing
+from .trainer import ExperimentConfig, OptimizerConfig, evaluate, split_indices, train, write_history, write_timing
 
 __all__ = ["main", "run_simulate", "run_train", "run_evaluate", "run_compare", "UsageError"]
 

@@ -1,9 +1,10 @@
-"""Feature schema and encoding into the model's dense input vector.
+"""Feature schema and the model-input columns of a log.
 
 An exposure's categorical features are looked up in trained
 embedding tables and its numeric features enter as read; blocks
 concatenate user, then item, then cross features, each block in schema
-order.
+order. :func:`build_matrix` extracts those columns once per log; the
+model gathers its input from them (``model.gather_concat``).
 """
 
 from __future__ import annotations
@@ -14,18 +15,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, gather_concat, gather_concat_backward
-
 __all__ = [
     "FeatureSpec",
     "FeatureSchema",
     "SchemaError",
     "EncodingError",
     "build_schema",
-    "init_tables",
     "FeatureMatrix",
-    "encode_matrix",
-    "encode_matrix_backward",
 ]
 
 KINDS = ("categorical", "numeric")
@@ -102,23 +98,10 @@ def build_schema(config: Sequence[Mapping]) -> FeatureSchema:
     return FeatureSchema(tuple(specs))
 
 
-def init_tables(schema: FeatureSchema, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Fresh embedding tables, U(-1/sqrt(w), 1/sqrt(w)) per feature."""
-    tables: dict[str, Tensor] = {}
-    for f in schema.ordered:
-        if f.kind != "categorical":
-            continue
-        bound = 1.0 / np.sqrt(f.embed_width)
-        t = Tensor(rng.uniform(-bound, bound, size=(f.vocab_size, f.embed_width)))
-        t.name = f"embed.{f.name}"
-        tables[f.name] = t
-    return tables
-
-
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Model-input columns of a log, in its row order, for one
-    :func:`~choruscvr.autodiff.gather_concat` per batch. ``index`` holds
+    :func:`~choruscvr.model.gather_concat` per batch. ``index`` holds
     each row's chunks of the tables (in schema order), an id folded modulo
     its vocabulary as its table row's chunks; the numerics, as read, fill
     the input columns ``num_cols``."""
@@ -153,23 +136,3 @@ def build_matrix(log, schema: FeatureSchema) -> FeatureMatrix:
     index = np.stack(cols, axis=1) if cols else np.zeros((n, 0), dtype=np.int64)
     numerics = np.stack(num_values, axis=1) if num_values else np.zeros((n, 0))
     return FeatureMatrix(n, chunk, index, np.array(num_cols, dtype=np.int64), numerics)
-
-
-def _embedding_tables(schema: FeatureSchema, tables: Mapping[str, Tensor]) -> list[Tensor]:
-    return [tables[f.name] for f in schema.ordered if f.kind == "categorical"]
-
-
-def encode_matrix(fm: FeatureMatrix, schema: FeatureSchema, tables: Mapping[str, Tensor]) -> np.ndarray:
-    """Encode a pre-extracted batch into the (n, input_width) input: one
-    gather of every table's rows, with the numerics beside them."""
-    cats = [t.value for t in _embedding_tables(schema, tables)]
-    return gather_concat(cats, fm.index, fm.chunk, fm.num_values, fm.num_cols)
-
-
-def encode_matrix_backward(
-    g: np.ndarray, fm: FeatureMatrix, schema: FeatureSchema, tables: Mapping[str, Tensor]
-) -> list[tuple[Tensor, np.ndarray]]:
-    """Each table :func:`encode_matrix` read, with its gradient, from the
-    gradient ``g`` on the input."""
-    cats = _embedding_tables(schema, tables)
-    return list(zip(cats, gather_concat_backward(g, [t.value for t in cats], fm.index, fm.chunk, fm.num_cols)))

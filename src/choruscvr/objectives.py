@@ -35,9 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor
 from .features import FeatureMatrix
-from .model import TOWER_NAMES, ModelParams, TowerOutputs, backward, predict_batch
+from .model import TOWER_NAMES, ModelParams, ShapeError, Tensor, TowerOutputs, backward, predict_batch
 
 __all__ = [
     "ObjectiveError",

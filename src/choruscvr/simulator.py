@@ -17,9 +17,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .autodiff import stable_sigmoid
 from .data import ExposureLog
 from .features import FeatureSchema, build_schema
+from .model import stable_sigmoid
 
 __all__ = [
     "SimConfig",

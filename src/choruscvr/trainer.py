@@ -1,10 +1,11 @@
-"""Seeded training/evaluation orchestration for all method tags.
+"""Seeded training/evaluation orchestration for all method tags, and
+the optimizer.
 
 One run: shuffle exposure batches each epoch, take one optimizer step
-per batch on the method's objective, monitor entire-space
-click-and-convert AUC on the validation split, keep the best snapshot,
-stop early after `patience` non-improving epochs. Everything is a pure
-function of (config, seed, data).
+(:func:`optimizer_step`) per batch on the method's objective, monitor
+entire-space click-and-convert AUC on the validation split, keep the
+best snapshot, stop early after `patience` non-improving epochs.
+Everything is a pure function of (config, seed, data).
 """
 
 from __future__ import annotations
@@ -16,14 +17,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import OptimizerConfig, OptimizerState, optimizer_step
 from .data import ExposureLog, Row, as_log, batch_iter, label_arrays, truth_arrays
 from .features import FeatureMatrix, FeatureSchema, build_matrix
 from .metrics import MetricEntry, MetricsReport, UndefinedMetricError, auc, bias_curve, logloss, pcoc
-from .model import Architecture, ModelParams, init_model, predict_batch
+from .model import Architecture, ModelParams, Tensor, init_model, predict_batch
 from .objectives import METHODS, IpwConfig, LossWeights, training_step
 
 __all__ = [
+    "OptimizerConfig",
+    "OptimizerState",
+    "OptimizerError",
+    "optimizer_step",
     "ExperimentConfig",
     "TrainingError",
     "EpochRecord",
@@ -39,10 +43,109 @@ __all__ = [
 EVAL_CHUNK = 2048  # a power of two: chunked scores keep the bits of one pass
 # Train, validation and test shares of a log.
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
+# Adam's moment decay rates and denominator offset.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
+class OptimizerError(RuntimeError):
+    """Raised on non-finite gradients or malformed optimizer inputs."""
 
 
 class TrainingError(RuntimeError):
     """Aborted run: non-finite loss or inconsistent configuration."""
+
+
+# -- optimizer ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OptimizerConfig:
+    """Adaptive-moment update by default; plain SGD selectable."""
+
+    method: str = "adam"
+    learning_rate: float = 1e-3
+
+    def __post_init__(self) -> None:
+        if self.method not in ("adam", "sgd"):
+            raise OptimizerError(f"unknown optimizer method {self.method!r}")
+        if self.learning_rate <= 0:
+            raise OptimizerError("learning_rate must be positive")
+
+
+@dataclass
+class OptimizerState:
+    """The step counter and both moment accumulators, each one flat
+    vector over all parameters in order; ``shapes`` holds the parameter
+    shapes that order lays out."""
+
+    step_count: int = 0
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    shapes: tuple[tuple[int, ...], ...] = ()
+
+    @classmethod
+    def for_params(cls, params: Sequence[Tensor]) -> "OptimizerState":
+        total = sum(p.value.size for p in params)
+        return cls(m=np.zeros(total), v=np.zeros(total), shapes=tuple(p.value.shape for p in params))
+
+
+def _first_non_finite(params: Sequence[Tensor], *flats: np.ndarray) -> str:
+    """Label of the first parameter whose slice of any ``flats`` is not finite."""
+    end = 0
+    for i, p in enumerate(params):
+        start, end = end, end + p.value.size
+        if not all(np.isfinite(f[start:end]).all() for f in flats):
+            return p.name or f"param[{i}]"
+    raise ValueError("every value is finite")
+
+
+def optimizer_step(
+    params: Sequence[Tensor],
+    grads: Sequence[np.ndarray],
+    state: OptimizerState,
+    config: OptimizerConfig,
+) -> OptimizerState:
+    """Apply one update in place; increments and returns the state.
+
+    Gradients must be finite and aligned with ``params`` (same order the
+    state was created with). The update runs once on the flat vector of
+    all gradients; every operation is elementwise, so each parameter
+    gets the same bits a per-parameter loop would give it.
+    """
+    shapes = tuple(p.value.shape for p in params)
+    if shapes != state.shapes or tuple(np.shape(g) for g in grads) != shapes:
+        raise OptimizerError("params, grads and state are not aligned")
+    step = state.step_count + 1
+    g = np.concatenate([np.ravel(x) for x in grads]) if grads else np.zeros(0)
+    if not np.isfinite(g).all():
+        raise OptimizerError(f"non-finite gradient for {_first_non_finite(params, g)} at step {step}")
+    if config.method == "sgd":
+        update = config.learning_rate * g
+    else:
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        bias1 = 1.0 - b1**step
+        bias2 = 1.0 - b2**step
+        with np.errstate(over="ignore"):  # an overflow is reported by the moment check below
+            state.m *= b1
+            state.m += (1.0 - b1) * g
+            state.v *= b2
+            state.v += (1.0 - b2) * g * g
+        m_hat = state.m / bias1
+        v_hat = state.v / bias2
+        update = config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    offset = 0
+    for p in params:
+        p.value -= update[offset : offset + p.value.size].reshape(p.value.shape)
+        offset += p.value.size
+    state.step_count = step
+    if not (np.isfinite(state.m).all() and np.isfinite(state.v).all()):
+        raise OptimizerError(f"non-finite moment for {_first_non_finite(params, state.m, state.v)} at step {step}")
+    return state
+
+
+# -- training -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -100,8 +203,9 @@ def _epoch_seed(seed: int, epoch: int) -> int:
     return int(np.random.SeedSequence((seed, epoch)).generate_state(1)[0])
 
 
-def _scores(params: ModelParams, fm: FeatureMatrix) -> dict[str, np.ndarray]:
-    """The training forward's scores; what only the backward reads is dropped."""
+def predict_values(params: ModelParams, fm: FeatureMatrix) -> dict[str, np.ndarray]:
+    """Every score of ``fm`` (:meth:`~choruscvr.model.TowerOutputs.values`);
+    what only the backward reads of the forward is dropped."""
     return predict_batch(params, fm).values()
 
 
@@ -110,7 +214,7 @@ def _score_log(params: ModelParams, log: ExposureLog) -> dict[str, np.ndarray]:
     time: only one chunk's feature matrix and forward pass exist at once."""
     out: dict[str, np.ndarray] = {}
     for lo in range(0, len(log), EVAL_CHUNK):
-        chunk = _scores(params, build_matrix(log[lo : lo + EVAL_CHUNK], params.schema))
+        chunk = predict_values(params, build_matrix(log[lo : lo + EVAL_CHUNK], params.schema))
         if not out:
             out = {k: np.empty(len(log), dtype=v.dtype) for k, v in chunk.items()}
         for k, v in chunk.items():
@@ -175,7 +279,7 @@ def train(
             if not np.isfinite(values["total"]):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch} step {step}: "
-                    + _diagnostics(values, _scores(params, batch)["ctr"])
+                    + _diagnostics(values, predict_values(params, batch)["ctr"])
                 )
             optimizer_step(param_list, grads, opt_state, config.optimizer)
             for k, v in values.items():

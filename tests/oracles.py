@@ -13,10 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from choruscvr import simulator
-from choruscvr.autodiff import gather_concat_backward, stable_sigmoid
 from choruscvr.data import TRUTH_COLUMNS, ExposureLog
-from choruscvr.features import encode_matrix
-from choruscvr.model import PROB_CLAMP, TOWER_NAMES
+from choruscvr.model import PROB_CLAMP, TOWER_NAMES, gather_concat, gather_concat_backward, stable_sigmoid
 from choruscvr.objectives import METHOD_TERMS, SOFT_LABEL_CLAMP, TERMS, ctuncvr_label
 
 
@@ -222,9 +220,14 @@ def backward(root: Node) -> dict[Node, np.ndarray]:
 
 def leaf_grads(root: Node, leaves) -> list[np.ndarray]:
     """:func:`backward` from ``root``, read as each of ``leaves``' gradient;
-    zeros for a leaf it never reached."""
+    zeros for a leaf it never reached. A tuple of leaves reads as their
+    gradients stacked."""
     reached = backward(root)
-    return [reached[n] if n in reached else np.zeros_like(n.value) for n in leaves]
+
+    def grad(n: Node) -> np.ndarray:
+        return reached[n] if n in reached else np.zeros_like(n.value)
+
+    return [np.stack([grad(m) for m in n]) if isinstance(n, tuple) else grad(n) for n in leaves]
 
 
 # -- the forward graph ----------------------------------------------------------------
@@ -261,10 +264,10 @@ def dense(x: Node, w: Node, b: Node, activation: str) -> Node:
     return out._attach(bw)
 
 
-def gather(tables: list[Node], fm, schema, named) -> Node:
+def gather(tables: list[Node], fm) -> Node:
     """The model input of the feature matrix ``fm`` as one node over the
-    table leaves (``named``: feature name -> the parameter each reads)."""
-    value = encode_matrix(fm, schema, named)
+    table leaves, in the order the model lays the tables out."""
+    value = gather_concat([t.value for t in tables], fm.index, fm.chunk, fm.num_values, fm.num_cols)
     out = Node(value, parents=tuple(tables), op="gather_concat")
 
     def bw(g: np.ndarray) -> None:
@@ -281,23 +284,26 @@ def clip_column(x: Node, lo: float, hi: float) -> Node:
     return out._attach(lambda g: _accumulate(x, g.reshape(-1, 1) * ((x.value > lo) & (x.value < hi))))
 
 
-def reference_forward(params, fm) -> tuple[Heads, list[Node]]:
+def reference_forward(params, fm) -> tuple[Heads, list]:
     """The heads of ``params`` on ``fm``: the gather, the encoder's relu
-    ``dense`` nodes, then each tower's own chain (relu layers, a sigmoid
-    output unit) and a clip; with a leaf per parameter, sharing its
-    value, in ``params.parameters()`` order."""
-    leaf = {p: Node(p.value) for p in params.parameters()}
-    cats = [params.tables[f.name] for f in params.schema.ordered if f.kind == "categorical"]
-    h = gather([leaf[t] for t in cats], fm, params.schema, params.tables)
-    for w, b in params.encoder:
-        h = dense(h, leaf[w], leaf[b], "relu")
+    ``dense`` nodes, then each tower's own chain (2-D relu layers, a
+    sigmoid output unit) and a clip. Returns them with the leaves in
+    ``params.parameters()`` order, each sharing its parameter's value; a
+    stacked tower layer's leaf is a tuple of per-tower leaves, its rows."""
+    tables = [Node(t.value) for t in params.tables.values()]
+    encoder = [(Node(w.value), Node(b.value)) for w, b in params.encoder]
+    h = gather(tables, fm)
+    for w, b in encoder:
+        h = dense(h, w, b, "relu")
+    towers = [[(Node(w.value[i]), Node(b.value[i])) for w, b in params.towers] for i in range(len(TOWER_NAMES))]
     heads = []
-    for tower in TOWER_NAMES:
-        t, layers = h, params.towers[tower]
+    for layers in towers:
+        t = h
         for i, (w, b) in enumerate(layers):
-            t = dense(t, leaf[w], leaf[b], "sigmoid" if i == len(layers) - 1 else "relu")
+            t = dense(t, w, b, "sigmoid" if i == len(layers) - 1 else "relu")
         heads.append(clip_column(t, PROB_CLAMP, 1.0 - PROB_CLAMP))
-    return Heads(*heads), list(leaf.values())
+    stacked = [tuple(layers[i][j] for layers in towers) for i in range(len(params.towers)) for j in (0, 1)]
+    return Heads(*heads), [*tables, *(n for layer in encoder for n in layer), *stacked]
 
 
 def objective(bundle, heads: Heads) -> Node:

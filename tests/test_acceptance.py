@@ -22,9 +22,10 @@ import yaml
 
 from choruscvr import cli
 from choruscvr.data import write_log
-from choruscvr.features import build_matrix, build_schema, encode_matrix
+from choruscvr.features import build_matrix, build_schema
 from choruscvr.metrics import auc, logloss, pcoc
 from choruscvr.model import (
+    TOWER_NAMES,
     Architecture,
     TowerOutputs,
     backward,
@@ -172,19 +173,16 @@ def _activation_gap(params, fm) -> float:
     """Distance of the nearest pre-activation to a relu kink, and of the
     click head to the propensity floor. Central differences are only
     trustworthy when every such gap dwarfs the step."""
-    h = encode_matrix(fm, params.schema, params.tables)
+    h = predict_batch(params, fm).layers[0]
     gap = np.inf
     for w, b in params.encoder:
         z = h @ w.value + b.value
         gap = min(gap, float(np.min(np.abs(z))))
         h = np.maximum(z, 0.0)
-    for tower in params.towers:
-        t = h
-        layers = params.towers[tower]
-        for w, b in layers[:-1]:
-            z = t @ w.value + b.value
-            gap = min(gap, float(np.min(np.abs(z))))
-            t = np.maximum(z, 0.0)
+    for w, b in params.towers[:-1]:  # every tower at once: (towers, n, width)
+        z = np.matmul(h, w.value) + b.value[:, None, :]
+        gap = min(gap, float(np.min(np.abs(z))))
+        h = np.maximum(z, 0.0)
     p_click = _scores(params, fm)["ctr"]
     floor = IpwConfig().floor
     gap = min(gap, float(np.min(np.abs(p_click - floor))))
@@ -311,16 +309,13 @@ def test_criterion_2_gradients_match_central_differences():
 
 def test_criterion_3_stop_gradient_and_detached_propensity_exactness():
     params, fm, o, r = _draw_clean_case(40)
-    tower_params = {
-        tower: [p for name, p in params.named_parameters() if name.startswith(f"tower.{tower}.")]
-        for tower in ("ctr", "cvr", "uncvr")
-    }
+    tower_params = [p for layer in params.towers for p in layer]  # row t of each is tower t's
 
     def all_exactly_zero(leaf, tower):
-        return all(not np.any(leaf[p] != 0.0) for p in tower_params[tower])
+        return all(not np.any(leaf[p][TOWER_NAMES.index(tower)] != 0.0) for p in tower_params)
 
     def any_nonzero(leaf, tower):
-        return any(np.any(leaf[p] != 0.0) for p in tower_params[tower])
+        return any(np.any(leaf[p][TOWER_NAMES.index(tower)] != 0.0) for p in tower_params)
 
     outputs = predict_batch(params, fm)
     problems = []

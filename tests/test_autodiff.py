@@ -1,6 +1,6 @@
-"""Layer kernels against hand values and central differences, the
-objective's head gradients, the reference graph's engine
-(``tests/oracles.py``), and the optimizer."""
+"""The model's layer kernels against hand values and central
+differences, the objective's head gradients, the reference graph's
+engine (``tests/oracles.py``), and the optimizer."""
 
 import gc
 import math
@@ -8,27 +8,34 @@ import math
 import numpy as np
 import pytest
 
-from choruscvr.autodiff import (
+from choruscvr.features import build_matrix, build_schema
+from choruscvr.model import (
+    TOWER_NAMES,
+    Architecture,
+    ShapeError,
+    Tensor,
+    TowerOutputs,
+    backward,
+    dense,
+    dense_backward,
+    gather_concat,
+    gather_concat_backward,
+    init_model,
+    predict_batch,
+    stable_sigmoid,
+    tower_heads,
+    tower_heads_backward,
+)
+from choruscvr.objectives import TERMS, IpwConfig, LossWeights, compose_method_loss, training_step
+from choruscvr.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPSILON,
     OptimizerConfig,
     OptimizerError,
     OptimizerState,
-    ShapeError,
-    Tensor,
-    dense,
-    dense_backward,
-    gather_concat,
-    gather_concat_backward,
     optimizer_step,
-    stable_sigmoid,
-    tower_heads,
-    tower_heads_backward,
 )
-from choruscvr.features import build_matrix, build_schema
-from choruscvr.model import TOWER_NAMES, Architecture, TowerOutputs, backward, init_model, predict_batch
-from choruscvr.objectives import TERMS, IpwConfig, LossWeights, compose_method_loss, training_step
 
 import oracles
 from oracles import Node, log_of, mean, mul
@@ -92,6 +99,12 @@ def _unit_layer(width: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return np.eye(width), np.zeros(width)
 
 
+def _stack(towers) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-tower lists of ``(w, b)`` layers as :func:`tower_heads` takes
+    them: one stacked ``(w, b)`` per layer, row ``t`` tower ``t``'s."""
+    return [tuple(map(np.stack, zip(*layer))) for layer in zip(*towers)]
+
+
 def test_dense_bias_gradient_sums_over_batch():
     # the mean of a layer whose units all pass the relu
     x, (w, b) = np.ones((4, 2)), _unit_layer(2)
@@ -132,7 +145,7 @@ def test_linear_gradient_is_input():
 
 def test_sigmoid_derivative_at_zero():
     # a tower's output unit on a zero input
-    z, towers = np.array([[0.0]]), [[_unit_layer()]]
+    z, towers = np.array([[0.0]]), _stack([[_unit_layer()]])
     heads, p, hidden = tower_heads(z, towers, 1e-7)
     gz, _ = tower_heads_backward({0: np.ones(1)}, z, towers, 1e-7, p, hidden)
     assert heads[0, 0] == 0.5
@@ -140,7 +153,7 @@ def test_sigmoid_derivative_at_zero():
 
 
 def test_sigmoid_stable_in_tails():
-    _, p, _ = tower_heads(np.array([[-800.0], [800.0]]), [[_unit_layer()]], 1e-7)
+    _, p, _ = tower_heads(np.array([[-800.0], [800.0]]), _stack([[_unit_layer()]]), 1e-7)
     assert np.all(np.isfinite(p))
     assert p[0, 0] >= 0.0 and p[0, 1] <= 1.0
 
@@ -157,7 +170,7 @@ def test_log_and_inverse_propensity():
 
 def test_tower_heads_clip_blocks_gradient_outside_band():
     # sigmoid(+-40) lies beyond the clamp, sigmoid(0) = 0.5 inside it
-    x, towers = np.array([[40.0], [0.0], [-40.0]]), [[_unit_layer()]]
+    x, towers = np.array([[40.0], [0.0], [-40.0]]), _stack([[_unit_layer()]])
     heads, p, hidden = tower_heads(x, towers, 1e-7)
     gx, _ = tower_heads_backward({0: np.full(3, 1.0 / 3.0)}, x, towers, 1e-7, p, hidden)
     assert np.array_equal(heads[0], [1.0 - 1e-7, 0.5, 1e-7])
@@ -287,29 +300,29 @@ def _two_layer():
 
 
 def test_mlp_zero_weights_sigmoid_gives_half():
-    heads, _, _ = tower_heads(np.ones((1, 4)), [[(np.zeros((4, 1)), np.zeros(1))]], 1e-7)
+    heads, _, _ = tower_heads(np.ones((1, 4)), _stack([[(np.zeros((4, 1)), np.zeros(1))]]), 1e-7)
     assert heads[0, 0] == pytest.approx(0.5)
 
 
 def test_mlp_two_layer_hand_evaluation():
     # plain-math oracle: h = [0.75, -0.7] -> relu [0.75, 0] -> 0.575 -> sigmoid
-    layers = _two_layer()
+    layers = _stack([_two_layer()])
     x = np.array([[1.0, 2.0]])
-    heads, p, hidden = tower_heads(x, [layers], 1e-7)
+    heads, p, hidden = tower_heads(x, layers, 1e-7)
     assert heads[0, 0] == pytest.approx(0.6399160967377341, abs=1e-12)
-    _, grads = tower_heads_backward({0: np.ones(1)}, x, [layers], 1e-7, p, hidden)
-    (gw1, _), (gw2, _) = grads[0]
-    assert gw2[0, 0] == pytest.approx(0.17281761440525778, abs=1e-12)
-    assert gw1[0, 0] == pytest.approx(0.11521174293683852, abs=1e-12)
-    assert gw1[0, 1] == 0.0  # dead relu path
+    _, grads = tower_heads_backward({0: np.ones(1)}, x, layers, 1e-7, p, hidden)
+    (gw1, _), (gw2, _) = grads
+    assert gw2[0, 0, 0] == pytest.approx(0.17281761440525778, abs=1e-12)
+    assert gw1[0, 0, 0] == pytest.approx(0.11521174293683852, abs=1e-12)
+    assert gw1[0, 0, 1] == 0.0  # dead relu path
 
 
 def test_mlp_batch_matches_single_rows():
-    layers = _two_layer()
+    layers = _stack([_two_layer()])
     xs = np.array([[1.0, 2.0], [0.3, -0.7]])
-    batch = tower_heads(xs, [layers], 1e-7)[0]
+    batch = tower_heads(xs, layers, 1e-7)[0]
     for i in range(len(xs)):
-        single = tower_heads(xs[i : i + 1], [layers], 1e-7)[0]
+        single = tower_heads(xs[i : i + 1], layers, 1e-7)[0]
         assert single[0, 0] == pytest.approx(batch[0, i], abs=1e-15)
 
 
@@ -322,15 +335,16 @@ def test_mlp_finite_difference_three_layers():
         layers.append((rng.normal(0, 0.5, (prev, width)), rng.normal(0, 0.1, width)))
         prev = width
     x = rng.normal(0, 1, (6, 5))
+    layers[1:] = _stack([layers[1:]])
 
     def forward() -> float:
-        return float(tower_heads(dense(x, *layers[0]), [layers[1:]], 1e-7)[0].mean())
+        return float(tower_heads(dense(x, *layers[0]), layers[1:], 1e-7)[0].mean())
 
     h = dense(x, *layers[0])
-    _, p, hidden = tower_heads(h, [layers[1:]], 1e-7)
-    gh, tower = tower_heads_backward({0: np.full(6, 1.0 / 6.0)}, h, [layers[1:]], 1e-7, p, hidden)
+    _, p, hidden = tower_heads(h, layers[1:], 1e-7)
+    gh, tower = tower_heads_backward({0: np.full(6, 1.0 / 6.0)}, h, layers[1:], 1e-7, p, hidden)
     _, gw, gb = dense_backward(gh, x, layers[0][0], h)
-    analytic = [gw, gb, *(g for pair in tower[0] for g in pair)]
+    analytic = [gw, gb, *(g for pair in tower for g in pair)]
     step = 1e-5
     worst = 0.0
     for t, grad in zip((v for layer in layers for v in layer), analytic):
@@ -504,7 +518,7 @@ def test_dense_and_tower_heads_take_batches_only():
     with pytest.raises(ShapeError, match="dense"):
         dense(np.ones(2), *_unit_layer(2))
     with pytest.raises(ShapeError, match="tower_heads"):
-        tower_heads(np.ones(2), [[_unit_layer(2), (np.ones((2, 1)), np.zeros(1))]], 1e-7)
+        tower_heads(np.ones(2), _stack([[_unit_layer(2), (np.ones((2, 1)), np.zeros(1))]]), 1e-7)
 
 
 def test_gather_concat_gradients_match_central_differences():
@@ -529,7 +543,7 @@ def test_tower_heads_gradients_match_central_differences(hidden, encoder):
     rng = np.random.default_rng(15)
     x = rng.normal(size=(5, 3))
     enc_w, enc_b = rng.normal(size=(3, 4)), rng.normal(size=4)
-    towers = _towers(rng, 4 if encoder else 3, hidden)
+    towers = _stack(_towers(rng, 4 if encoder else 3, hidden))
     projections = rng.normal(size=(3, 5))
     scales = (1.0, 0.5, 2.0)
 
@@ -545,9 +559,8 @@ def test_tower_heads_gradients_match_central_differences(hidden, encoder):
     if encoder:
         gx, gw, gb = dense_backward(gh, x, enc_w, h)
         arrays, grads = [x, enc_w, enc_b], [gx, gw, gb]
-    for t, layers in enumerate(towers):
-        arrays += [v for layer in layers for v in layer]
-        grads += [v for layer in tower_grads[t] for v in layer]
+    arrays += [v for layer in towers for v in layer]
+    grads += [v for layer in tower_grads for v in layer]
     _check_central_differences(loss, arrays, grads)
 
 
@@ -572,11 +585,12 @@ def test_tower_head_no_gradient_reaches_leaves_its_tower_untouched():
     out = predict_batch(params, fm)
     bundle = _objective(out, [1.0, 0.0] * 3, [1.0] + [0.0] * 5, method="esmm")  # uncvr unread
     grads = dict(zip(params.parameters(), backward(params, out, bundle.head_grads, params.parameters())))
-    for name, v in params.named_parameters():
-        if name.startswith("tower.uncvr."):
-            assert grads[v].tobytes() == np.zeros_like(v.value).tobytes()  # +0 everywhere
-        elif name.startswith("tower."):
-            assert np.abs(grads[v]).sum() > 0.0, name
+    for v in (v for layer in params.towers for v in layer):
+        for t, g in zip(TOWER_NAMES, grads[v]):  # row t: tower t's
+            if t == "uncvr":
+                assert g.tobytes() == np.zeros_like(g).tobytes()  # +0 everywhere
+            else:
+                assert np.abs(g).sum() > 0.0, f"{v.name} {t}"
 
 
 def test_tower_heads_backward_twice_gives_the_same_gradients():
@@ -590,9 +604,12 @@ def test_tower_heads_backward_twice_gives_the_same_gradients():
 
 
 def test_tower_heads_reject_towers_of_unequal_depth():
-    rng = np.random.default_rng(18)
+    # A layer that stacks fewer towers than the one before it leaves a
+    # tower without that layer; numpy would broadcast the one it has.
+    layers = _stack(_towers(np.random.default_rng(18), 3, (4,), k=2))
+    layers[1] = tuple(a[:1] for a in layers[1])
     with pytest.raises(ShapeError, match="depth"):
-        tower_heads(np.ones((2, 3)), _towers(rng, 3, (4,), k=1) + _towers(rng, 3, (), k=1), 1e-7)
+        tower_heads(np.ones((2, 3)), layers, 1e-7)
 
 
 def test_weighted_sum_gradients_match_central_differences():
@@ -647,18 +664,18 @@ def test_sgd_step():
 
 def test_optimizer_rejects_non_finite_gradient():
     w = Tensor(0.0)
-    w.name = "tower.cvr.0.w"
+    w.name = "tower.0.w"
     state = OptimizerState.for_params([w])
-    with pytest.raises(OptimizerError, match="tower.cvr.0.w"):
+    with pytest.raises(OptimizerError, match="tower.0.w"):
         optimizer_step([w], [np.asarray(np.nan)], state, OptimizerConfig())
 
 
 def test_optimizer_rejects_non_finite_moment_naming_the_parameter():
     a, b = Tensor(np.zeros((2, 2))), Tensor(np.zeros(3))
-    a.name, b.name = "tower.ctr.0.w", "tower.ctr.0.b"
+    a.name, b.name = "tower.0.w", "tower.0.b"
     state = OptimizerState.for_params([a, b])
     grads = [np.ones((2, 2)), np.array([1.0, 1e200, 1.0])]  # g * g overflows
-    with pytest.raises(OptimizerError, match="non-finite moment for tower.ctr.0.b at step 1"):
+    with pytest.raises(OptimizerError, match="non-finite moment for tower.0.b at step 1"):
         optimizer_step([a, b], grads, state, OptimizerConfig())
 
 

@@ -173,6 +173,28 @@ def test_missing_checkpoint_exits_2(trained, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: {"format": h["format"], "version": h["version"]},
+        lambda h: [1, 2],
+        lambda h: {**h, "seed": "x"},
+        lambda h: {**h, "schema": {**h["schema"], "features": []}},
+    ],
+    ids=["no-schema", "not-an-object", "string-seed", "no-features"],
+)
+def test_malformed_checkpoint_header_fails_the_run(trained, tmp_path, capsys, edit):
+    # A header that is JSON but not a checkpoint's fails the run (exit 1),
+    # neither as a traceback nor as a config error (exit 2).
+    cfg, out, _ = trained
+    header, _, body = (out / "checkpoint.bin").read_bytes().partition(b"\n")
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + body)
+    code = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "x"), "--checkpoint", str(bad)])
+    assert code == 1
+    assert "run failed:" in capsys.readouterr().err
+
+
 def test_compare_tiny_grid(simulated, tmp_path):
     tmp, _, _, dataset = simulated
     cfg, _ = _write_config(tmp_path, f"  dataset: {dataset}\n")

@@ -1,19 +1,12 @@
-"""Feature schema validation and dense-input encoding."""
+"""Feature schema validation, the model-input columns and the model's
+input gather over them."""
 
 import numpy as np
 import pytest
 
-from choruscvr.autodiff import Tensor
 from choruscvr.data import read_log
-from choruscvr.features import (
-    EncodingError,
-    SchemaError,
-    build_matrix,
-    build_schema,
-    encode_matrix,
-    encode_matrix_backward,
-    init_tables,
-)
+from choruscvr.features import EncodingError, SchemaError, build_matrix, build_schema
+from choruscvr.model import Tensor, gather_concat, gather_concat_backward, init_tables
 
 from oracles import log_of
 
@@ -23,9 +16,27 @@ def _matrix(rows, schema):
     return build_matrix(log_of(rows, schema), schema)
 
 
+def _tables(schema, tables):
+    return [tables[f.name] for f in schema.ordered if f.kind == "categorical"]
+
+
+def _encode(fm, schema, tables) -> np.ndarray:
+    """The model's (n, input_width) input: one gather of the tables, in
+    schema order, with the numerics beside them."""
+    return gather_concat([t.value for t in _tables(schema, tables)], fm.index, fm.chunk, fm.num_values, fm.num_cols)
+
+
+def _encode_backward(g, fm, schema, tables) -> dict[str, np.ndarray]:
+    """Each table's gradient, by parameter name, from the gradient ``g``
+    on :func:`_encode`'s output."""
+    cats = _tables(schema, tables)
+    grads = gather_concat_backward(g, [t.value for t in cats], fm.index, fm.chunk, fm.num_cols)
+    return {t.name: grad for t, grad in zip(cats, grads)}
+
+
 def _encode_one(row, schema, tables) -> np.ndarray:
     """One record through the batch path: its (input_width,) vector."""
-    return encode_matrix(_matrix([row], schema), schema, tables)[0]
+    return _encode(_matrix([row], schema), schema, tables)[0]
 
 
 def _mixed_config():
@@ -171,7 +182,7 @@ def test_matrix_encoding_matches_single_record_encoding():
         {"item_cat": 7, "user_cat": 0, "price": 0.0},  # 7 folds to 3
     ]
     fm = _matrix(rows, schema)
-    batch = encode_matrix(fm, schema, tables)
+    batch = _encode(fm, schema, tables)
     assert batch.shape == (3, schema.input_width)
     for i, row in enumerate(rows):
         assert np.array_equal(batch[i], _encode_one(row, schema, tables))
@@ -203,7 +214,7 @@ def test_embedding_gradients_flow_through_encoding():
     fm = _matrix([{"item_cat": 1, "user_cat": 2, "price": 0.3}], schema)
     # the gradient of the input's mean
     g = np.full((1, schema.input_width), 1.0 / schema.input_width)
-    grads = {t.name: grad for t, grad in encode_matrix_backward(g, fm, schema, tables)}
+    grads = _encode_backward(g, fm, schema, tables)
     share = np.full(2, 1.0 / schema.input_width)
     assert np.array_equal(grads["embed.item_cat"][1], share)
     assert np.array_equal(grads["embed.user_cat"][2], share)
@@ -240,10 +251,10 @@ def test_one_bincount_gather_equals_per_table_scatter_bitwise(config):
         for _ in range(300)
     ]
     tables = init_tables(schema, rng)
-    out = encode_matrix(_matrix(rows, schema), schema, tables)
+    out = _encode(_matrix(rows, schema), schema, tables)
     upstream = rng.normal(size=out.shape)
     g = np.full(out.shape, 1.0 / out.size) * upstream  # the gradient of mean(out * upstream)
-    grads = {t.name: grad for t, grad in encode_matrix_backward(g, _matrix(rows, schema), schema, tables)}
+    grads = _encode_backward(g, _matrix(rows, schema), schema, tables)
     start = 0
     for f in schema.ordered:
         cols = slice(start, start + (f.embed_width if f.kind == "categorical" else 1))

@@ -74,7 +74,7 @@ def test_chunked_scores_equal_one_chunk_byte_for_byte():
     schema = sim_schema(config, embed_width=4)
     params, _ = trainer.train(ExperimentConfig(epochs=1, arch=ARCH, seed=1), log, log[:0], schema)
     chunked = trainer._score_log(params, log)
-    whole = trainer._scores(params, build_matrix(log, schema))
+    whole = trainer.predict_values(params, build_matrix(log, schema))
     assert chunked.keys() == whole.keys()
     for head in whole:
         assert np.asarray(chunked[head]).tobytes() == np.asarray(whole[head]).tobytes(), head

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from choruscvr import model
-from choruscvr.autodiff import ShapeError
 from choruscvr.features import build_matrix, build_schema
 from choruscvr.model import (
+    TOWER_NAMES,
     Architecture,
     CheckpointError,
+    ShapeError,
     backward,
     init_model,
     load_checkpoint,
@@ -44,26 +45,32 @@ def _rows(n, rng):
 def test_same_seed_identical_parameters():
     a = init_model(SCHEMA, ARCH, seed=3)
     b = init_model(SCHEMA, ARCH, seed=3)
-    for (name_a, ta), (name_b, tb) in zip(a.named_parameters(), b.named_parameters()):
+    for (name_a, ta), (name_b, tb) in zip(a.checkpoint_arrays(), b.checkpoint_arrays()):
         assert name_a == name_b
-        assert np.array_equal(ta.value, tb.value)
+        assert np.array_equal(ta, tb)
     c = init_model(SCHEMA, ARCH, seed=4)
     assert not all(
-        np.array_equal(ta.value, tc.value)
-        for (_, ta), (_, tc) in zip(a.named_parameters(), c.named_parameters())
+        np.array_equal(ta, tc)
+        for (_, ta), (_, tc) in zip(a.checkpoint_arrays(), c.checkpoint_arrays())
     )
 
 
 def test_matching_tower_input_width_accepted():
     arch = Architecture(encoder_widths=(16,), tower_widths=(4,), tower_input_width=16)
     params = init_model(SCHEMA, arch, seed=0)
-    assert params.towers["ctr"][0][0].value.shape == (16, 4)
+    assert params.towers[0][0].value.shape == (3, 16, 4)  # one (16, 4) layer per tower
 
 
 def test_mismatched_tower_input_width_rejected():
     arch = Architecture(encoder_widths=(16,), tower_widths=(4,), tower_input_width=8)
     with pytest.raises(ShapeError):
         init_model(SCHEMA, arch, seed=0)
+
+
+def test_schema_without_features_rejected():
+    # a zero-width input would draw its first layer from U(-inf, inf)
+    with pytest.raises(ShapeError, match="input feature"):
+        init_model(build_schema([]), ARCH, seed=0)
 
 
 def test_nonpositive_width_rejected():
@@ -73,7 +80,7 @@ def test_nonpositive_width_rejected():
 
 def test_zero_parameters_give_half_probabilities():
     params = init_model(SCHEMA, ARCH, seed=0)
-    for _, t in params.named_parameters():
+    for t in params.parameters():
         t.value[...] = 0.0
     fm = _matrix(_rows(4, np.random.default_rng(0)), SCHEMA)
     out = predict_batch(params, fm).values()
@@ -90,8 +97,8 @@ def test_tiny_net_matches_hand_evaluation():
     params = init_model(schema, Architecture(encoder_widths=(), tower_widths=()), seed=0)
     hand = {"ctr": (2.0, 0.5), "cvr": (-1.0, 0.25), "uncvr": (0.5, -1.5)}
     for tower, (w, b) in hand.items():
-        params.towers[tower][0][0].value[...] = w
-        params.towers[tower][0][1].value[...] = b
+        params.towers[0][0].value[TOWER_NAMES.index(tower)] = w
+        params.towers[0][1].value[TOWER_NAMES.index(tower)] = b
     heads = predict_batch(params, _matrix([{"x": 0.3}], schema))
     assert heads.ctr.shape == (1,)
     out = heads.values()
@@ -115,7 +122,7 @@ def test_product_invariant_over_random_inputs():
 def test_outputs_within_clamp_band():
     params = init_model(SCHEMA, ARCH, seed=29)
     # inflate weights to push logits far out
-    for name, t in params.named_parameters():
+    for t in params.parameters():
         t.value *= 200.0
     fm = _matrix(_rows(64, np.random.default_rng(1)), SCHEMA)
     out = predict_batch(params, fm)
@@ -133,41 +140,45 @@ def test_every_parameter_group_receives_gradient():
     out = predict_batch(params, fm)
     bundle = compose_method_loss("chorus", out, o, r, LossWeights(), IpwConfig())
     grads = backward(params, out, bundle.head_grads, params.parameters())
-    for (name, _), g in zip(params.named_parameters(), grads, strict=True):
-        assert np.abs(g).sum() > 0.0, f"no gradient reached {name}"
+    for p, g in zip(params.parameters(), grads, strict=True):
+        # a stacked tower layer's rows are the towers' own layers
+        for tower, part in zip(TOWER_NAMES, g) if p.name.startswith("tower.") else [("", g)]:
+            assert np.abs(part).sum() > 0.0, f"no gradient reached {p.name} {tower}"
 
 
 def test_copy_is_independent():
     params = init_model(SCHEMA, ARCH, seed=41)
     clone = params.copy()
-    params.towers["ctr"][0][0].value[...] = 99.0
-    assert not np.array_equal(clone.towers["ctr"][0][0].value, params.towers["ctr"][0][0].value)
+    params.towers[0][0].value[...] = 99.0
+    assert not np.array_equal(clone.towers[0][0].value, params.towers[0][0].value)
 
 
 def test_copy_takes_the_values_without_reinitializing(monkeypatch):
     params = init_model(SCHEMA, ARCH, seed=41)
-    for _, t in params.named_parameters():
+    for t in params.parameters():
         t.value += 0.125  # values a fresh init would not give
     monkeypatch.setattr(model, "init_model", None)  # a snapshot must not redraw
     clone = params.copy()
-    for (name, t), (clone_name, c) in zip(params.named_parameters(), clone.named_parameters(), strict=True):
-        assert (clone_name, c.name) == (name, t.name)
+    for t, c in zip(params.parameters(), clone.parameters(), strict=True):
+        assert c.name == t.name
         assert c.value.tobytes() == t.value.tobytes() and c.value is not t.value
 
 
 def test_checkpoint_round_trip(tmp_path):
     params = init_model(SCHEMA, ARCH, seed=43)
-    for _, t in params.named_parameters():
-        t.value += 0.125  # make values distinct from a fresh init
+    for _, a in params.checkpoint_arrays():
+        a += 0.125  # make values distinct from a fresh init, through the views
     path = tmp_path / "model.bin"
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
     assert loaded.seed == 43
     assert loaded.arch == ARCH
     assert loaded.schema == SCHEMA
-    for (name_a, ta), (name_b, tb) in zip(params.named_parameters(), loaded.named_parameters()):
+    for (name_a, ta), (name_b, tb) in zip(params.checkpoint_arrays(), loaded.checkpoint_arrays(), strict=True):
         assert name_a == name_b
-        assert np.array_equal(ta.value, tb.value)
+        assert np.array_equal(ta, tb)
+    for ta, tb in zip(params.parameters(), loaded.parameters(), strict=True):
+        assert ta.value.tobytes() == tb.value.tobytes()
 
 
 def test_checkpoint_byte_stability(tmp_path):

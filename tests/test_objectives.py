@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-from choruscvr.autodiff import OptimizerConfig, OptimizerState, optimizer_step
 from choruscvr.data import label_arrays
 from choruscvr.features import build_matrix, build_schema
 from choruscvr.model import TOWER_NAMES, Architecture, TowerOutputs, init_model, predict_batch
@@ -26,6 +25,7 @@ from choruscvr.objectives import (
     training_step,
 )
 from choruscvr.simulator import SimConfig, generate, sim_schema
+from choruscvr.trainer import OptimizerConfig, OptimizerState, optimizer_step
 
 from oracles import ipw_mean, leaf_grads, log_of, objective, reference_forward, reference_method_loss
 
@@ -465,18 +465,19 @@ def test_single_converted_sample_step():
 
 
 def test_step_gradients_aligned_and_zero_for_unused_towers():
+    # The uncvr tower is row 2 of every stacked tower layer.
     params = init_model(SCHEMA, ARCH, seed=3)
-    names = [n for n, _ in params.named_parameters()]
+    towers, uncvr = [p for layer in params.towers for p in layer], TOWER_NAMES.index("uncvr")
     o = np.array([1.0, 0.0, 1.0, 0.0])
     r = np.array([1.0, 0.0, 0.0, 0.0])
     _, grads = training_step(params, _fm(4, 3), o, r, "esmm", LossWeights(), IPW, params.parameters())
-    assert len(grads) == len(names)
-    for name, g in zip(names, grads):
-        if name.startswith("tower.uncvr"):
-            assert np.all(g == 0.0), f"{name} should be outside the esmm graph"
+    assert len(grads) == len(params.parameters())
+    grads = dict(zip(params.parameters(), grads))
+    for p in towers:
+        assert np.all(grads[p][uncvr] == 0.0), f"{p.name}'s uncvr row should be outside the esmm objective"
     _, grads_chorus = training_step(params, _fm(4, 3), o, r, "chorus", LossWeights(), IPW, params.parameters())
-    uncvr_total = sum(np.abs(g).sum() for name, g in zip(names, grads_chorus) if name.startswith("tower.uncvr"))
-    assert uncvr_total > 0.0
+    grads_chorus = dict(zip(params.parameters(), grads_chorus))
+    assert sum(np.abs(grads_chorus[p][uncvr]).sum() for p in towers) > 0.0
 
 
 def test_step_gradients_survive_the_next_step():
@@ -553,8 +554,8 @@ def test_training_steps_are_bitwise_equal_to_per_tower_reference_graph(method, a
         ref = compose_method_loss(method, TowerOutputs(*(h.value for h in heads)), o[idx], r[idx], LossWeights(), IPW)
         expected = leaf_grads(objective(ref, heads), leaves)
         assert bundle.term_values() == ref.term_values()
-        for (name, _), g, e in zip(params.named_parameters(), grads, expected):
-            assert g.tobytes() == e.tobytes(), f"step {step}: {name}"
+        for p, g, e in zip(params.parameters(), grads, expected, strict=True):
+            assert g.tobytes() == e.tobytes(), f"step {step}: {p.name}"
         optimizer_step(params.parameters(), grads, states[0], config)
         optimizer_step(reference.parameters(), expected, states[1], config)
 
@@ -572,14 +573,15 @@ GRID_WEIGHTS = [
 
 
 def _grid_batches(o: np.ndarray) -> dict[str, list[np.ndarray]]:
-    """Three batches of each kind: mixed, no click, all clicks, and three
-    rows (one click, two un-clicks)."""
+    """Three batches of each kind: mixed, no click, all clicks, three
+    rows (one click, two un-clicks) and one row (an un-click)."""
     clicked, unclicked = np.flatnonzero(o == 1), np.flatnonzero(o == 0)
     return {
         "mixed": [np.arange(k * 128, (k + 1) * 128) for k in range(3)],
         "no-click": [unclicked[k * 64 : (k + 1) * 64] for k in range(3)],
         "all-click": [clicked[k * 24 : (k + 1) * 24] for k in range(3)],
         "3-row": [np.array([clicked[k], unclicked[k], unclicked[k + 3]]) for k in range(3)],
+        "1-row": [unclicked[k : k + 1] for k in range(3)],
     }
 
 
@@ -614,8 +616,8 @@ def test_training_steps_are_bitwise_equal_to_the_loss_graph(method, arch):
             expected = leaf_grads(total, leaves)
             assert bundle.terms == {name: t.item() for name, t in terms.items()}, case
             assert bundle.total.item() == total.item(), case
-            for (name, _), g, e in zip(params.named_parameters(), grads, expected):
-                assert g.tobytes() == e.tobytes(), f"{case} step {step}: {name}"
+            for p, g, e in zip(params.parameters(), grads, expected, strict=True):
+                assert g.tobytes() == e.tobytes(), f"{case} step {step}: {p.name}"
             optimizer_step(params.parameters(), grads, states[0], OptimizerConfig())
             optimizer_step(reference.parameters(), expected, states[1], OptimizerConfig())
 

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from choruscvr.autodiff import OptimizerConfig
 from choruscvr.metrics import UndefinedMetricError
 from choruscvr.model import Architecture, ModelParams, init_model
 from choruscvr.simulator import SimConfig, generate, sim_schema
@@ -16,6 +15,7 @@ from choruscvr.trainer import (
     COUNTERFACTUAL_PAIRS,
     OBSERVED_PAIRS,
     ExperimentConfig,
+    OptimizerConfig,
     TrainingError,
     default_eval_pairs,
     evaluate,
@@ -138,8 +138,8 @@ def test_train_is_deterministic(sim_data):
 def test_train_builds_the_parameter_list_once(sim_data, monkeypatch):
     records, schema, _ = sim_data
     calls = []
-    named = ModelParams.named_parameters
-    monkeypatch.setattr(ModelParams, "named_parameters", lambda self: calls.append(1) or named(self))
+    listed = ModelParams.parameters
+    monkeypatch.setattr(ModelParams, "parameters", lambda self: calls.append(1) or listed(self))
     train(_small_config(epochs=2), records[:2000], records[2000:2400], schema)
     assert len(calls) == 1
 
@@ -171,6 +171,20 @@ def test_traced_training_steps_keep_the_benchmark_contract(sim_data, monkeypatch
     parts = ("model.predict_batch", "objectives.compose_method_loss", "autodiff.backward", "autodiff.optimizer_step")
     for name in parts:
         assert sum(s.name == name for s in recorder.spans) == len(steps), name
+
+
+def test_every_traced_site_is_a_callable_of_the_program(monkeypatch):
+    # Tracing skips a site the program does not have, and that layer's
+    # metrics then read 0 with no error; so every module attribute the
+    # benchmark wraps must exist and be callable.
+    spans = _perfbench_spans(monkeypatch)
+
+    def present(site: str) -> bool:
+        module, _, attr = site.rpartition(".")
+        return callable(getattr(importlib.import_module(f"choruscvr.{module}"), attr, None))
+
+    missing = [site for names, _, _ in spans.TARGETS.values() for site in names if not present(site)]
+    assert not missing, f"traced sites the program lacks: {missing}"
 
 
 def test_train_loss_decreases(sim_data):
