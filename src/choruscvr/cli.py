@@ -493,7 +493,9 @@ def _pooled_seed(seed: int) -> tuple[str, list[dict[str, Any]], Exception | None
 @contextlib.contextmanager
 def _seed_pool(job: _SeedJob, n_seeds: int):
     """A pool of ``min(cpus, seeds)`` workers that hold ``job``, or None
-    (run inline) when that is one worker or BLAS may run threads.
+    (run inline) when that is one worker or BLAS may run threads. The
+    CPUs are those this process may run on (its affinity mask, where the
+    platform has one), not every CPU of the machine.
 
     ``fork``: a worker starts with the modules already imported and
     shares a pinned log instead of importing numpy and unpickling the
@@ -504,7 +506,8 @@ def _seed_pool(job: _SeedJob, n_seeds: int):
     """
     from . import BLAS_PINNED
 
-    workers = min(os.cpu_count() or 1, n_seeds)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, n_seeds)
     if workers < 2 or not BLAS_PINNED:
         yield None
         return

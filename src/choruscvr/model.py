@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -71,9 +72,7 @@ def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.negative(e, out=e)
     np.exp(e, out=e)
     d = 1.0 + e
-    np.divide(e, d, out=e)
-    np.divide(1.0, d, out=e, where=nonneg)
-    return e
+    return np.divide(np.where(nonneg, 1.0, e), d, out=e)  # one division: a masked one costs more
 
 
 class Tensor:
@@ -144,10 +143,12 @@ def gather_concat_backward(
     ``np.add.at`` does."""
     if len(constant_cols):
         g = g[:, np.delete(np.arange(g.shape[1]), constant_cols)]
-    g = g.reshape(*index.shape, chunk)
-    flat, rows = index.ravel(), sum(t.size for t in tables) // chunk
-    grad = np.stack([np.bincount(flat, g[:, :, j].ravel(), rows) for j in range(chunk)], axis=1).ravel()
-    return [part.reshape(t.shape) for t, part in zip(tables, np.split(grad, np.cumsum([t.size for t in tables])))]
+    g = g.reshape(-1, chunk).T.copy()  # row j: position j of every gathered chunk, in row order
+    flat, sizes = index.ravel(), [t.size for t in tables]
+    grad = np.empty((sum(sizes) // chunk, chunk))
+    for j, weights in enumerate(g):
+        grad[:, j] = np.bincount(flat, weights, len(grad))
+    return [grad.reshape(-1)[end - t.size : end].reshape(t.shape) for t, end in zip(tables, accumulate(sizes))]
 
 
 def tower_heads(
@@ -172,7 +173,7 @@ def tower_heads(
         hidden.append(h)
     w, b = layers[-1]
     p = stable_sigmoid((np.matmul(h, w) + b[:, None, :])[:, :, 0])
-    return np.clip(p, clamp, 1.0 - clamp), p, hidden
+    return np.minimum(np.maximum(p, clamp), 1.0 - clamp), p, hidden  # np.clip's bits, without its wrapper
 
 
 def tower_heads_backward(
@@ -188,19 +189,19 @@ def tower_heads_backward(
     ``hidden`` are what :func:`tower_heads` returned. ``heads`` must not
     be empty. The gradient on ``x`` adds the towers' parts in the order
     of ``heads``; a tower ``heads`` leaves out gets zeros."""
-    order = list(heads)
-    g = np.zeros_like(p)
-    g[order] = list(heads.values())
+    g = np.array([heads[t] if t in heads else np.zeros_like(p[t]) for t in range(len(p))])
     gz = (g * ((p > clamp) & (p < 1.0 - clamp)) * p * (1.0 - p))[:, :, None]  # on each layer's pre-activation
-    grads = []  # last layer first
-    for (w, _), h in zip(layers[:0:-1], hidden[::-1]):
-        grads.append((np.matmul(h.transpose(0, 2, 1), gz), gz.sum(axis=1)))
-        gz = np.matmul(gz, w.transpose(0, 2, 1))
-        gz *= h > 0.0
-    grads.append((np.matmul(x.T, gz), gz.sum(axis=1)))
-    gx, *parts = np.matmul(gz[order], layers[0][0][order].transpose(0, 2, 1))
-    for part in parts:
-        gx += part
+    inputs = [x, *hidden]
+    grads = [(np.matmul(np.swapaxes(inputs[-1], -1, -2), gz), gz.sum(axis=1))]  # last layer first
+    for i in range(len(hidden), 0, -1):  # gz @ w.T per tower; the output unit's is an outer product
+        w = layers[i][0]
+        gz = np.einsum("tik,tjk->tij", gz, w) if i == len(hidden) else np.matmul(gz, w.transpose(0, 2, 1))
+        gz *= inputs[i] > 0.0
+        grads.append((np.matmul(np.swapaxes(inputs[i - 1], -1, -2), gz), np.einsum("tij->tj", gz)))
+    (first, *rest), w = heads, layers[0][0]
+    gx = gz[first] @ w[first].T
+    for t in rest:
+        gx += gz[t] @ w[t].T
     return gx, grads[::-1]
 
 

@@ -30,7 +30,7 @@ gradients to ``model.backward``.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -170,7 +170,7 @@ def ctuncvr_label(o: np.ndarray, r: np.ndarray) -> np.ndarray:
     """o * (1 - r): positive exactly for clicked-but-unconverted."""
     o = np.asarray(o, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
-    if np.any(r > o):
+    if (r > o).any():
         raise ObjectiveError("funnel violation: conversion without click")
     return o * (1.0 - r)
 
@@ -181,10 +181,11 @@ def _add(sums: dict, key, g: np.ndarray) -> None:
     sums[key] = sums[key] + g if key in sums else g
 
 
-def _soft_source(label: str) -> str | None:
-    """The head a soft label is taken from; None for a batch label."""
-    head = label.removeprefix("1-")
-    return head if head in TOWER_NAMES else None
+def _soft_label(label: str, v: dict[str, np.ndarray]) -> np.ndarray:
+    """A head, or one minus a head, clipped off {0, 1}: ``np.clip``'s
+    bits, without its Python wrapper."""
+    y = v[label] if label in v else 1.0 - v[label.removeprefix("1-")]
+    return np.minimum(np.maximum(y, SOFT_LABEL_CLAMP), 1.0 - SOFT_LABEL_CLAMP)
 
 
 def _first_reached(pred: str, label: str, weighted: bool, ipw: IpwConfig) -> str:
@@ -193,7 +194,8 @@ def _first_reached(pred: str, label: str, weighted: bool, ipw: IpwConfig) -> str
     a product's conversion head, else the part's own head."""
     if weighted and not ipw.detach:
         return "ctr"
-    return _soft_source(label) or _PRODUCTS.get(pred, pred)
+    source = label.removeprefix("1-")
+    return source if source in TOWER_NAMES else _PRODUCTS.get(pred, pred)
 
 
 def compose_method_loss(
@@ -241,71 +243,62 @@ def compose_method_loss(
         raise ShapeError(f"labels {o.shape} and {r.shape} and heads must all be one (n,) batch")
     n = len(o)
     labels = {"o": o, "r": r, "o*r": o * r, "o*(1-r)": ctuncvr_label(o, r), "1-r": 1.0 - r}
-    # space -> mask / count, None when the batch has none of it
-    scales = {space: m / float(m.sum()) if m.any() else None for space, m in (("click", o), ("unclick", 1.0 - o))}
-    ipws: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # space -> (q, 1 / max(q, floor))
-    losses: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}  # -> (bce, d bce / dp)
-
-    def loss(pred: str, label: str) -> tuple[np.ndarray, np.ndarray]:
-        if (pred, label) not in losses:
-            p = v["ctr"] * v[_PRODUCTS[pred]] if pred in _PRODUCTS else v[pred]
-            source = _soft_source(label)
-            if source is None:
-                y = labels[label]
-            else:
-                y = 1.0 - v[source] if label != source else v[source]
-                y = np.clip(y, SOFT_LABEL_CLAMP, 1.0 - SOFT_LABEL_CLAMP)
-            log_p, log_q = np.log(p), np.log(1.0 - p)
-            losses[pred, label] = -(y * log_p + (1.0 - y) * log_q), (1.0 - y) / (1.0 - p) - y / p
-        return losses[pred, label]
-
-    def propensity(space: str) -> tuple[np.ndarray, np.ndarray]:
-        if space not in ipws:
-            q = 1.0 - v["ctr"] if space == "unclick" else v["ctr"]
-            ipws[space] = q, 1.0 / np.maximum(q, ipw.floor)
-        return ipws[space]
-
-    scale = dict(zip(TERMS, astuple(weights))) if method in _WEIGHTED_METHODS else {}
-    row = [(name, scale.get(name, 1.0)) for name in METHOD_TERMS[method]]
-    row = [(name, w) for name, w in row if w > 0]
+    scale = dict(zip(TERMS, vars(weights).values())) if method in _WEIGHTED_METHODS else {}
+    row = [(name, w) for name in METHOD_TERMS[method] if (w := scale.get(name, 1.0)) > 0]
+    # Each (prediction, label) pair the row reads is one row of the stacked
+    # per-sample losses and of their derivatives on the prediction.
+    pairs = {pair: i for i, pair in enumerate(dict.fromkeys(part[:2] for name, _ in row for part in _PARTS[name]))}
+    y = np.array([labels[label] if label in labels else _soft_label(label, v) for _, label in pairs])
+    p = np.array([v["ctr"] * v[_PRODUCTS[pred]] if pred in _PRODUCTS else v[pred] for pred, _ in pairs])
+    q, not_y = 1.0 - p, 1.0 - y
+    bce, dbce = -(y * np.log(p) + not_y * np.log(q)), not_y / q - y / p
+    # Each space the row reads that the batch has: (mask / count, propensity
+    # q, IPW weights 1 / max(q, floor), the weights times mask / count).
+    spaces: dict[str, tuple[np.ndarray, ...]] = {}
+    for space in {part[2] for name, _ in row for part in _PARTS[name]} - {"batch"}:
+        m, q = (o, v["ctr"]) if space == "click" else (1.0 - o, 1.0 - v["ctr"])
+        if m.any():
+            s, weight = m / float(np.add.reduce(m)), 1.0 / np.maximum(q, ipw.floor)
+            spaces[space] = s, q, weight, weight * s
     terms: dict[str, float] = {}
     grads: dict[str, np.ndarray] = {}  # head -> its gradient, summed term by term
-    lead = None
+    last = None  # the last part that reached a head
     for name, w in row:
         parts = []  # each part's value; an empty space adds 0.0
-        g_loss: dict[tuple[str, str], np.ndarray] = {}  # gradient on each per-sample loss
+        g_loss: dict[tuple[str, str], np.ndarray | float] = {}  # gradient on each per-sample loss
         g_ipw: dict[str, np.ndarray] = {}  # gradient on each space's attached weights
         for pred, label, space, weighted in _PARTS[name]:
-            per_sample = loss(pred, label)[0]
+            per_sample = bce[pairs[pred, label]]
             if space == "batch":
-                parts.append(per_sample.mean())
-                _add(g_loss, (pred, label), np.full(n, w / n))
-            elif scales[space] is None:
+                parts.append(np.add.reduce(per_sample) / n)  # the bits of per_sample.mean()
+                _add(g_loss, (pred, label), w / n)  # every row's share, as one scalar
+            elif space not in spaces:
                 parts.append(0.0)
                 continue
             else:
-                s = scales[space]
-                coef = (propensity(space)[1] if weighted else 1.0) * s
-                parts.append((per_sample * coef).sum())
+                s, _, _, ws = spaces[space]
+                coef = ws if weighted else s
+                parts.append(np.add.reduce(per_sample * coef))
                 _add(g_loss, (pred, label), w * coef)
                 if weighted and not ipw.detach:
                     _add(g_ipw, space, w * per_sample * s)
-            lead = _first_reached(pred, label, weighted, ipw)
+            last = pred, label, weighted
         for (pred, label), g in g_loss.items():
-            gp = g * loss(pred, label)[1]
+            gp = g * dbce[pairs[pred, label]]
             if pred in _PRODUCTS:  # the product rule, ctr first
                 _add(grads, "ctr", gp * v[_PRODUCTS[pred]])
                 _add(grads, _PRODUCTS[pred], gp * v["ctr"])
             else:
                 _add(grads, pred, gp)
         for space, g in g_ipw.items():
-            q, weight = propensity(space)
+            _, q, weight, _ = spaces[space]
             gq = -g * weight * weight * (q > ipw.floor)
             _add(grads, "ctr", -gq if space == "unclick" else gq)
         # No loss value is -0.0, so sum's start at 0 keeps the bits of
         # adding left to right from the first.
         terms[name] = float(sum(parts))
     total = sum(value * w for value, (_, w) in zip(terms.values(), row))
+    lead = last and _first_reached(*last, ipw)
     order = [h for h in TOWER_NAMES if h in grads and h != lead] + [h for h in (lead,) if h in grads]
     return LossBundle(terms, Tensor(total), {h: grads[h] for h in order})
 

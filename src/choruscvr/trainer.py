@@ -118,7 +118,7 @@ def optimizer_step(
     if shapes != state.shapes or tuple(np.shape(g) for g in grads) != shapes:
         raise OptimizerError("params, grads and state are not aligned")
     step = state.step_count + 1
-    g = np.concatenate([np.ravel(x) for x in grads]) if grads else np.zeros(0)
+    g = np.concatenate(grads, axis=None) if grads else np.zeros(0)
     if not np.isfinite(g).all():
         raise OptimizerError(f"non-finite gradient for {_first_non_finite(params, g)} at step {step}")
     if config.method == "sgd":

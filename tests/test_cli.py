@@ -632,12 +632,17 @@ def test_package_import_pins_blas_to_one_thread():
         assert os.environ[var] == "1"
 
 
+def _allow_cpus(monkeypatch, cpus: int) -> None:
+    """Let this process run on ``cpus`` CPUs, as ``compare``'s pool counts them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 def test_pooled_compare_matches_serial_bytes_and_stdout(tmp_path, monkeypatch, capsys):
     cfg, _ = _write_config(tmp_path)
     out = tmp_path / "cmp"
     seen = {}
     for label, cpus in (("pooled", 2), ("serial", 1)):
-        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        _allow_cpus(monkeypatch, cpus)
         shutil.rmtree(out, ignore_errors=True)
         assert main(_compare_args(cfg, out)) == 0
         seen[label] = (_artifact_digests(out), capsys.readouterr().out)
@@ -648,8 +653,12 @@ def test_pooled_compare_matches_serial_bytes_and_stdout(tmp_path, monkeypatch, c
     assert stdout.count("trained ") == 6
 
 
-@pytest.mark.parametrize("pinned", [True, False], ids=["pinned-blas", "threaded-blas"])
-def test_compare_runs_seeds_in_worker_processes(tmp_path, monkeypatch, pinned):
+@pytest.mark.parametrize(
+    "pinned, cpus", [(True, 2), (False, 2), (True, 1)], ids=["pinned-blas", "threaded-blas", "one-cpu-affinity"]
+)
+def test_compare_runs_seeds_in_worker_processes(tmp_path, monkeypatch, pinned, cpus):
+    # The pool counts the CPUs this process may run on: pinned to one
+    # (``taskset -c 0``) on a machine of two, the seeds run inline.
     calls = tmp_path / "pids.txt"
     record = _call_log(calls)
     real_run_train = cli.run_train
@@ -661,11 +670,12 @@ def test_compare_runs_seeds_in_worker_processes(tmp_path, monkeypatch, pinned):
     monkeypatch.setattr(cli, "run_train", recording_run_train)
     monkeypatch.setattr(choruscvr, "BLAS_PINNED", pinned)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _allow_cpus(monkeypatch, cpus)
     cfg, _ = _write_config(tmp_path)
     assert main(_compare_args(cfg, tmp_path / "cmp", methods="esmm,nise")) == 0
     pids = [int(pid) for pid in _recorded(calls)]
     assert len(pids) == 4
-    if pinned:
+    if pinned and cpus > 1:
         assert os.getpid() not in pids
     else:
         assert set(pids) == {os.getpid()}
@@ -681,7 +691,7 @@ def test_compare_reads_pinned_dataset_once_for_all_seeds(simulated, tmp_path, mo
         return read_log(path, schema)
 
     monkeypatch.setattr(cli, "read_log", counting_read_log)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _allow_cpus(monkeypatch, 2)
     cfg = tmp_path / "config.yaml"
     cfg.write_text(CONFIG + f"compare:\n  dataset: {dataset}\n", encoding="utf-8")
     out = tmp_path / "cmp"
@@ -711,7 +721,7 @@ def test_compare_reports_first_failing_seed_and_leaves_no_workers(tmp_path, monk
     cfg, _ = _write_config(tmp_path)
     outcomes = {}
     for label, cpus in (("pooled", 2), ("serial", 1)):
-        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        _allow_cpus(monkeypatch, cpus)
         out = tmp_path / label
         code = main(_compare_args(cfg, out, methods="esmm,nise", seeds="0,1,2"))
         captured = capsys.readouterr()

@@ -546,8 +546,10 @@ def test_training_steps_are_bitwise_equal_to_per_tower_reference_graph(method, a
     reference = params.copy()
     config = OptimizerConfig()
     states = [OptimizerState.for_params(p.parameters()) for p in (params, reference)]
-    for step in range(3):
-        idx = np.arange(step * 256, (step + 1) * 256)
+    # Three 256-row batches, then the protocol's: the whole 1024-row log as
+    # one batch and a shuffled 928-row tail.
+    tail = np.random.default_rng(0).permutation(len(o))[:928]
+    for step, idx in enumerate([*(np.arange(k * 256, (k + 1) * 256) for k in range(3)), np.arange(len(o)), tail]):
         batch = fm.rows(idx)
         bundle, grads = training_step(params, batch, o[idx], r[idx], method, LossWeights(), IPW, params.parameters())
         heads, leaves = reference_forward(reference, batch)
@@ -574,7 +576,9 @@ GRID_WEIGHTS = [
 
 def _grid_batches(o: np.ndarray) -> dict[str, list[np.ndarray]]:
     """Three batches of each kind: mixed, no click, all clicks, three
-    rows (one click, two un-clicks) and one row (an un-click)."""
+    rows (one click, two un-clicks) and one row (an un-click); and two at
+    the protocol's batch size: the whole 1024-row log, then a shuffled
+    928-row tail."""
     clicked, unclicked = np.flatnonzero(o == 1), np.flatnonzero(o == 0)
     return {
         "mixed": [np.arange(k * 128, (k + 1) * 128) for k in range(3)],
@@ -582,6 +586,7 @@ def _grid_batches(o: np.ndarray) -> dict[str, list[np.ndarray]]:
         "all-click": [clicked[k * 24 : (k + 1) * 24] for k in range(3)],
         "3-row": [np.array([clicked[k], unclicked[k], unclicked[k + 3]]) for k in range(3)],
         "1-row": [unclicked[k : k + 1] for k in range(3)],
+        "protocol": [np.arange(len(o)), np.random.default_rng(0).permutation(len(o))[:928]],
     }
 
 

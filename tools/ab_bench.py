@@ -16,7 +16,8 @@ fraction of the parent's median). "unresolved": the parent's
 interquartile range is wider than that bound, unless every change run
 beats every parent run. "within bound" otherwise. Every run is as long
 as ``BENCHMARK.json`` sets (``run_seconds``), and every run's metrics
-are printed to stderr as it ends.
+are printed to stderr as it ends. A run that exits non-zero or fails its
+output check stops the comparison with an error naming its checkout.
 
 The same comparison is written to ``BENCH_<workload>.json`` in the
 current directory: every run's metrics on each side, each metric's
@@ -60,7 +61,12 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[dict[str, float], dict]:
     """One untraced benchmark run: its end-to-end metric values with
-    ``tree_peak_rss_mb``, and the environment ``run.py`` reported."""
+    ``tree_peak_rss_mb``, and the environment ``run.py`` reported.
+
+    Raises ``RuntimeError`` naming the checkout when ``run.py`` exits
+    non-zero or its last line reports a failed output check
+    (``"correct": false``): such a run measured broken work, so it is
+    never counted."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
         proc = subprocess.Popen(argv, cwd=checkout, stdout=out, stderr=err)
@@ -73,7 +79,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[di
         raise RuntimeError(f"{checkout}: run.py exited {proc.returncode}\n{stderr}")
     lines = stdout.strip().splitlines()
     env = json.loads(next(line for line in lines if line.startswith("env "))[4:])
-    metrics = {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}
+    result = json.loads(lines[-1])
+    if not result["correct"]:
+        raise RuntimeError(
+            f"{checkout}: run.py's output check failed: {result['failed']} of {result['attempted']} operations\n{stderr}"
+        )
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
     metrics[TREE_RSS["name"]] = usage.ru_maxrss / 1024.0
     return metrics, env
 
