@@ -191,13 +191,15 @@ def tower_heads_backward(
     of ``heads``; a tower ``heads`` leaves out gets zeros."""
     g = np.array([heads[t] if t in heads else np.zeros_like(p[t]) for t in range(len(p))])
     gz = (g * ((p > clamp) & (p < 1.0 - clamp)) * p * (1.0 - p))[:, :, None]  # on each layer's pre-activation
-    inputs = [x, *hidden]
-    grads = [(np.matmul(np.swapaxes(inputs[-1], -1, -2), gz), gz.sum(axis=1))]  # last layer first
-    for i in range(len(hidden), 0, -1):  # gz @ w.T per tower; the output unit's is an outer product
-        w = layers[i][0]
-        gz = np.einsum("tik,tjk->tij", gz, w) if i == len(hidden) else np.matmul(gz, w.transpose(0, 2, 1))
-        gz *= inputs[i] > 0.0
-        grads.append((np.matmul(np.swapaxes(inputs[i - 1], -1, -2), gz), np.einsum("tij->tj", gz)))
+    inputs, grads = [x, *hidden], []
+    for i in range(len(hidden), -1, -1):  # last layer first
+        # width 1: pairwise down a contiguous column, as the reference's (n, 1) sum
+        bias = gz.sum(axis=1) if gz.shape[2] == 1 else np.einsum("tij->tj", gz)
+        grads.append((np.matmul(np.swapaxes(inputs[i], -1, -2), gz), bias))
+        if i:  # gz @ w.T per tower; the output unit's is an outer product
+            w = layers[i][0]
+            gz = np.einsum("tik,tjk->tij", gz, w) if i == len(hidden) else np.matmul(gz, w.transpose(0, 2, 1))
+            gz *= inputs[i] > 0.0
     (first, *rest), w = heads, layers[0][0]
     gx = gz[first] @ w[first].T
     for t in rest:

@@ -669,7 +669,6 @@ def test_compare_runs_seeds_in_worker_processes(tmp_path, monkeypatch, pinned, c
 
     monkeypatch.setattr(cli, "run_train", recording_run_train)
     monkeypatch.setattr(choruscvr, "BLAS_PINNED", pinned)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     _allow_cpus(monkeypatch, cpus)
     cfg, _ = _write_config(tmp_path)
     assert main(_compare_args(cfg, tmp_path / "cmp", methods="esmm,nise")) == 0

@@ -527,8 +527,12 @@ def test_chorus_step_graph_has_at_most_26_nodes(ipw):
 
 @pytest.mark.parametrize(
     "arch",
-    [Architecture(encoder_widths=(), tower_widths=(16,)), Architecture(encoder_widths=(8,), tower_widths=(16, 8))],
-    ids=["protocol", "deep"],
+    [
+        Architecture(encoder_widths=(), tower_widths=(16,)),
+        Architecture(encoder_widths=(8,), tower_widths=(16, 8)),
+        Architecture(encoder_widths=(), tower_widths=(16, 1)),
+    ],
+    ids=["protocol", "deep", "width-1"],
 )
 @pytest.mark.parametrize("method", METHODS)
 def test_training_steps_are_bitwise_equal_to_per_tower_reference_graph(method, arch):
@@ -592,8 +596,12 @@ def _grid_batches(o: np.ndarray) -> dict[str, list[np.ndarray]]:
 
 @pytest.mark.parametrize(
     "arch",
-    [Architecture(encoder_widths=(), tower_widths=(16,)), Architecture(encoder_widths=(8,), tower_widths=(16, 8))],
-    ids=["protocol", "deep"],
+    [
+        Architecture(encoder_widths=(), tower_widths=(16,)),
+        Architecture(encoder_widths=(8,), tower_widths=(16, 8)),
+        Architecture(encoder_widths=(), tower_widths=(16, 1)),
+    ],
+    ids=["protocol", "deep", "width-1"],
 )
 @pytest.mark.parametrize("method", METHODS)
 def test_training_steps_are_bitwise_equal_to_the_loss_graph(method, arch):

@@ -1,11 +1,11 @@
 """Print where a training step's time goes, layer by layer, per method.
 
-    python tools/step_probe.py --repeats 7 --calls 300
+    python tools/step_probe.py
 
 Builds the acceptance protocol's model (eight simulated features of
 embedding width 4, no shared encoder, towers of 16) on a simulated log
 and, for each method and each batch size in ``BATCHES`` (one row, then
-the protocol's 1024), runs ``repeats`` rounds of ``calls`` training
+the protocol's 1024), runs ``REPEATS`` rounds of ``CALLS`` training
 steps (``training_step``, then ``optimizer_step`` with Adam) on one
 batch. The batch-1 column is the step's fixed part; the 1024 column
 less it is the per-row part. Each layer's time is the minimum over the
@@ -29,7 +29,6 @@ the environment already sets the thread variables.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -46,6 +45,7 @@ from choruscvr.objectives import IpwConfig, LossWeights  # noqa: E402
 from choruscvr.simulator import SimConfig, generate, sim_schema  # noqa: E402
 
 BATCHES = (1, 1024)
+REPEATS, CALLS, SEED = 7, 300, 0  # timed rounds per layer, steps per round, simulator and model seed
 # label -> (module, attribute) of each timed layer, in step order
 LAYERS = {
     "gather": (model, "gather_concat"),
@@ -57,16 +57,7 @@ LAYERS = {
 }
 
 
-def parse_args(argv: list[str] | None) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=7, help="timed rounds per layer (default 7)")
-    parser.add_argument("--calls", type=int, default=300, help="steps per round (default 300)")
-    parser.add_argument("--methods", default=",".join(objectives.METHODS), help="comma-separated method tags")
-    parser.add_argument("--seed", type=int, default=0, help="simulator and model seed (default 0)")
-    return parser.parse_args(argv)
-
-
-def probe(method: str, fm, o, r, params, repeats: int, calls: int) -> dict[str, float]:
+def probe(method: str, fm, o, r, params) -> dict[str, float]:
     """Each layer's and the whole step's minimum mean µs per call."""
     param_list = params.parameters()
     saved = [p.value.copy() for p in param_list]
@@ -90,19 +81,19 @@ def probe(method: str, fm, o, r, params, repeats: int, calls: int) -> dict[str, 
                 p.value[...] = v
             state = trainer.OptimizerState.for_params(param_list)
             t0 = time.perf_counter()
-            for _ in range(calls):
+            for _ in range(CALLS):
                 _, grads = objectives.training_step(params, fm, o, r, method, weights, ipw, param_list)
                 trainer.optimizer_step(param_list, grads, state, config)
             walls.append(time.perf_counter() - t0)
         return walls
 
-    best = {"step": min(rounds(repeats))}
+    best = {"step": min(rounds(REPEATS))}
     originals = {label: getattr(module, name) for label, (module, name) in LAYERS.items()}
     try:
         for label, (module, name) in LAYERS.items():
             setattr(module, name, timed(label, originals[label]))
         best.update((label, float("inf")) for label in LAYERS)
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             spent.update(dict.fromkeys(LAYERS, 0.0))
             rounds(1)
             best.update((label, min(best[label], spent[label])) for label in LAYERS)
@@ -111,7 +102,7 @@ def probe(method: str, fm, o, r, params, repeats: int, calls: int) -> dict[str, 
             setattr(module, name, originals[label])
     for p, v in zip(param_list, saved):
         p.value[...] = v
-    return {label: 1e6 * s / calls for label, s in best.items()}
+    return {label: 1e6 * s / CALLS for label, s in best.items()}
 
 
 def _batch_rows(o: np.ndarray, n: int) -> np.ndarray:
@@ -120,22 +111,21 @@ def _batch_rows(o: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(o == 1)[:1] if n == 1 else np.arange(n)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = parse_args(argv)
-    sim = SimConfig(n_exposures=max(BATCHES), seed=args.seed)
+def main() -> int:
+    sim = SimConfig(n_exposures=max(BATCHES), seed=SEED)
     log, _ = generate(sim)
     schema = sim_schema(sim, embed_width=4)
     fm_all = build_matrix(log, schema)
     o_all, r_all = label_arrays(log)
-    params = model.init_model(schema, Architecture(encoder_widths=(), tower_widths=(16,)), args.seed)
+    params = model.init_model(schema, Architecture(encoder_widths=(), tower_widths=(16,)), SEED)
     labels = [*LAYERS, "step"]
-    print(f"µs per call, minimum over {args.repeats} rounds of {args.calls} steps; batch {' / '.join(map(str, BATCHES))}")
+    print(f"µs per call, minimum over {REPEATS} rounds of {CALLS} steps; batch {' / '.join(map(str, BATCHES))}")
     print(f"{'method':14s} " + " ".join(f"{label:>17s}" for label in labels))
-    for method in args.methods.split(","):
+    for method in objectives.METHODS:
         cells = {label: [] for label in labels}
         for n in BATCHES:
             idx = _batch_rows(o_all, n)
-            found = probe(method, fm_all.rows(idx), o_all[idx], r_all[idx], params, args.repeats, args.calls)
+            found = probe(method, fm_all.rows(idx), o_all[idx], r_all[idx], params)
             for label in labels:
                 cells[label].append(found[label])
         print(f"{method:14s} " + " ".join(f"{' / '.join(f'{v:.0f}' for v in cells[label]):>17s}" for label in labels))
