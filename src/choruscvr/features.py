@@ -10,7 +10,7 @@ model gathers its input from them (``model.gather_concat``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -113,7 +113,7 @@ class FeatureMatrix:
     num_values: np.ndarray  # (n_rows, n_numeric)
 
     def rows(self, idx: np.ndarray) -> "FeatureMatrix":
-        return replace(self, n_rows=len(idx), index=np.take(self.index, idx, axis=0), num_values=self.num_values[idx])
+        return FeatureMatrix(len(idx), self.chunk, self.index.take(idx, axis=0), self.num_cols, self.num_values[idx])
 
 
 def build_matrix(log, schema: FeatureSchema) -> FeatureMatrix:

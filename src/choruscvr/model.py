@@ -12,14 +12,15 @@ backward function over float64 arrays: the input gather
 the towers (:func:`tower_heads`), whose every layer is one stacked
 ``(towers, fan_in, fan_out)`` weight. :func:`predict_batch` runs the
 chain; the objective (``objectives.compose_method_loss``) hands each
-head its gradient, and :func:`backward` runs the chain in reverse.
+head its gradient, and :func:`backward` runs the chain in reverse into
+one gradient laid out as :class:`ModelParams`' one parameter vector.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -37,7 +38,6 @@ __all__ = [
     "gather_concat_backward",
     "tower_heads",
     "tower_heads_backward",
-    "init_tables",
     "Architecture",
     "ModelParams",
     "TowerOutputs",
@@ -76,26 +76,18 @@ def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 class Tensor:
-    """A named float64 array: a model parameter, or a batch's objective.
+    """A batch's objective as a float64 leaf: ``parents`` is always
+    empty. The benchmark's traced run counts the nodes it reaches from a
+    step's objective through ``parents``."""
 
-    A tensor is a leaf: ``parents`` is always empty. The benchmark's
-    traced run counts the nodes it reaches from a step's objective
-    through ``parents``.
-    """
-
-    __slots__ = ("value", "name")
+    __slots__ = ("value",)
     parents: tuple["Tensor", ...] = ()
 
-    def __init__(self, value, *, name: str = ""):
+    def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
-        self.name = name
 
     def item(self) -> float:
         return float(self.value)
-
-    def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.value.shape}{tag})"
 
 
 # -- layer kernels ---------------------------------------------------------------
@@ -120,14 +112,13 @@ def dense_backward(
 
 
 def gather_concat(
-    tables: Sequence[np.ndarray], index: np.ndarray, chunk: int, constant: np.ndarray, constant_cols: np.ndarray
+    tables: np.ndarray, index: np.ndarray, chunk: int, constant: np.ndarray, constant_cols: np.ndarray
 ) -> np.ndarray:
     """One ``(n, width)`` input: columns ``constant_cols`` take
     ``constant`` and the others, in order, the chunks of ``chunk``
-    elements that ``index[i]`` names in the tables raveled and laid end
-    to end."""
-    source = np.concatenate([*(t.ravel() for t in tables), np.zeros(0)]).reshape(-1, chunk)
-    value = np.take(source, index, axis=0).reshape(len(index), index.shape[1] * chunk)
+    elements that ``index[i]`` names in ``tables``, the tables raveled
+    and laid end to end in one vector."""
+    value = np.take(tables.reshape(-1, chunk), index, axis=0).reshape(len(index), index.shape[1] * chunk)
     if len(constant_cols):
         table_cols = np.delete(np.arange(value.shape[1] + len(constant_cols)), constant_cols)
         value, gathered = np.empty((len(index), len(table_cols) + len(constant_cols))), value
@@ -136,19 +127,18 @@ def gather_concat(
 
 
 def gather_concat_backward(
-    g: np.ndarray, tables: Sequence[np.ndarray], index: np.ndarray, chunk: int, constant_cols: np.ndarray
-) -> list[np.ndarray]:
-    """Gradients on the tables of :func:`gather_concat`: one
-    ``np.bincount`` per position in a chunk, adding in row order as
-    ``np.add.at`` does."""
+    g: np.ndarray, index: np.ndarray, chunk: int, constant_cols: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """The gradient on the tables of :func:`gather_concat`, written into
+    ``out``, laid out as they are, and returned: one ``np.bincount`` per
+    position in a chunk, adding in row order as ``np.add.at`` does."""
     if len(constant_cols):
         g = g[:, np.delete(np.arange(g.shape[1]), constant_cols)]
     g = g.reshape(-1, chunk).T.copy()  # row j: position j of every gathered chunk, in row order
-    flat, sizes = index.ravel(), [t.size for t in tables]
-    grad = np.empty((sum(sizes) // chunk, chunk))
+    grad, flat = out.reshape(-1, chunk), index.ravel()
     for j, weights in enumerate(g):
         grad[:, j] = np.bincount(flat, weights, len(grad))
-    return [grad.reshape(-1)[end - t.size : end].reshape(t.shape) for t, end in zip(tables, accumulate(sizes))]
+    return out
 
 
 def tower_heads(
@@ -210,18 +200,6 @@ def tower_heads_backward(
 # -- parameters ------------------------------------------------------------------
 
 
-def init_tables(schema: FeatureSchema, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Fresh embedding tables, U(-1/sqrt(w), 1/sqrt(w)) per feature, in
-    schema order: the order :func:`gather_concat` lays them end to end."""
-    tables: dict[str, Tensor] = {}
-    for f in schema.ordered:
-        if f.kind != "categorical":
-            continue
-        bound = 1.0 / np.sqrt(f.embed_width)
-        tables[f.name] = Tensor(rng.uniform(-bound, bound, size=(f.vocab_size, f.embed_width)), name=f"embed.{f.name}")
-    return tables
-
-
 @dataclass(frozen=True)
 class Architecture:
     """Layer widths; hidden activations are relu, heads are sigmoid.
@@ -242,42 +220,76 @@ class Architecture:
             if w < 1:
                 raise ValueError(f"layer widths must be positive, got {w}")
 
-    def encoder_output_width(self, input_width: int) -> int:
-        return self.encoder_widths[-1] if self.encoder_widths else input_width
+
+def _layout(schema: FeatureSchema, arch: Architecture) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter's name and shape, in layout order: the tables in
+    schema order, the encoder layers, then the stacked tower layers.
+
+    Raises :class:`ShapeError` when the schema gives no input column or
+    a declared tower input width does not match the encoder output.
+    """
+    if not schema.input_width:
+        raise ShapeError("the model needs at least one input feature")
+    widths = [schema.input_width, *arch.encoder_widths]
+    if arch.tower_input_width not in (None, widths[-1]):
+        raise ShapeError(f"tower_input_width {arch.tower_input_width} does not match encoder output width {widths[-1]}")
+    layout = [(f"embed.{f.name}", (f.vocab_size, f.embed_width)) for f in schema.ordered if f.kind == "categorical"]
+    for i, (a, b) in enumerate(zip(widths, widths[1:])):
+        layout += [(f"encoder.{i}.w", (a, b)), (f"encoder.{i}.b", (b,))]
+    widths = [widths[-1], *arch.tower_widths, 1]
+    for i, (a, b) in enumerate(zip(widths, widths[1:])):
+        layout += [(f"tower.{i}.w", (len(TOWER_NAMES), a, b)), (f"tower.{i}.b", (len(TOWER_NAMES), b))]
+    return layout
 
 
-@dataclass
 class ModelParams:
-    schema: FeatureSchema
-    arch: Architecture
-    seed: int
-    tables: dict[str, Tensor]
-    encoder: list[tuple[Tensor, Tensor]]
-    towers: list[tuple[Tensor, Tensor]]  # per tower layer, stacked: row t is TOWER_NAMES[t]'s
+    """Every trained parameter in one float64 vector, ``flat`` (zeros
+    when not given), in the order of ``names``: parameter ``i`` fills
+    ``flat[offsets[i]:offsets[i + 1]]``. The parameters are views of
+    ``flat``, so writing one writes ``flat``: ``tables`` by feature name,
+    ``table_block`` (the tables raveled and laid end to end), and each
+    layer's ``(w, b)`` in ``encoder`` and in ``towers``, whose stacked
+    row ``t`` is ``TOWER_NAMES[t]``'s."""
 
-    def parameters(self) -> list[Tensor]:
-        """All trained parameters in a fixed order: the tables, the
-        encoder layers, then the stacked tower layers."""
-        return [*self.tables.values(), *(t for layer in (*self.encoder, *self.towers) for t in layer)]
+    def __init__(self, schema: FeatureSchema, arch: Architecture, seed: int, flat: np.ndarray | None = None):
+        self.schema = schema
+        self.arch = arch
+        self.seed = seed
+        layout = _layout(schema, arch)
+        self.names = tuple(name for name, _ in layout)
+        self.offsets = np.cumsum([0, *(math.prod(shape) for _, shape in layout)])
+        self._shapes = [shape for _, shape in layout]
+        self.flat = np.zeros(self.offsets[-1]) if flat is None else flat
+        cats = [f.name for f in schema.ordered if f.kind == "categorical"]
+        bounds = zip(cats, self.offsets, self.offsets[1:], self._shapes)
+        self.tables = {name: self.flat[a:b].reshape(shape) for name, a, b, shape in bounds}
+        self.table_block, self.encoder, self.towers = self.split(self.flat)
+
+    def split(
+        self, vec: np.ndarray
+    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], list[tuple[np.ndarray, np.ndarray]]]:
+        """Views of ``vec``, laid out as ``flat``: the tables' block, each
+        encoder layer's ``(w, b)`` and each stacked tower layer's."""
+        k, n = len(self.tables), len(self.arch.encoder_widths)
+        bounds = zip(self.offsets[k:], self.offsets[k + 1 :], self._shapes[k:])
+        arrays = [vec[a:b].reshape(shape) for a, b, shape in bounds]
+        layers = list(zip(arrays[::2], arrays[1::2]))
+        return vec[: self.offsets[k]], layers[:n], layers[n:]
 
     def checkpoint_arrays(self) -> list[tuple[str, np.ndarray]]:
         """Every parameter array by name, in checkpoint order: the tables,
         the encoder layers, then tower by tower its layers, each a view of
         that tower's row of the stacked arrays."""
-        out = [(t.name, t.value) for t in (*self.tables.values(), *(t for layer in self.encoder for t in layer))]
+        k = len(self.tables) + 2 * len(self.encoder)
+        out = list(zip(self.names[:k], [*self.tables.values(), *(a for layer in self.encoder for a in layer)]))
         for i, tower in enumerate(TOWER_NAMES):
             for j, (w, b) in enumerate(self.towers):
-                out += [(f"tower.{tower}.{j}.w", w.value[i]), (f"tower.{tower}.{j}.b", b.value[i])]
+                out += [(f"tower.{tower}.{j}.w", w[i]), (f"tower.{tower}.{j}.b", b[i])]
         return out
 
     def copy(self) -> "ModelParams":
-        """Deep copy of all parameter values."""
-
-        def clone(layers: list[tuple[Tensor, Tensor]]) -> list[tuple[Tensor, Tensor]]:
-            return [tuple(Tensor(t.value.copy(), name=t.name) for t in layer) for layer in layers]
-
-        tables = {k: Tensor(t.value.copy(), name=t.name) for k, t in self.tables.items()}
-        return ModelParams(self.schema, self.arch, self.seed, tables, clone(self.encoder), clone(self.towers))
+        """A copy of every parameter value."""
+        return ModelParams(self.schema, self.arch, self.seed, self.flat.copy())
 
 
 @dataclass(frozen=True)
@@ -300,81 +312,61 @@ class TowerOutputs:
         return {"ctr": ctr, "cvr": cvr, "uncvr": uncvr, "ctcvr": ctr * cvr, "ctuncvr": ctr * uncvr}
 
 
-def _draw_layer(fan_in: int, fan_out: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out)), np.zeros(fan_out)
-
-
-def _layer(w: np.ndarray, b: np.ndarray, name: str) -> tuple[Tensor, Tensor]:
-    return Tensor(w, name=f"{name}.w"), Tensor(b, name=f"{name}.b")
-
-
 def init_model(schema: FeatureSchema, arch: Architecture, seed: int) -> ModelParams:
-    """Deterministic initialization from the seed: the tables, the
-    encoder layers, then each tower's layers, ctr's first.
+    """Deterministic initialization from the seed: each table
+    U(-1/sqrt(w), 1/sqrt(w)) for its embed width w, in schema order; the
+    encoder layers' weights, then each tower's, ctr's first,
+    U(-1/sqrt(fan_in), 1/sqrt(fan_in)); zero biases.
 
     Raises :class:`ShapeError` when the schema gives no input column or
     a declared tower input width does not match the encoder output.
     """
-    input_width = schema.input_width
-    if not input_width:
-        raise ShapeError("the model needs at least one input feature")
-    enc_out = arch.encoder_output_width(input_width)
-    if arch.tower_input_width is not None and arch.tower_input_width != enc_out:
-        raise ShapeError(
-            f"tower_input_width {arch.tower_input_width} does not match "
-            f"encoder output width {enc_out}"
-        )
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    tables = init_tables(schema, rng)
-    widths = [input_width, *arch.encoder_widths]
-    encoder = [_layer(*_draw_layer(a, b, rng), f"encoder.{i}") for i, (a, b) in enumerate(zip(widths, widths[1:]))]
-    widths = [enc_out, *arch.tower_widths, 1]
-    drawn = [[_draw_layer(a, b, rng) for a, b in zip(widths, widths[1:])] for _ in TOWER_NAMES]
-    towers = [_layer(*map(np.stack, zip(*layer)), f"tower.{i}") for i, layer in enumerate(zip(*drawn))]
-    return ModelParams(schema, arch, seed, tables, encoder, towers)
-
-
-def _tower_values(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(w.value, b.value) for w, b in params.towers]
+    params = ModelParams(schema, arch, seed)
+    # (array, width of its bound), in draw order
+    draws = [(t, t.shape[1]) for t in params.tables.values()] + [(w, w.shape[0]) for w, _ in params.encoder]
+    draws += [(w[t], w.shape[1]) for t in range(len(TOWER_NAMES)) for w, _ in params.towers]
+    for out, width in draws:
+        bound = 1.0 / np.sqrt(width)
+        out[...] = rng.uniform(-bound, bound, size=out.shape)
+    return params
 
 
 def predict_batch(params: ModelParams, fm: FeatureMatrix) -> TowerOutputs:
     """Score a feature matrix: the input gather, the encoder's relu
     layers, then the three towers. Scoring reads the heads and drops the
     rest, which only :func:`backward` needs."""
-    tables = [t.value for t in params.tables.values()]
-    layers = [gather_concat(tables, fm.index, fm.chunk, fm.num_values, fm.num_cols)]
+    layers = [gather_concat(params.table_block, fm.index, fm.chunk, fm.num_values, fm.num_cols)]
     for w, b in params.encoder:
-        layers.append(dense(layers[-1], w.value, b.value))
-    heads, unclipped, hidden = tower_heads(layers[-1], _tower_values(params), PROB_CLAMP)
+        layers.append(dense(layers[-1], w, b))
+    heads, unclipped, hidden = tower_heads(layers[-1], params.towers, PROB_CLAMP)
     return TowerOutputs(*heads, fm, tuple(layers), unclipped, tuple(hidden))
 
 
-def backward(
-    params: ModelParams, outputs: TowerOutputs, head_grads: Mapping[str, np.ndarray], parameters: Sequence[Tensor]
-) -> list[np.ndarray]:
-    """The gradients on ``parameters``, in their order, of an objective
-    whose gradients on the heads of ``outputs`` are ``head_grads``.
+def backward(params: ModelParams, outputs: TowerOutputs, head_grads: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The gradient, laid out as ``params.flat``, of an objective whose
+    gradients on the heads of ``outputs`` are ``head_grads``.
 
     Runs :func:`predict_batch`'s chain in reverse. The towers add their
     input gradients in the order of ``head_grads``. A tower whose head
-    is not in ``head_grads`` gets exact zeros, as does any parameter the
-    chain does not read.
+    is not in ``head_grads`` gets exact zeros, as does every parameter
+    when ``head_grads`` is empty.
     """
-    grads: dict[Tensor, np.ndarray] = {}
+    grad = np.zeros_like(params.flat)
     if head_grads:
+        tables, encoder, towers = params.split(grad)
         heads = {TOWER_NAMES.index(h): g for h, g in head_grads.items()}
-        g, towers = tower_heads_backward(
-            heads, outputs.layers[-1], _tower_values(params), PROB_CLAMP, outputs.unclipped, outputs.hidden
+        g, tower_grads = tower_heads_backward(
+            heads, outputs.layers[-1], params.towers, PROB_CLAMP, outputs.unclipped, outputs.hidden
         )
-        for (w, b), (gw, gb) in zip(params.towers, towers):
-            grads[w], grads[b] = gw, gb
-        for (w, b), x, out in reversed(list(zip(params.encoder, outputs.layers, outputs.layers[1:]))):
-            g, grads[w], grads[b] = dense_backward(g, x, w.value, out)
-        fm, tables = outputs.batch, list(params.tables.values())
-        grads.update(zip(tables, gather_concat_backward(g, [t.value for t in tables], fm.index, fm.chunk, fm.num_cols)))
-    return [grads[p] if p in grads else np.zeros_like(p.value) for p in parameters]
+        for (gw, gb), (w_grad, b_grad) in zip(towers, tower_grads):
+            gw[...], gb[...] = w_grad, b_grad
+        layers = zip(encoder, params.encoder, outputs.layers, outputs.layers[1:])
+        for (gw, gb), (w, _), x, out in reversed(list(layers)):
+            g, gw[...], gb[...] = dense_backward(g, x, w, out)
+        fm = outputs.batch
+        gather_concat_backward(g, fm.index, fm.chunk, fm.num_cols, tables)
+    return grad
 
 
 # -- checkpointing ------------------------------------------------------------
@@ -450,7 +442,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             tower_widths=tuple(header["arch"]["tower_widths"]),
             tower_input_width=header["arch"]["tower_input_width"],
         )
-        params = init_model(_schema_from_json(header["schema"]), arch, int(header["seed"]))
+        params = ModelParams(_schema_from_json(header["schema"]), arch, int(header["seed"]))
         arrays = [(a["name"], tuple(a["shape"])) for a in header["arrays"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -311,14 +310,12 @@ def training_step(
     method: str,
     weights: LossWeights,
     ipw: IpwConfig,
-    parameters: Sequence[Tensor],
-) -> tuple[LossBundle, list[np.ndarray]]:
+) -> tuple[LossBundle, np.ndarray]:
     """Forward one batch, assemble the method objective, backward once.
 
-    Returns the bundle and gradients aligned with ``parameters`` (as
-    ``params.parameters()`` lists them); a tower the method never
-    touches gets zero gradients.
+    Returns the bundle and the gradient, laid out as ``params.flat``; a
+    tower the method never touches gets zero gradients.
     """
     outputs = predict_batch(params, fm)
     bundle = compose_method_loss(method, outputs, o, r, weights, ipw)
-    return bundle, backward(params, outputs, bundle.head_grads, parameters)
+    return bundle, backward(params, outputs, bundle.head_grads)

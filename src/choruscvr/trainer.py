@@ -20,7 +20,7 @@ import numpy as np
 from .data import ExposureLog, Row, as_log, batch_iter, label_arrays, truth_arrays
 from .features import FeatureMatrix, FeatureSchema, build_matrix
 from .metrics import MetricEntry, MetricsReport, UndefinedMetricError, auc, bias_curve, logloss, pcoc
-from .model import Architecture, ModelParams, Tensor, init_model, predict_batch
+from .model import Architecture, ModelParams, init_model, predict_batch
 from .objectives import METHODS, IpwConfig, LossWeights, training_step
 
 __all__ = [
@@ -76,69 +76,55 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """The step counter and both moment accumulators, each one flat
-    vector over all parameters in order; ``shapes`` holds the parameter
-    shapes that order lays out."""
+    """The step counter and both moment accumulators, each laid out as
+    the ``ModelParams.flat`` they update."""
 
     step_count: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    shapes: tuple[tuple[int, ...], ...] = ()
 
     @classmethod
-    def for_params(cls, params: Sequence[Tensor]) -> "OptimizerState":
-        total = sum(p.value.size for p in params)
-        return cls(m=np.zeros(total), v=np.zeros(total), shapes=tuple(p.value.shape for p in params))
+    def for_params(cls, params: ModelParams) -> "OptimizerState":
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def _first_non_finite(params: Sequence[Tensor], *flats: np.ndarray) -> str:
-    """Label of the first parameter whose slice of any ``flats`` is not finite."""
-    end = 0
-    for i, p in enumerate(params):
-        start, end = end, end + p.value.size
-        if not all(np.isfinite(f[start:end]).all() for f in flats):
-            return p.name or f"param[{i}]"
-    raise ValueError("every value is finite")
+def _first_non_finite(params: ModelParams, *flats: np.ndarray) -> str:
+    """Name of the parameter that holds the first position where any of
+    ``flats``, each laid out as ``params.flat``, is not finite."""
+    first = int(np.argmin(np.logical_and.reduce([np.isfinite(f) for f in flats])))
+    return params.names[np.searchsorted(params.offsets, first, side="right") - 1]
 
 
 def optimizer_step(
-    params: Sequence[Tensor],
-    grads: Sequence[np.ndarray],
-    state: OptimizerState,
-    config: OptimizerConfig,
+    params: ModelParams, grad: np.ndarray, state: OptimizerState, config: OptimizerConfig
 ) -> OptimizerState:
-    """Apply one update in place; increments and returns the state.
+    """Apply one update in place on ``params.flat``; increments and
+    returns the state.
 
-    Gradients must be finite and aligned with ``params`` (same order the
-    state was created with). The update runs once on the flat vector of
-    all gradients; every operation is elementwise, so each parameter
+    ``grad`` must be finite and, like the state's moments, laid out as
+    ``params.flat``. Every operation is elementwise, so each parameter
     gets the same bits a per-parameter loop would give it.
     """
-    shapes = tuple(p.value.shape for p in params)
-    if shapes != state.shapes or tuple(np.shape(g) for g in grads) != shapes:
-        raise OptimizerError("params, grads and state are not aligned")
+    if not np.shape(grad) == state.m.shape == state.v.shape == params.flat.shape:
+        raise OptimizerError("params, grad and state are not aligned")
     step = state.step_count + 1
-    g = np.concatenate(grads, axis=None) if grads else np.zeros(0)
-    if not np.isfinite(g).all():
-        raise OptimizerError(f"non-finite gradient for {_first_non_finite(params, g)} at step {step}")
+    if not np.isfinite(grad).all():
+        raise OptimizerError(f"non-finite gradient for {_first_non_finite(params, grad)} at step {step}")
     if config.method == "sgd":
-        update = config.learning_rate * g
+        update = config.learning_rate * grad
     else:
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1**step
         bias2 = 1.0 - b2**step
         with np.errstate(over="ignore"):  # an overflow is reported by the moment check below
             state.m *= b1
-            state.m += (1.0 - b1) * g
+            state.m += (1.0 - b1) * grad
             state.v *= b2
-            state.v += (1.0 - b2) * g * g
+            state.v += (1.0 - b2) * grad * grad
         m_hat = state.m / bias1
         v_hat = state.v / bias2
         update = config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    offset = 0
-    for p in params:
-        p.value -= update[offset : offset + p.value.size].reshape(p.value.shape)
-        offset += p.value.size
+    params.flat -= update
     state.step_count = step
     if not (np.isfinite(state.m).all() and np.isfinite(state.v).all()):
         raise OptimizerError(f"non-finite moment for {_first_non_finite(params, state.m, state.v)} at step {step}")
@@ -261,8 +247,7 @@ def train(
     if config.epochs == 0:
         return params, history
 
-    param_list = params.parameters()
-    opt_state = OptimizerState.for_params(param_list)
+    opt_state = OptimizerState.for_params(params)
     best_params = params.copy()
     best_auc = -np.inf
     stale = 0
@@ -272,8 +257,8 @@ def train(
         n_seen = 0
         for step, idx in enumerate(batch_iter(fm_train.n_rows, config.batch_size, _epoch_seed(config.seed, epoch))):
             batch = fm_train.rows(idx)
-            bundle, grads = training_step(
-                params, batch, o_train[idx], r_train[idx], config.method, config.weights, config.ipw, param_list
+            bundle, grad = training_step(
+                params, batch, o_train[idx], r_train[idx], config.method, config.weights, config.ipw
             )
             values = bundle.term_values()
             if not np.isfinite(values["total"]):
@@ -281,7 +266,7 @@ def train(
                     f"non-finite loss at epoch {epoch} step {step}: "
                     + _diagnostics(values, predict_values(params, batch)["ctr"])
                 )
-            optimizer_step(param_list, grads, opt_state, config.optimizer)
+            optimizer_step(params, grad, opt_state, config.optimizer)
             for k, v in values.items():
                 term_sums[k] = term_sums.get(k, 0.0) + v * len(idx)
             n_seen += len(idx)

@@ -230,6 +230,18 @@ def leaf_grads(root: Node, leaves) -> list[np.ndarray]:
     return [np.stack([grad(m) for m in n]) if isinstance(n, tuple) else grad(n) for n in leaves]
 
 
+def assert_layout_equal(params, grad: np.ndarray, expected: list[np.ndarray], case: str) -> np.ndarray:
+    """Assert that the flat gradient ``grad`` holds the bits of the
+    per-parameter gradients ``expected`` laid end to end in
+    ``params.names`` order, naming the first parameter that differs;
+    returns them laid out so."""
+    flat = np.concatenate([e.ravel() for e in expected])
+    assert grad.shape == flat.shape == params.flat.shape, case
+    for name, a, b in zip(params.names, params.offsets[:-1], params.offsets[1:], strict=True):
+        assert grad[a:b].tobytes() == flat[a:b].tobytes(), f"{case}: {name}"
+    return flat
+
+
 # -- the forward graph ----------------------------------------------------------------
 #
 # The model as one node per layer and per tower: ``model.predict_batch``
@@ -267,14 +279,22 @@ def dense(x: Node, w: Node, b: Node, activation: str) -> Node:
 def gather(tables: list[Node], fm) -> Node:
     """The model input of the feature matrix ``fm`` as one node over the
     table leaves, in the order the model lays the tables out."""
-    value = gather_concat([t.value for t in tables], fm.index, fm.chunk, fm.num_values, fm.num_cols)
+    block = np.concatenate([np.zeros(0), *(t.value.ravel() for t in tables)])
+    value = gather_concat(block, fm.index, fm.chunk, fm.num_values, fm.num_cols)
     out = Node(value, parents=tuple(tables), op="gather_concat")
 
     def bw(g: np.ndarray) -> None:
-        for t, gt in zip(tables, gather_concat_backward(g, [t.value for t in tables], fm.index, fm.chunk, fm.num_cols)):
+        grad = gather_concat_backward(g, fm.index, fm.chunk, fm.num_cols, np.empty_like(block))
+        for t, gt in zip(tables, split_like(grad, [t.value for t in tables])):
             _accumulate(t, gt)
 
     return out._attach(bw)
+
+
+def split_like(vec: np.ndarray, arrays) -> list[np.ndarray]:
+    """``vec`` as views shaped as ``arrays``, laid end to end in it."""
+    ends = np.cumsum([a.size for a in arrays], dtype=np.int64)
+    return [vec[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
 
 
 def clip_column(x: Node, lo: float, hi: float) -> Node:
@@ -288,14 +308,14 @@ def reference_forward(params, fm) -> tuple[Heads, list]:
     """The heads of ``params`` on ``fm``: the gather, the encoder's relu
     ``dense`` nodes, then each tower's own chain (2-D relu layers, a
     sigmoid output unit) and a clip. Returns them with the leaves in
-    ``params.parameters()`` order, each sharing its parameter's value; a
+    ``params.names`` order, each sharing its parameter's value; a
     stacked tower layer's leaf is a tuple of per-tower leaves, its rows."""
-    tables = [Node(t.value) for t in params.tables.values()]
-    encoder = [(Node(w.value), Node(b.value)) for w, b in params.encoder]
+    tables = [Node(t) for t in params.tables.values()]
+    encoder = [(Node(w), Node(b)) for w, b in params.encoder]
     h = gather(tables, fm)
     for w, b in encoder:
         h = dense(h, w, b, "relu")
-    towers = [[(Node(w.value[i]), Node(b.value[i])) for w, b in params.towers] for i in range(len(TOWER_NAMES))]
+    towers = [[(Node(w[i]), Node(b[i])) for w, b in params.towers] for i in range(len(TOWER_NAMES))]
     heads = []
     for layers in towers:
         t = h

@@ -176,11 +176,11 @@ def _activation_gap(params, fm) -> float:
     h = predict_batch(params, fm).layers[0]
     gap = np.inf
     for w, b in params.encoder:
-        z = h @ w.value + b.value
+        z = h @ w + b
         gap = min(gap, float(np.min(np.abs(z))))
         h = np.maximum(z, 0.0)
     for w, b in params.towers[:-1]:  # every tower at once: (towers, n, width)
-        z = np.matmul(h, w.value) + b.value[:, None, :]
+        z = np.matmul(h, w) + b[:, None, :]
         gap = min(gap, float(np.min(np.abs(z))))
         h = np.maximum(z, 0.0)
     p_click = _scores(params, fm)["ctr"]
@@ -251,27 +251,22 @@ def _graph_terms(outputs, o, r):
 
 
 def _analytic_vector(bundle, outputs, params) -> np.ndarray:
-    grads = backward(params, outputs, bundle.head_grads, params.parameters())
-    return np.concatenate([g.ravel() for g in grads])
+    return backward(params, outputs, bundle.head_grads)
 
 
 def _fd_vectors(params, fm, o, r, frozen) -> dict[str, np.ndarray]:
-    out = {name: [] for name in TERM_NAMES}
-    for p in params.parameters():
-        fd = {name: np.empty(p.value.size) for name in TERM_NAMES}
-        for j in range(p.value.size):
-            idx = np.unravel_index(j, p.value.shape)
-            orig = p.value[idx]
-            p.value[idx] = orig + FD_STEP
-            hi = _np_terms(_scores(params, fm), o, r, frozen)
-            p.value[idx] = orig - FD_STEP
-            lo = _np_terms(_scores(params, fm), o, r, frozen)
-            p.value[idx] = orig
-            for name in TERM_NAMES:
-                fd[name][j] = (hi[name] - lo[name]) / (2.0 * FD_STEP)
+    """Each term's central differences on every parameter value, laid out
+    as ``params.flat``."""
+    out = {name: np.empty(params.flat.size) for name in TERM_NAMES}
+    for j, orig in enumerate(params.flat.tolist()):
+        params.flat[j] = orig + FD_STEP
+        hi = _np_terms(_scores(params, fm), o, r, frozen)
+        params.flat[j] = orig - FD_STEP
+        lo = _np_terms(_scores(params, fm), o, r, frozen)
+        params.flat[j] = orig
         for name in TERM_NAMES:
-            out[name].append(fd[name])
-    return {name: np.concatenate(v) for name, v in out.items()}
+            out[name][j] = (hi[name] - lo[name]) / (2.0 * FD_STEP)
+    return out
 
 
 def _max_rel_err(a: np.ndarray, f: np.ndarray) -> float:
@@ -309,21 +304,21 @@ def test_criterion_2_gradients_match_central_differences():
 
 def test_criterion_3_stop_gradient_and_detached_propensity_exactness():
     params, fm, o, r = _draw_clean_case(40)
-    tower_params = [p for layer in params.towers for p in layer]  # row t of each is tower t's
-
     def all_exactly_zero(leaf, tower):
-        return all(not np.any(leaf[p][TOWER_NAMES.index(tower)] != 0.0) for p in tower_params)
+        return all(not np.any(g[TOWER_NAMES.index(tower)] != 0.0) for g in leaf)
 
     def any_nonzero(leaf, tower):
-        return any(np.any(leaf[p][TOWER_NAMES.index(tower)] != 0.0) for p in tower_params)
+        return any(np.any(g[TOWER_NAMES.index(tower)] != 0.0) for g in leaf)
 
     outputs = predict_batch(params, fm)
     problems = []
 
     def step(method, weights, ipw=IpwConfig()):
-        """Each parameter's gradient of ``method``'s objective."""
+        """Each stacked tower array's gradient of ``method``'s objective;
+        row t of each is tower t's."""
         bundle = compose_method_loss(method, outputs, o, r, weights, ipw)
-        return dict(zip(params.parameters(), backward(params, outputs, bundle.head_grads, params.parameters())))
+        _, _, towers = params.split(backward(params, outputs, bundle.head_grads))
+        return [g for layer in towers for g in layer]
 
     def alone(name, ipw=IpwConfig()):
         return step("chorus", LossWeights(*(float(t == name) for t in TERMS)), ipw)

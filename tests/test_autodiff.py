@@ -12,8 +12,8 @@ from choruscvr.features import build_matrix, build_schema
 from choruscvr.model import (
     TOWER_NAMES,
     Architecture,
+    ModelParams,
     ShapeError,
-    Tensor,
     TowerOutputs,
     backward,
     dense,
@@ -38,7 +38,7 @@ from choruscvr.trainer import (
 )
 
 import oracles
-from oracles import Node, log_of, mean, mul
+from oracles import Node, log_of, mean, mul, split_like
 
 ATTACHED = IpwConfig(detach=False)
 
@@ -79,8 +79,11 @@ def _gather(blocks, upstream=None):
             constant_cols += range(at, at + b.shape[1])
     constant = np.concatenate([np.zeros((n, 0))] + [b for b in blocks if not isinstance(b, tuple)], axis=1)
     index, cols = np.stack(columns, axis=1), np.array(constant_cols, dtype=np.int64)
-    value = gather_concat(tables, index, 1, constant, cols)
-    return value, None if upstream is None else gather_concat_backward(upstream, tables, index, 1, cols)
+    block = np.concatenate([t.ravel() for t in tables])
+    value = gather_concat(block, index, 1, constant, cols)
+    if upstream is None:
+        return value, None
+    return value, split_like(gather_concat_backward(upstream, index, 1, cols, np.empty_like(block)), tables)
 
 
 def test_mul_and_weighted_sum_chain():
@@ -214,10 +217,12 @@ def test_bincount_scatter_equals_add_at_bitwise():
     tables = [rng.normal(size=(16, 4)), rng.normal(size=(5, 4))]
     idx = np.stack([rng.integers(0, 16, 1024), rng.integers(0, 5, 1024)], axis=1)
     g = rng.normal(size=(1024, 8))
-    out = gather_concat(tables, idx + [0, 16], 4, np.zeros((1024, 0)), np.zeros(0, dtype=np.int64))
+    block = np.concatenate([t.ravel() for t in tables])
+    out = gather_concat(block, idx + [0, 16], 4, np.zeros((1024, 0)), np.zeros(0, dtype=np.int64))
     assert np.array_equal(out, np.concatenate([tables[0][idx[:, 0]], tables[1][idx[:, 1]]], axis=1))
     upstream = np.full((1024, 8), 1.0 / 8192) * g
-    grads = gather_concat_backward(upstream, tables, idx + [0, 16], 4, np.zeros(0, dtype=np.int64))
+    grad = gather_concat_backward(upstream, idx + [0, 16], 4, np.zeros(0, dtype=np.int64), np.empty_like(block))
+    grads = split_like(grad, tables)
     for k, (table, grad) in enumerate(zip(tables, grads)):
         expected = np.zeros_like(table)
         np.add.at(expected, idx[:, k], upstream[:, 4 * k : 4 * k + 4])
@@ -584,13 +589,13 @@ def test_tower_head_no_gradient_reaches_leaves_its_tower_untouched():
     params, fm = _step_inputs(16)
     out = predict_batch(params, fm)
     bundle = _objective(out, [1.0, 0.0] * 3, [1.0] + [0.0] * 5, method="esmm")  # uncvr unread
-    grads = dict(zip(params.parameters(), backward(params, out, bundle.head_grads, params.parameters())))
-    for v in (v for layer in params.towers for v in layer):
-        for t, g in zip(TOWER_NAMES, grads[v]):  # row t: tower t's
+    _, _, towers = params.split(backward(params, out, bundle.head_grads))
+    for name, v in zip(params.names[-2 * len(towers) :], (v for layer in towers for v in layer), strict=True):
+        for t, g in zip(TOWER_NAMES, v):  # row t: tower t's
             if t == "uncvr":
                 assert g.tobytes() == np.zeros_like(g).tobytes()  # +0 everywhere
             else:
-                assert np.abs(g).sum() > 0.0, f"{v.name} {t}"
+                assert np.abs(g).sum() > 0.0, f"{name} {t}"
 
 
 def test_tower_heads_backward_twice_gives_the_same_gradients():
@@ -598,9 +603,9 @@ def test_tower_heads_backward_twice_gives_the_same_gradients():
     params, fm = _step_inputs(17)
     out = predict_batch(params, fm)
     bundle = _objective(out, [1.0, 0.0] * 3, [1.0] + [0.0] * 5, *TERMS)
-    first = backward(params, out, bundle.head_grads, params.parameters())
-    second = backward(params, out, bundle.head_grads, params.parameters())
-    assert all(a.tobytes() == b.tobytes() and a is not b for a, b in zip(first, second))
+    first = backward(params, out, bundle.head_grads)
+    second = backward(params, out, bundle.head_grads)
+    assert first.tobytes() == second.tobytes() and first is not second
 
 
 def test_tower_heads_reject_towers_of_unequal_depth():
@@ -629,70 +634,78 @@ def test_weighted_sum_gradients_match_central_differences():
 # -- optimizer -----------------------------------------------------------------
 
 
+def _unit_towers(value: float) -> ModelParams:
+    """A model of six values, all ``value``: towers of one output unit
+    on one numeric input, ``tower.0.w`` (3, 1, 1) then ``tower.0.b`` (3, 1)."""
+    schema = build_schema([{"name": "x", "kind": "numeric"}])
+    params = init_model(schema, Architecture(encoder_widths=(), tower_widths=()), seed=0)
+    params.flat[...] = value
+    return params
+
+
 def test_adam_single_step_hand_value():
     # from w = 0 with grad 3, lr 0.1: w1 = -lr * g/(|g| + eps)
-    w = Tensor(0.0)
-    state = OptimizerState.for_params([w])
-    optimizer_step([w], [np.asarray(3.0)], state, OptimizerConfig(learning_rate=0.1))
-    assert w.value == pytest.approx(-0.09999999966666669, abs=1e-15)
+    params = _unit_towers(0.0)
+    state = OptimizerState.for_params(params)
+    optimizer_step(params, np.full(6, 3.0), state, OptimizerConfig(learning_rate=0.1))
+    assert params.flat.tolist() == pytest.approx([-0.09999999966666669] * 6, abs=1e-15)
     assert state.step_count == 1
 
 
 def test_adam_zero_gradient_is_noop():
-    w = Tensor(1.5)
-    state = OptimizerState.for_params([w])
-    optimizer_step([w], [np.asarray(0.0)], state, OptimizerConfig())
-    assert w.value == 1.5
+    params = _unit_towers(1.5)
+    state = OptimizerState.for_params(params)
+    optimizer_step(params, np.zeros(6), state, OptimizerConfig())
+    assert params.flat.tolist() == [1.5] * 6
 
 
 def test_adam_converges_on_quadratic():
     # minimize (w - 3)^2 from 0; 1000 steps at lr 0.1 lands on the minimum
-    w = Tensor(0.0)
-    state = OptimizerState.for_params([w])
+    params = _unit_towers(0.0)
+    state = OptimizerState.for_params(params)
     config = OptimizerConfig(learning_rate=0.1)
     for _ in range(1000):
-        optimizer_step([w], [2.0 * (w.value - 3.0)], state, config)
-    assert abs(w.item() - 3.0) < 1e-3
+        optimizer_step(params, 2.0 * (params.flat - 3.0), state, config)
+    assert np.abs(params.flat - 3.0).max() < 1e-3
 
 
 def test_sgd_step():
-    w = Tensor(np.array([1.0, 2.0]))
-    state = OptimizerState.for_params([w])
-    optimizer_step([w], [np.array([0.5, -0.5])], state, OptimizerConfig(method="sgd", learning_rate=0.1))
-    assert np.allclose(w.value, [0.95, 2.05])
+    params = _unit_towers(0.0)
+    params.flat[...] = [1.0, 2.0] * 3
+    state = OptimizerState.for_params(params)
+    optimizer_step(params, np.array([0.5, -0.5] * 3), state, OptimizerConfig(method="sgd", learning_rate=0.1))
+    assert np.allclose(params.flat, [0.95, 2.05] * 3)
 
 
 def test_optimizer_rejects_non_finite_gradient():
-    w = Tensor(0.0)
-    w.name = "tower.0.w"
-    state = OptimizerState.for_params([w])
+    params = _unit_towers(0.0)
+    state = OptimizerState.for_params(params)
     with pytest.raises(OptimizerError, match="tower.0.w"):
-        optimizer_step([w], [np.asarray(np.nan)], state, OptimizerConfig())
+        optimizer_step(params, np.array([0.0, np.nan, 0.0, 0.0, 0.0, 0.0]), state, OptimizerConfig())
 
 
 def test_optimizer_rejects_non_finite_moment_naming_the_parameter():
-    a, b = Tensor(np.zeros((2, 2))), Tensor(np.zeros(3))
-    a.name, b.name = "tower.0.w", "tower.0.b"
-    state = OptimizerState.for_params([a, b])
-    grads = [np.ones((2, 2)), np.array([1.0, 1e200, 1.0])]  # g * g overflows
+    params = _unit_towers(0.0)
+    state = OptimizerState.for_params(params)
+    grad = np.array([1.0, 1.0, 1.0, 1.0, 1e200, 1.0])  # g * g overflows in tower.0.b
     with pytest.raises(OptimizerError, match="non-finite moment for tower.0.b at step 1"):
-        optimizer_step([a, b], grads, state, OptimizerConfig())
+        optimizer_step(params, grad, state, OptimizerConfig())
 
 
 @pytest.mark.parametrize("method", ["adam", "sgd"])
 def test_flat_update_matches_per_parameter_loop_bitwise(method):
     rng = np.random.default_rng(17)
-    shapes = [(16, 4), (4,), (), (17, 16), (16,), (16, 1), (1,)]
-    params = [Tensor(rng.normal(size=s)) for s in shapes]
-    expected = [p.value.copy() for p in params]
+    params = init_model(SCHEMA, Architecture(encoder_widths=(16,), tower_widths=(16,)), seed=17)
+    bounds = list(zip(params.offsets[:-1], params.offsets[1:]))
+    expected = [params.flat[a:b].copy() for a, b in bounds]
     config = OptimizerConfig(method=method, learning_rate=0.01)
     state = OptimizerState.for_params(params)
-    m = [np.zeros(s) for s in shapes]
-    v = [np.zeros(s) for s in shapes]
+    m = [np.zeros(b - a) for a, b in bounds]
+    v = [np.zeros(b - a) for a, b in bounds]
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for step in range(1, 51):
-        grads = [rng.normal(size=s) * (rng.random(s) < 0.8) for s in shapes]
-        optimizer_step(params, grads, state, config)
+        grads = [rng.normal(size=b - a) * (rng.random(b - a) < 0.8) for a, b in bounds]
+        optimizer_step(params, np.concatenate(grads), state, config)
         for i, g in enumerate(grads):
             if method == "sgd":
                 expected[i] -= config.learning_rate * g
@@ -705,22 +718,24 @@ def test_flat_update_matches_per_parameter_loop_bitwise(method):
             v_hat = v[i] / (1.0 - b2**step)
             expected[i] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     assert state.step_count == 50
-    for p, e in zip(params, expected):
-        assert p.value.tobytes() == e.tobytes()
+    for name, (a, b), e in zip(params.names, bounds, expected, strict=True):
+        assert params.flat[a:b].tobytes() == e.tobytes(), name
 
 
 def test_optimizer_rejects_misaligned_inputs():
-    w = Tensor(0.0)
-    state = OptimizerState.for_params([w])
+    params = _unit_towers(0.0)
+    state = OptimizerState.for_params(params)
     with pytest.raises(OptimizerError):
-        optimizer_step([w], [], state, OptimizerConfig())
+        optimizer_step(params, np.zeros(0), state, OptimizerConfig())
+    with pytest.raises(OptimizerError):  # a state laid out for another model
+        optimizer_step(params, np.zeros(6), OptimizerState.for_params(_step_inputs(0)[0]), OptimizerConfig())
 
 
 def test_optimizer_rejects_a_transposed_gradient():
-    w = Tensor(np.zeros((2, 4)))
-    state = OptimizerState.for_params([w])
+    params = _unit_towers(0.0)
+    state = OptimizerState.for_params(params)
     with pytest.raises(OptimizerError, match="not aligned"):
-        optimizer_step([w], [np.ones((4, 2))], state, OptimizerConfig())
+        optimizer_step(params, np.ones((3, 2)), state, OptimizerConfig())
 
 
 def test_optimizer_config_validation():
@@ -738,10 +753,8 @@ def test_dropped_graph_is_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
-        bundle, grads = training_step(
-            params, fm, np.array([1.0, 0.0] * 2), np.zeros(4), "chorus", LossWeights(), ATTACHED, params.parameters()
-        )
-        del bundle, grads
+        bundle, grad = training_step(params, fm, np.array([1.0, 0.0] * 2), np.zeros(4), "chorus", LossWeights(), ATTACHED)
+        del bundle, grad
         assert gc.collect() == 0
     finally:
         gc.enable()

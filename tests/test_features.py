@@ -6,9 +6,9 @@ import pytest
 
 from choruscvr.data import read_log
 from choruscvr.features import EncodingError, SchemaError, build_matrix, build_schema
-from choruscvr.model import Tensor, gather_concat, gather_concat_backward, init_tables
+from choruscvr.model import Architecture, gather_concat, gather_concat_backward, init_model
 
-from oracles import log_of
+from oracles import log_of, split_like
 
 
 def _matrix(rows, schema):
@@ -16,22 +16,29 @@ def _matrix(rows, schema):
     return build_matrix(log_of(rows, schema), schema)
 
 
+def _init_tables(schema, seed: int) -> dict[str, np.ndarray]:
+    """A fresh model's embedding tables, by feature name."""
+    return init_model(schema, Architecture(encoder_widths=(), tower_widths=()), seed).tables
+
+
 def _tables(schema, tables):
     return [tables[f.name] for f in schema.ordered if f.kind == "categorical"]
 
 
 def _encode(fm, schema, tables) -> np.ndarray:
-    """The model's (n, input_width) input: one gather of the tables, in
-    schema order, with the numerics beside them."""
-    return gather_concat([t.value for t in _tables(schema, tables)], fm.index, fm.chunk, fm.num_values, fm.num_cols)
+    """The model's (n, input_width) input: one gather of the tables, laid
+    end to end in schema order, with the numerics beside them."""
+    block = np.concatenate([np.zeros(0), *(t.ravel() for t in _tables(schema, tables))])
+    return gather_concat(block, fm.index, fm.chunk, fm.num_values, fm.num_cols)
 
 
 def _encode_backward(g, fm, schema, tables) -> dict[str, np.ndarray]:
     """Each table's gradient, by parameter name, from the gradient ``g``
     on :func:`_encode`'s output."""
     cats = _tables(schema, tables)
-    grads = gather_concat_backward(g, [t.value for t in cats], fm.index, fm.chunk, fm.num_cols)
-    return {t.name: grad for t, grad in zip(cats, grads)}
+    grad = gather_concat_backward(g, fm.index, fm.chunk, fm.num_cols, np.empty(sum(t.size for t in cats)))
+    names = [f"embed.{f.name}" for f in schema.ordered if f.kind == "categorical"]
+    return dict(zip(names, split_like(grad, cats)))
 
 
 def _encode_one(row, schema, tables) -> np.ndarray:
@@ -91,8 +98,8 @@ def test_block_order_user_item_cross():
 def test_encode_zero_tables_places_numeric_value():
     schema = build_schema(_mixed_config())
     tables = {
-        "item_cat": Tensor(np.zeros((4, 2))),
-        "user_cat": Tensor(np.zeros((3, 2))),
+        "item_cat": np.zeros((4, 2)),
+        "user_cat": np.zeros((3, 2)),
     }
     vec = _encode_one({"item_cat": 1, "user_cat": 2, "price": 0.5}, schema, tables)
     assert np.array_equal(vec, np.array([0.0, 0.0, 0.0, 0.0, 0.5]))
@@ -106,26 +113,25 @@ def test_encode_width_arithmetic():
             {"name": "x", "kind": "numeric"},
         ]
     )
-    tables = init_tables(schema, np.random.default_rng(0))
+    tables = _init_tables(schema, 0)
     vec = _encode_one({"a": 0, "b": 1, "x": 2.0}, schema, tables)
     assert vec.shape == (5,)
 
 
 def test_encode_matches_hand_read_table_rows():
     schema = build_schema(_mixed_config())
-    rng = np.random.default_rng(7)
-    tables = init_tables(schema, rng)
+    tables = _init_tables(schema, 7)
     record = {"item_cat": 3, "user_cat": 1, "price": -0.25}
     vec = _encode_one(record, schema, tables)
     expected = np.concatenate(
-        [tables["user_cat"].value[1], tables["item_cat"].value[3], [-0.25]]
+        [tables["user_cat"][1], tables["item_cat"][3], [-0.25]]
     )
     assert np.array_equal(vec, expected)
 
 
 def test_encode_is_pure():
     schema = build_schema(_mixed_config())
-    tables = init_tables(schema, np.random.default_rng(3))
+    tables = _init_tables(schema, 3)
     record = {"item_cat": 2, "user_cat": 0, "price": 1.5}
     a = _encode_one(record, schema, tables)
     b = _encode_one(record, schema, tables)
@@ -151,7 +157,7 @@ def test_fractional_categorical_id_is_rejected_not_truncated(tmp_path):
 
 def test_out_of_vocabulary_folds_modulo():
     schema = build_schema(_mixed_config())
-    tables = init_tables(schema, np.random.default_rng(0))
+    tables = _init_tables(schema, 0)
     direct = _encode_one({"item_cat": 1, "user_cat": 0, "price": 0.0}, schema, tables)
     folded = _encode_one({"item_cat": 5, "user_cat": 0, "price": 0.0}, schema, tables)  # 5 % 4 = 1
     assert np.array_equal(direct, folded)
@@ -164,8 +170,7 @@ def test_permuting_declared_order_permutes_blocks():
     ]
     s_ab = build_schema(cfg)
     s_ba = build_schema(cfg[::-1])
-    rng = np.random.default_rng(5)
-    tables = init_tables(s_ab, rng)
+    tables = _init_tables(s_ab, 5)
     rec = {"a": 1, "b": 2}
     v_ab = _encode_one(rec, s_ab, tables)
     v_ba = _encode_one(rec, s_ba, tables)
@@ -175,7 +180,7 @@ def test_permuting_declared_order_permutes_blocks():
 
 def test_matrix_encoding_matches_single_record_encoding():
     schema = build_schema(_mixed_config())
-    tables = init_tables(schema, np.random.default_rng(11))
+    tables = _init_tables(schema, 11)
     rows = [
         {"item_cat": 0, "user_cat": 1, "price": 0.2},
         {"item_cat": 3, "user_cat": 2, "price": -1.0},
@@ -210,7 +215,7 @@ def test_matrix_missing_feature_raises():
 
 def test_embedding_gradients_flow_through_encoding():
     schema = build_schema(_mixed_config())
-    tables = init_tables(schema, np.random.default_rng(2))
+    tables = _init_tables(schema, 2)
     fm = _matrix([{"item_cat": 1, "user_cat": 2, "price": 0.3}], schema)
     # the gradient of the input's mean
     g = np.full((1, schema.input_width), 1.0 / schema.input_width)
@@ -250,7 +255,7 @@ def test_one_bincount_gather_equals_per_table_scatter_bitwise(config):
         {f.name: int(rng.integers(0, 9)) if f.kind == "categorical" else float(rng.normal()) for f in schema.ordered}
         for _ in range(300)
     ]
-    tables = init_tables(schema, rng)
+    tables = _init_tables(schema, 21)
     out = _encode(_matrix(rows, schema), schema, tables)
     upstream = rng.normal(size=out.shape)
     g = np.full(out.shape, 1.0 / out.size) * upstream  # the gradient of mean(out * upstream)
@@ -264,8 +269,8 @@ def test_one_bincount_gather_equals_per_table_scatter_bitwise(config):
             assert np.array_equal(out[:, cols.start], values)
             continue
         ids = values % f.vocab_size
-        assert np.array_equal(out[:, cols], tables[f.name].value[ids])
-        expected = np.zeros_like(tables[f.name].value)
+        assert np.array_equal(out[:, cols], tables[f.name][ids])
+        expected = np.zeros_like(tables[f.name])
         np.add.at(expected, ids, g[:, cols])
         assert grads[f"embed.{f.name}"].tobytes() == expected.tobytes(), f.name
     assert start == out.shape[1]

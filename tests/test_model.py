@@ -1,4 +1,7 @@
-"""Three-tower model: init, prediction, invariants, checkpoints."""
+"""Three-tower model: init, prediction, invariants, the flat parameter
+layout, checkpoints."""
+
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from choruscvr.model import (
     save_checkpoint,
 )
 from choruscvr.objectives import IpwConfig, LossWeights, compose_method_loss
+from choruscvr.trainer import OptimizerConfig, OptimizerError, OptimizerState, optimizer_step
 
 from oracles import log_of
 
@@ -58,7 +62,7 @@ def test_same_seed_identical_parameters():
 def test_matching_tower_input_width_accepted():
     arch = Architecture(encoder_widths=(16,), tower_widths=(4,), tower_input_width=16)
     params = init_model(SCHEMA, arch, seed=0)
-    assert params.towers[0][0].value.shape == (3, 16, 4)  # one (16, 4) layer per tower
+    assert params.towers[0][0].shape == (3, 16, 4)  # one (16, 4) layer per tower
 
 
 def test_mismatched_tower_input_width_rejected():
@@ -80,8 +84,7 @@ def test_nonpositive_width_rejected():
 
 def test_zero_parameters_give_half_probabilities():
     params = init_model(SCHEMA, ARCH, seed=0)
-    for t in params.parameters():
-        t.value[...] = 0.0
+    params.flat[...] = 0.0
     fm = _matrix(_rows(4, np.random.default_rng(0)), SCHEMA)
     out = predict_batch(params, fm).values()
     assert np.allclose(out["ctr"], 0.5)
@@ -97,8 +100,8 @@ def test_tiny_net_matches_hand_evaluation():
     params = init_model(schema, Architecture(encoder_widths=(), tower_widths=()), seed=0)
     hand = {"ctr": (2.0, 0.5), "cvr": (-1.0, 0.25), "uncvr": (0.5, -1.5)}
     for tower, (w, b) in hand.items():
-        params.towers[0][0].value[TOWER_NAMES.index(tower)] = w
-        params.towers[0][1].value[TOWER_NAMES.index(tower)] = b
+        params.towers[0][0][TOWER_NAMES.index(tower)] = w
+        params.towers[0][1][TOWER_NAMES.index(tower)] = b
     heads = predict_batch(params, _matrix([{"x": 0.3}], schema))
     assert heads.ctr.shape == (1,)
     out = heads.values()
@@ -122,8 +125,7 @@ def test_product_invariant_over_random_inputs():
 def test_outputs_within_clamp_band():
     params = init_model(SCHEMA, ARCH, seed=29)
     # inflate weights to push logits far out
-    for t in params.parameters():
-        t.value *= 200.0
+    params.flat *= 200.0
     fm = _matrix(_rows(64, np.random.default_rng(1)), SCHEMA)
     out = predict_batch(params, fm)
     for head in (out.ctr, out.cvr, out.uncvr):
@@ -139,29 +141,30 @@ def test_every_parameter_group_receives_gradient():
     r = np.array([1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0], dtype=np.float64)
     out = predict_batch(params, fm)
     bundle = compose_method_loss("chorus", out, o, r, LossWeights(), IpwConfig())
-    grads = backward(params, out, bundle.head_grads, params.parameters())
-    for p, g in zip(params.parameters(), grads, strict=True):
+    grad = backward(params, out, bundle.head_grads)
+    for name, a, b in zip(params.names, params.offsets[:-1], params.offsets[1:], strict=True):
         # a stacked tower layer's rows are the towers' own layers
-        for tower, part in zip(TOWER_NAMES, g) if p.name.startswith("tower.") else [("", g)]:
-            assert np.abs(part).sum() > 0.0, f"no gradient reached {p.name} {tower}"
+        towers = TOWER_NAMES if name.startswith("tower.") else ("",)
+        for tower, part in zip(towers, grad[a:b].reshape(len(towers), -1), strict=True):
+            assert np.abs(part).sum() > 0.0, f"no gradient reached {name} {tower}"
 
 
 def test_copy_is_independent():
     params = init_model(SCHEMA, ARCH, seed=41)
     clone = params.copy()
-    params.towers[0][0].value[...] = 99.0
-    assert not np.array_equal(clone.towers[0][0].value, params.towers[0][0].value)
+    params.towers[0][0][...] = 99.0
+    assert not np.array_equal(clone.towers[0][0], params.towers[0][0])
 
 
 def test_copy_takes_the_values_without_reinitializing(monkeypatch):
     params = init_model(SCHEMA, ARCH, seed=41)
-    for t in params.parameters():
-        t.value += 0.125  # values a fresh init would not give
+    params.flat += 0.125  # values a fresh init would not give
     monkeypatch.setattr(model, "init_model", None)  # a snapshot must not redraw
     clone = params.copy()
-    for t, c in zip(params.parameters(), clone.parameters(), strict=True):
-        assert c.name == t.name
-        assert c.value.tobytes() == t.value.tobytes() and c.value is not t.value
+    assert clone.names == params.names and np.array_equal(clone.offsets, params.offsets)
+    assert clone.flat.tobytes() == params.flat.tobytes() and not np.shares_memory(clone.flat, params.flat)
+    for (name_a, a), (name_c, c) in zip(params.checkpoint_arrays(), clone.checkpoint_arrays(), strict=True):
+        assert name_c == name_a and c.tobytes() == a.tobytes()
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -177,8 +180,51 @@ def test_checkpoint_round_trip(tmp_path):
     for (name_a, ta), (name_b, tb) in zip(params.checkpoint_arrays(), loaded.checkpoint_arrays(), strict=True):
         assert name_a == name_b
         assert np.array_equal(ta, tb)
-    for ta, tb in zip(params.parameters(), loaded.parameters(), strict=True):
-        assert ta.value.tobytes() == tb.value.tobytes()
+    assert loaded.flat.tobytes() == params.flat.tobytes()
+
+
+def _named_views(params) -> dict[str, np.ndarray]:
+    """Every parameter's array, by its name in ``params.names``."""
+    views = {f"embed.{name}": t for name, t in params.tables.items()}
+    for group, layers in (("encoder", params.encoder), ("tower", params.towers)):
+        for i, (w, b) in enumerate(layers):
+            views[f"{group}.{i}.w"], views[f"{group}.{i}.b"] = w, b
+    return views
+
+
+def test_every_parameter_is_a_view_of_the_flat_vector(tmp_path):
+    params = init_model(SCHEMA, ARCH, seed=61)
+    views = _named_views(params)
+    assert tuple(views) == params.names
+    arrays = [*views.values(), params.table_block, *(a for _, a in params.checkpoint_arrays())]
+    assert all(np.shares_memory(a, params.flat) for a in arrays)
+    # each name's array is the slice of flat its offsets give
+    params.flat[...] = np.arange(params.flat.size)
+    for name, a, b in zip(params.names, params.offsets[:-1], params.offsets[1:], strict=True):
+        assert views[name].ravel().tolist() == list(range(a, b)), name
+    assert params.table_block.tolist() == list(range(params.offsets[len(params.tables)]))
+    clone = params.copy()
+    clone_arrays = [clone.flat, *_named_views(clone).values(), *(a for _, a in clone.checkpoint_arrays())]
+    assert not any(np.shares_memory(a, params.flat) for a in clone_arrays)
+    path = tmp_path / "model.bin"
+    save_checkpoint(params, path)
+    loaded = load_checkpoint(path)
+    assert loaded.flat.tobytes() == params.flat.tobytes()  # the loaded arrays wrote through
+    assert all(np.shares_memory(a, loaded.flat) for _, a in loaded.checkpoint_arrays())
+
+
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_non_finite_values_name_the_parameter_at_each_end_of_its_slice(end):
+    params = init_model(SCHEMA, ARCH, seed=67)
+    for name, a, b in zip(params.names, params.offsets[:-1], params.offsets[1:], strict=True):
+        at = a if end == "first" else b - 1
+        grad = np.zeros_like(params.flat)
+        grad[at] = np.nan
+        with pytest.raises(OptimizerError, match=rf"non-finite gradient for {re.escape(name)} at step 1$"):
+            optimizer_step(params, grad, OptimizerState.for_params(params), OptimizerConfig())
+        grad[at] = 1e200  # g * g overflows the second moment
+        with pytest.raises(OptimizerError, match=rf"non-finite moment for {re.escape(name)} at step 1$"):
+            optimizer_step(params.copy(), grad, OptimizerState.for_params(params), OptimizerConfig())
 
 
 def test_checkpoint_byte_stability(tmp_path):

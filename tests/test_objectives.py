@@ -27,7 +27,15 @@ from choruscvr.objectives import (
 from choruscvr.simulator import SimConfig, generate, sim_schema
 from choruscvr.trainer import OptimizerConfig, OptimizerState, optimizer_step
 
-from oracles import ipw_mean, leaf_grads, log_of, objective, reference_forward, reference_method_loss
+from oracles import (
+    assert_layout_equal,
+    ipw_mean,
+    leaf_grads,
+    log_of,
+    objective,
+    reference_forward,
+    reference_method_loss,
+)
 
 TOL = 1e-9
 IPW = IpwConfig()
@@ -446,9 +454,7 @@ def _align_by_hand(params, fm, clicked: bool) -> float:
 
 def test_single_unclicked_sample_step():
     params = init_model(SCHEMA, ARCH, seed=0)
-    bundle, grads = training_step(
-        params, _fm(1, 1), np.array([0.0]), np.array([0.0]), "chorus", LossWeights(), IPW, params.parameters()
-    )
+    bundle, _ = training_step(params, _fm(1, 1), np.array([0.0]), np.array([0.0]), "chorus", LossWeights(), IPW)
     assert bundle.terms["cvr_ipw"] == 0.0
     assert bundle.terms["uncvr_ipw"] == 0.0
     assert bundle.terms["align_ipw"] == pytest.approx(_align_by_hand(params, _fm(1, 1), clicked=False), abs=1e-12)
@@ -456,9 +462,7 @@ def test_single_unclicked_sample_step():
 
 def test_single_converted_sample_step():
     params = init_model(SCHEMA, ARCH, seed=0)
-    bundle, _ = training_step(
-        params, _fm(1, 2), np.array([1.0]), np.array([1.0]), "chorus", LossWeights(), IPW, params.parameters()
-    )
+    bundle, _ = training_step(params, _fm(1, 2), np.array([1.0]), np.array([1.0]), "chorus", LossWeights(), IPW)
     assert bundle.terms["cvr_ipw"] > 0.0
     assert bundle.terms["uncvr_ipw"] > 0.0
     assert bundle.terms["align_ipw"] == pytest.approx(_align_by_hand(params, _fm(1, 2), clicked=True), abs=1e-12)
@@ -467,28 +471,28 @@ def test_single_converted_sample_step():
 def test_step_gradients_aligned_and_zero_for_unused_towers():
     # The uncvr tower is row 2 of every stacked tower layer.
     params = init_model(SCHEMA, ARCH, seed=3)
-    towers, uncvr = [p for layer in params.towers for p in layer], TOWER_NAMES.index("uncvr")
+    uncvr = TOWER_NAMES.index("uncvr")
     o = np.array([1.0, 0.0, 1.0, 0.0])
     r = np.array([1.0, 0.0, 0.0, 0.0])
-    _, grads = training_step(params, _fm(4, 3), o, r, "esmm", LossWeights(), IPW, params.parameters())
-    assert len(grads) == len(params.parameters())
-    grads = dict(zip(params.parameters(), grads))
-    for p in towers:
-        assert np.all(grads[p][uncvr] == 0.0), f"{p.name}'s uncvr row should be outside the esmm objective"
-    _, grads_chorus = training_step(params, _fm(4, 3), o, r, "chorus", LossWeights(), IPW, params.parameters())
-    grads_chorus = dict(zip(params.parameters(), grads_chorus))
-    assert sum(np.abs(grads_chorus[p][uncvr]).sum() for p in towers) > 0.0
+    _, grad = training_step(params, _fm(4, 3), o, r, "esmm", LossWeights(), IPW)
+    assert grad.shape == params.flat.shape
+    _, _, towers = params.split(grad)
+    for name, g in zip(params.names[-2 * len(towers) :], (g for layer in towers for g in layer), strict=True):
+        assert np.all(g[uncvr] == 0.0), f"{name}'s uncvr row should be outside the esmm objective"
+    _, grad_chorus = training_step(params, _fm(4, 3), o, r, "chorus", LossWeights(), IPW)
+    _, _, towers = params.split(grad_chorus)
+    assert sum(np.abs(g[uncvr]).sum() for layer in towers for g in layer) > 0.0
 
 
 def test_step_gradients_survive_the_next_step():
     params = init_model(SCHEMA, ARCH, seed=5)
     o = np.array([1.0, 0.0, 1.0, 0.0])
     r = np.array([1.0, 0.0, 0.0, 0.0])
-    _, first = training_step(params, _fm(4, 3), o, r, "chorus", LossWeights(), IPW, params.parameters())
-    kept = [g.copy() for g in first]
-    _, second = training_step(params, _fm(4, 4), o, r, "chorus", LossWeights(), IPW, params.parameters())
-    assert all(np.array_equal(g, k) for g, k in zip(first, kept))
-    assert not all(np.array_equal(g, k) for g, k in zip(second, kept))
+    _, first = training_step(params, _fm(4, 3), o, r, "chorus", LossWeights(), IPW)
+    kept = first.copy()
+    _, second = training_step(params, _fm(4, 4), o, r, "chorus", LossWeights(), IPW)
+    assert np.array_equal(first, kept)
+    assert not np.array_equal(second, kept)
 
 
 def _graph_nodes(root) -> int:
@@ -516,13 +520,11 @@ def test_chorus_step_graph_has_at_most_26_nodes(ipw):
     params = init_model(schema, Architecture(encoder_widths=(), tower_widths=(16,)), seed=0)
     o, r = label_arrays(log)
     assert 0 < r.sum() < o.sum() < len(o)  # every term of the objective is live
-    bundle, grads = training_step(
-        params, build_matrix(log, schema), o, r, "chorus", LossWeights(), ipw, params.parameters()
-    )
+    bundle, grad = training_step(params, build_matrix(log, schema), o, r, "chorus", LossWeights(), ipw)
     assert tuple(bundle.terms) == TERMS
     assert 1 <= _graph_nodes(bundle.total) <= 26
     assert np.isfinite(bundle.total.item())
-    assert len(grads) == len(params.parameters())
+    assert grad.shape == params.flat.shape
 
 
 @pytest.mark.parametrize(
@@ -549,21 +551,19 @@ def test_training_steps_are_bitwise_equal_to_per_tower_reference_graph(method, a
     params = init_model(schema, arch, seed=0)
     reference = params.copy()
     config = OptimizerConfig()
-    states = [OptimizerState.for_params(p.parameters()) for p in (params, reference)]
+    states = [OptimizerState.for_params(p) for p in (params, reference)]
     # Three 256-row batches, then the protocol's: the whole 1024-row log as
     # one batch and a shuffled 928-row tail.
     tail = np.random.default_rng(0).permutation(len(o))[:928]
     for step, idx in enumerate([*(np.arange(k * 256, (k + 1) * 256) for k in range(3)), np.arange(len(o)), tail]):
         batch = fm.rows(idx)
-        bundle, grads = training_step(params, batch, o[idx], r[idx], method, LossWeights(), IPW, params.parameters())
+        bundle, grad = training_step(params, batch, o[idx], r[idx], method, LossWeights(), IPW)
         heads, leaves = reference_forward(reference, batch)
         ref = compose_method_loss(method, TowerOutputs(*(h.value for h in heads)), o[idx], r[idx], LossWeights(), IPW)
-        expected = leaf_grads(objective(ref, heads), leaves)
+        expected = assert_layout_equal(params, grad, leaf_grads(objective(ref, heads), leaves), f"step {step}")
         assert bundle.term_values() == ref.term_values()
-        for p, g, e in zip(params.parameters(), grads, expected, strict=True):
-            assert g.tobytes() == e.tobytes(), f"step {step}: {p.name}"
-        optimizer_step(params.parameters(), grads, states[0], config)
-        optimizer_step(reference.parameters(), expected, states[1], config)
+        optimizer_step(params, grad, states[0], config)
+        optimizer_step(reference, expected, states[1], config)
 
 
 SIM = SimConfig(n_exposures=1024, seed=0)
@@ -620,19 +620,17 @@ def test_training_steps_are_bitwise_equal_to_the_loss_graph(method, arch):
         case = f"detach={ipw.detach} {weights} {kind}"
         params = init_model(schema, arch, seed=0)
         reference = params.copy()
-        states = [OptimizerState.for_params(p.parameters()) for p in (params, reference)]
+        states = [OptimizerState.for_params(p) for p in (params, reference)]
         for step, idx in enumerate(batches[kind]):
             batch = fm.rows(idx)
-            bundle, grads = training_step(params, batch, o[idx], r[idx], method, weights, ipw, params.parameters())
+            bundle, grad = training_step(params, batch, o[idx], r[idx], method, weights, ipw)
             heads, leaves = reference_forward(reference, batch)
             terms, total = reference_method_loss(method, heads, o[idx], r[idx], weights, ipw)
-            expected = leaf_grads(total, leaves)
+            expected = assert_layout_equal(params, grad, leaf_grads(total, leaves), f"{case} step {step}")
             assert bundle.terms == {name: t.item() for name, t in terms.items()}, case
             assert bundle.total.item() == total.item(), case
-            for p, g, e in zip(params.parameters(), grads, expected, strict=True):
-                assert g.tobytes() == e.tobytes(), f"{case} step {step}: {p.name}"
-            optimizer_step(params.parameters(), grads, states[0], OptimizerConfig())
-            optimizer_step(reference.parameters(), expected, states[1], OptimizerConfig())
+            optimizer_step(params, grad, states[0], OptimizerConfig())
+            optimizer_step(reference, expected, states[1], OptimizerConfig())
 
 
 # -- IPW estimator property -------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from choruscvr import model
 from choruscvr.metrics import UndefinedMetricError
 from choruscvr.model import Architecture, ModelParams, init_model
 from choruscvr.simulator import SimConfig, generate, sim_schema
@@ -81,8 +82,7 @@ def test_zero_epochs_returns_initial_params(sim_data):
     assert history.epochs == []
     assert history.best_epoch == 0
     fresh = init_model(schema, config.arch, config.seed)
-    for got, want in zip(params.parameters(), fresh.parameters()):
-        assert np.array_equal(got.value, want.value)
+    assert np.array_equal(params.flat, fresh.flat)
 
 
 def test_train_requires_records(sim_data):
@@ -104,8 +104,7 @@ def test_single_class_validation_trains_as_without_validation(sim_data):
     assert all(np.isnan(rec.val_ctcvr_auc) for rec in history.epochs)
     assert history.best_epoch == 3
     unvalidated, _ = train(config, records[:2000], records[:0], schema)
-    for got, want in zip(params.parameters(), unvalidated.parameters()):
-        assert got.value.tobytes() == want.value.tobytes()
+    assert params.flat.tobytes() == unvalidated.flat.tobytes()
 
 
 def test_train_takes_rows_of_one_log_only(sim_data):
@@ -114,8 +113,7 @@ def test_train_takes_rows_of_one_log_only(sim_data):
     rows = [records[i] for i in range(2000)]
     from_rows, _ = train(config, rows, [records[i] for i in range(2000, 2400)], schema)
     from_log, _ = train(config, records[:2000], records[2000:2400], schema)
-    for got, want in zip(from_rows.parameters(), from_log.parameters()):
-        assert got.value.tobytes() == want.value.tobytes()
+    assert from_rows.flat.tobytes() == from_log.flat.tobytes()
     assert evaluate(from_rows, rows).entries == evaluate(from_log, records[:2000]).entries
     # A slice is a log of its own; its rows do not join the parent's.
     with pytest.raises(ValueError, match="different logs"):
@@ -131,17 +129,20 @@ def test_train_is_deterministic(sim_data):
     for ra, rb in zip(hist_a.epochs, hist_b.epochs):
         assert ra.train_terms == rb.train_terms
         assert ra.val_ctcvr_auc == rb.val_ctcvr_auc
-    for pa, pb in zip(params_a.parameters(), params_b.parameters()):
-        assert pa.value.tobytes() == pb.value.tobytes()
+    assert params_a.flat.tobytes() == params_b.flat.tobytes()
 
 
-def test_train_builds_the_parameter_list_once(sim_data, monkeypatch):
+def test_train_lays_out_the_parameters_once_per_model(sim_data, monkeypatch):
+    # The layout is computed when a ModelParams is built: once for the
+    # model and once per snapshot of it, never per step.
     records, schema, _ = sim_data
-    calls = []
-    listed = ModelParams.parameters
-    monkeypatch.setattr(ModelParams, "parameters", lambda self: calls.append(1) or listed(self))
-    train(_small_config(epochs=2), records[:2000], records[2000:2400], schema)
-    assert len(calls) == 1
+    calls, snapshots = [], []
+    layout, copy = model._layout, ModelParams.copy
+    monkeypatch.setattr(model, "_layout", lambda *args: calls.append(1) or layout(*args))
+    monkeypatch.setattr(ModelParams, "copy", lambda self: snapshots.append(1) or copy(self))
+    _, history = train(_small_config(epochs=2), records[:2000], records[2000:2400], schema)
+    assert len(history.epochs) == 2  # eight steps of 512 rows
+    assert len(calls) == 1 + len(snapshots) <= 4
 
 
 def _perfbench_spans(monkeypatch):
@@ -234,8 +235,7 @@ def test_best_epoch_params_returned(sim_data):
     # epoch 1 under a vanishing learning rate is the initial model up to
     # updates far below float visibility in the stored values
     fresh = init_model(schema, config.arch, config.seed)
-    for got, want in zip(params.parameters(), fresh.parameters()):
-        assert np.allclose(got.value, want.value, atol=1e-9)
+    assert np.allclose(params.flat, fresh.flat, atol=1e-9)
 
 
 def test_default_pairs_depend_on_truth(sim_data):
@@ -261,8 +261,7 @@ def test_evaluate_covers_requested_pairs(sim_data):
 def test_evaluate_constant_model_scores_half_auc(sim_data):
     records, schema, _ = sim_data
     params = init_model(schema, ARCH, seed=0)
-    for tensor in params.parameters():
-        tensor.value[...] = 0.0
+    params.flat[...] = 0.0
     report = evaluate(params, records[:2000])
     entry = report.entries[("exposure", "ctr")]
     assert entry.auc == pytest.approx(0.5, abs=1e-12)

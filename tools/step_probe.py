@@ -59,8 +59,7 @@ LAYERS = {
 
 def probe(method: str, fm, o, r, params) -> dict[str, float]:
     """Each layer's and the whole step's minimum mean µs per call."""
-    param_list = params.parameters()
-    saved = [p.value.copy() for p in param_list]
+    saved = params.flat.copy()
     config, weights, ipw = trainer.OptimizerConfig(), LossWeights(), IpwConfig()
     spent = dict.fromkeys(LAYERS, 0.0)
 
@@ -77,13 +76,12 @@ def probe(method: str, fm, o, r, params) -> dict[str, float]:
     def rounds(k: int) -> list[float]:
         walls = []
         for _ in range(k):
-            for p, v in zip(param_list, saved):
-                p.value[...] = v
-            state = trainer.OptimizerState.for_params(param_list)
+            params.flat[...] = saved
+            state = trainer.OptimizerState.for_params(params)
             t0 = time.perf_counter()
             for _ in range(CALLS):
-                _, grads = objectives.training_step(params, fm, o, r, method, weights, ipw, param_list)
-                trainer.optimizer_step(param_list, grads, state, config)
+                _, grad = objectives.training_step(params, fm, o, r, method, weights, ipw)
+                trainer.optimizer_step(params, grad, state, config)
             walls.append(time.perf_counter() - t0)
         return walls
 
@@ -100,8 +98,7 @@ def probe(method: str, fm, o, r, params) -> dict[str, float]:
     finally:
         for label, (module, name) in LAYERS.items():
             setattr(module, name, originals[label])
-    for p, v in zip(param_list, saved):
-        p.value[...] = v
+    params.flat[...] = saved
     return {label: 1e6 * s / CALLS for label, s in best.items()}
 
 
