@@ -33,16 +33,16 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from choruscvr import model, objectives, trainer  # noqa: E402
+from choruscvr import model, objectives, trainer  # noqa: E402  (first: pins BLAS threads before numpy loads)
 from choruscvr.data import label_arrays  # noqa: E402
 from choruscvr.features import build_matrix  # noqa: E402
 from choruscvr.model import Architecture  # noqa: E402
 from choruscvr.objectives import IpwConfig, LossWeights  # noqa: E402
 from choruscvr.simulator import SimConfig, generate, sim_schema  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 BATCHES = (1, 1024)
 REPEATS, CALLS, SEED = 7, 300, 0  # timed rounds per layer, steps per round, simulator and model seed
